@@ -8,7 +8,7 @@ from .tensor import (
     cross_entropy_loss,
     dropout,
     l2_loss,
-    lstm_cell,
+    lstm_seq,
     matmul,
     mul,
     narrow,
@@ -21,16 +21,16 @@ from .tensor import (
     tsum,
 )
 from .optim import ParameterStore, adam_step
-from .nn import glorot_uniform, init_linear, init_lstm, linear, lstm_run
+from .nn import glorot_uniform, init_linear, init_lstm, linear
 from .gradcheck import GradCheckReport, grad_check
 from .checkpoint import CHECKPOINT_FORMAT, load_checkpoint, save_checkpoint
 
 __all__ = [
     "Tensor", "add", "concat", "cross_entropy_loss", "dropout", "l2_loss",
-    "lstm_cell", "matmul", "mul", "narrow", "relu", "reshape", "scale",
+    "lstm_seq", "matmul", "mul", "narrow", "relu", "reshape", "scale",
     "sigmoid", "softmax", "tanh", "tsum",
     "ParameterStore", "adam_step",
-    "glorot_uniform", "init_linear", "init_lstm", "linear", "lstm_run",
+    "glorot_uniform", "init_linear", "init_lstm", "linear",
     "GradCheckReport", "grad_check",
     "CHECKPOINT_FORMAT", "load_checkpoint", "save_checkpoint",
 ]

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .optim import ParameterStore
-from .tensor import Tensor, add, lstm_cell, matmul
+from .tensor import Tensor, add, matmul
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -21,10 +21,8 @@ def init_linear(
     n_in: int,
     n_out: int,
     rng: np.random.Generator,
-    zero: bool = False,
 ) -> None:
-    w = np.zeros((n_in, n_out)) if zero else glorot_uniform(rng, n_in, n_out)
-    store.add(f"{name}.w", w)
+    store.add(f"{name}.w", glorot_uniform(rng, n_in, n_out))
     store.add(f"{name}.b", np.zeros(n_out))
 
 
@@ -39,13 +37,3 @@ def init_lstm(
     store.add(f"{name}.wh", glorot_uniform(rng, hidden, 4 * hidden))
     store.add(f"{name}.b", np.zeros(4 * hidden))
 
-
-def lstm_run(store: ParameterStore, name: str, xs: list[Tensor], hidden: int) -> Tensor:
-    """Run a single-layer LSTM over the step inputs; returns the final hidden state."""
-    batch = xs[0].data.shape[0]
-    h = Tensor(np.zeros((batch, hidden)))
-    c = Tensor(np.zeros((batch, hidden)))
-    wx, wh, b = store[f"{name}.wx"], store[f"{name}.wh"], store[f"{name}.b"]
-    for x in xs:
-        h, c = lstm_cell(x, h, c, wx, wh, b)
-    return h

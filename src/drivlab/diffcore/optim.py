@@ -52,19 +52,6 @@ class ParameterStore:
     def any_grad(self) -> bool:
         return any(t.grad is not None for t in self._params.values())
 
-    def n_parameters(self) -> int:
-        return sum(t.data.size for t in self._params.values())
-
-    def clone(self) -> "ParameterStore":
-        out = ParameterStore()
-        for name, t in self._params.items():
-            out.add(name, t.data.copy())
-        out.step_count = self.step_count
-        for name in self._params:
-            out._m[name] = self._m[name].copy()
-            out._v[name] = self._v[name].copy()
-        return out
-
 
 def adam_step(
     store: ParameterStore,

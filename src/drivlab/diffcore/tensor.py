@@ -141,11 +141,15 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # two-branch form avoids exp overflow for large |x|
-    pos = x.data >= 0
-    e = np.exp(np.where(pos, -x.data, x.data))
-    out = _out(np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e)), (x,))
+    pos = x >= 0
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = _out(_sigmoid(x.data), (x,))
 
     def backward():
         _accum(x, out.grad * out.data * (1.0 - out.data))
@@ -312,21 +316,65 @@ def cross_entropy_loss(
     return out
 
 
-def lstm_cell(
-    x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor, b: Tensor
-) -> tuple[Tensor, Tensor]:
-    """One LSTM step. Gate layout along the 4H axis: input, forget, cell, output."""
+def lstm_seq(x: Tensor, steps: int, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """Single-layer LSTM over a whole sequence as one node; returns the final
+    hidden state ``(B, H)`` from a zero initial state.
+
+    ``x`` is step-major, ``(steps * B, n_in)``: rows ``[t*B, (t+1)*B)`` are
+    step ``t``. Gate layout along the 4H axis: input, forget, cell, output.
+    The input projection runs once for all steps; the per-step arithmetic
+    keeps the order of a chain of graph cells, so the forward is bit-identical
+    to it. The backward is hand-written backpropagation through time.
+    """
     hidden = wh.data.shape[0]
-    if wx.data.shape[1] != 4 * hidden or wh.data.shape[1] != 4 * hidden or b.data.shape != (4 * hidden,):
+    if x.data.ndim != 2 or steps < 1 or x.data.shape[0] % steps:
+        raise ShapeError(f"lstm_seq: x {x.data.shape} is not {steps} step-major blocks")
+    n_in, g4 = x.data.shape[1], 4 * hidden
+    if wx.data.shape != (n_in, g4) or wh.data.shape != (hidden, g4) or b.data.shape != (g4,):
         raise ShapeError(
-            f"lstm_cell: wx {wx.data.shape}, wh {wh.data.shape}, b {b.data.shape} "
-            f"inconsistent with hidden size {hidden}"
+            f"lstm_seq: x {x.data.shape}, wx {wx.data.shape}, wh {wh.data.shape}, "
+            f"b {b.data.shape} inconsistent with hidden size {hidden}"
         )
-    gates = add(add(matmul(x, wx), matmul(h, wh)), b)
-    i = sigmoid(narrow(gates, 1, 0, hidden))
-    f = sigmoid(narrow(gates, 1, hidden, 2 * hidden))
-    g = tanh(narrow(gates, 1, 2 * hidden, 3 * hidden))
-    o = sigmoid(narrow(gates, 1, 3 * hidden, 4 * hidden))
-    c2 = add(mul(f, c), mul(i, g))
-    h2 = mul(o, tanh(c2))
-    return h2, c2
+    batch = x.data.shape[0] // steps
+    xw = (x.data @ wx.data).reshape(steps, batch, g4)
+    acts = np.empty((steps, batch, 4, hidden))  # activated gates i, f, g, o
+    cs = np.zeros((steps + 1, batch, hidden))  # cs[t] is the cell state entering step t
+    hs = np.zeros((steps + 1, batch, hidden))
+    tcs = np.empty((steps, batch, hidden))  # tanh of the cell state leaving step t
+    for t in range(steps):
+        a = ((xw[t] + hs[t] @ wh.data) + b.data).reshape(batch, 4, hidden)
+        act = acts[t]
+        act[:] = _sigmoid(a)
+        act[:, 2] = np.tanh(a[:, 2])
+        cs[t + 1] = act[:, 1] * cs[t] + act[:, 0] * act[:, 2]
+        tcs[t] = np.tanh(cs[t + 1])
+        hs[t + 1] = act[:, 3] * tcs[t]
+    out = _out(hs[steps], (x, wx, wh, b))
+
+    def backward():
+        i, f, g, o = (acts[:, :, k] for k in range(4))
+        # local derivatives of every step at once: dh -> dc, dh -> output
+        # gate, and dc -> input, forget and cell gates (pre-activation)
+        d_cell = o * (1.0 - tcs * tcs)
+        d_out = tcs * o * (1.0 - o)
+        d_ifg = np.stack([g * i * (1.0 - i), cs[:steps] * f * (1.0 - f), i * (1.0 - g * g)], axis=2)
+        d_gates = np.empty((steps, batch, 4, hidden))
+        dh, dc = out.grad, np.zeros((batch, hidden))
+        for t in reversed(range(steps)):
+            dc = dc + dh * d_cell[t]
+            d_gates[t, :, :3] = dc[:, None] * d_ifg[t]
+            d_gates[t, :, 3] = dh * d_out[t]
+            dc = dc * f[t]
+            if t:
+                dh = d_gates[t].reshape(batch, g4) @ wh.data.T
+        d_gates = d_gates.reshape(steps * batch, g4)
+        if wh.requires_grad:
+            _accum(wh, hs[:steps].reshape(steps * batch, hidden).T @ d_gates)
+        if wx.requires_grad:
+            _accum(wx, x.data.T @ d_gates)
+        _accum(b, d_gates.sum(axis=0))
+        if x.requires_grad:
+            _accum(x, d_gates @ wx.data.T)
+
+    out._backward = backward
+    return out

@@ -37,8 +37,7 @@ from .diffcore import (
     init_lstm,
     l2_loss,
     linear,
-    lstm_run,
-    narrow,
+    lstm_seq,
     relu,
     scale,
 )
@@ -142,6 +141,11 @@ def init_driver_params(arch: BackboneArch, rng: np.random.Generator) -> Paramete
     return store
 
 
+def _track(store: ParameterStore, name: str, x: Tensor, steps: int) -> Tensor:
+    """One recurrent track over step-major ``x``; returns its final hidden state."""
+    return lstm_seq(x, steps, store[f"{name}.wx"], store[f"{name}.wh"], store[f"{name}.b"])
+
+
 def backbone_forward(
     store: ParameterStore,
     arch: BackboneArch,
@@ -163,10 +167,9 @@ def backbone_forward(
     flat = Tensor(np.ascontiguousarray(vis.transpose(1, 0, 2)).reshape(steps * batch, d))
     enc = relu(linear(store, "enc1", flat))
     enc = relu(linear(store, "enc2", enc))
-    frame_steps = [narrow(enc, 0, i * batch, (i + 1) * batch) for i in range(steps)]
-    h_vis = lstm_run(store, "vis", frame_steps, arch.vis_hidden)
-    h_spd = lstm_run(store, "spd", [Tensor(spd[:, i : i + 1]) for i in range(arch.k)], arch.sig_hidden)
-    h_ang = lstm_run(store, "ang", [Tensor(ang[:, i : i + 1]) for i in range(arch.k)], arch.sig_hidden)
+    h_vis = _track(store, "vis", enc, steps)
+    h_spd = _track(store, "spd", Tensor(spd.T.reshape(arch.k * batch, 1)), arch.k)
+    h_ang = _track(store, "ang", Tensor(ang.T.reshape(arch.k * batch, 1)), arch.k)
     fused = concat([h_vis, h_spd, h_ang], axis=1)
     return dropout(fused, arch.dropout_p, mode, rng)
 

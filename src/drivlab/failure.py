@@ -20,6 +20,7 @@ from .core import Episode, Normalizer, WindowSample, make_windows
 from .diffcore import ParameterStore, adam_step, cross_entropy_loss, softmax
 from .diffcore.checkpoint import load_checkpoint, save_checkpoint
 from .driver import (
+    PREDICT_BATCH,
     BackboneArch,
     DriverNet,
     TrainConfig,
@@ -237,7 +238,7 @@ def read_labels_csv(path) -> tuple[list[LabeledStep], dict[str, str]]:
                 f"{path}: unsupported label file header {header!r}; re-run "
                 f"`drivlab label` ({LABELS_FORMAT})"
             )
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if line.startswith("# "):
                 key, _, value = line[2:].partition(" ")
@@ -245,16 +246,16 @@ def read_labels_csv(path) -> tuple[list[LabeledStep], dict[str, str]]:
                 continue
             if line == LABELS_HEADER or not line:
                 continue
-            f = line.split(",")
-            if len(f) != 10:
-                raise ValidationError(f"{path}: malformed label row {line!r}")
-            rows.append(
-                LabeledStep(
-                    episode_id=f[0], t=int(f[1]), g_a=int(f[2]), g_s=int(f[3]),
-                    g=int(f[4]), g_horizon=int(f[5]), pred_angle=float(f[6]),
-                    pred_speed=float(f[7]), true_angle=float(f[8]), true_speed=float(f[9]),
+            try:
+                eid, t, g_a, g_s, g, g_h, p_a, p_s, t_a, t_s = line.split(",")
+                row = LabeledStep(
+                    episode_id=eid, t=int(t), g_a=int(g_a), g_s=int(g_s),
+                    g=int(g), g_horizon=int(g_h), pred_angle=float(p_a),
+                    pred_speed=float(p_s), true_angle=float(t_a), true_speed=float(t_s),
                 )
-            )
+            except ValueError:
+                raise ValidationError(f"{path}:{lineno}: malformed label row {line!r}") from None
+            rows.append(row)
     return rows, meta
 
 
@@ -367,16 +368,11 @@ def predict_hazard_batch(net: HazardNet, windows: Sequence[WindowSample]) -> np.
     data = windows_to_arrays(windows, net.normalizer)
     out = []
     n = len(windows)
-    step = 2048
-    for start in range(0, n, step):
-        sl = slice(start, start + step)
+    for start in range(0, n, PREDICT_BATCH):
+        sl = slice(start, start + PREDICT_BATCH)
         logits = hazard_forward(net.params, net.arch, data["vis"][sl], data["spd"][sl], data["ang"][sl])
         out.append(softmax(logits).data[:, 1])
     return np.concatenate(out)
-
-
-def predict_hazard(net: HazardNet, window: WindowSample) -> float:
-    return float(predict_hazard_batch(net, [window])[0])
 
 
 def save_hazard(path, net: HazardNet) -> None:

@@ -1,11 +1,17 @@
 """Independent reference implementations used to verify the real ones.
 
 These deliberately use naive algorithms (repeated max-scan selection,
-nested-loop silencing, slice/any labeling) so equivalence tests never share
-a code path with the implementations they check.
+nested-loop silencing, slice/any labeling, a per-gate autodiff graph for the
+LSTM) so equivalence tests never share a code path with the implementations
+they check.
 """
 
 import math
+
+import numpy as np
+
+from drivlab.diffcore import Tensor, add, matmul, mul, narrow, sigmoid, tanh
+from drivlab.errors import ShapeError
 
 
 def brute_force_takeover(rows, trace, budget, m, unit="steps"):
@@ -42,3 +48,34 @@ def brute_force_takeover(rows, trace, budget, m, unit="steps"):
 
 def brute_force_horizon(g_seq, t, m):
     return 1 if any(g_seq[t : t + m + 1]) else 0
+
+
+def lstm_cell(x, h, c, wx, wh, b):
+    """One LSTM step built from graph primitives (about 17 nodes), the slow
+    reference for ``lstm_seq``. Gate layout along the 4H axis: input, forget,
+    cell, output."""
+    hidden = wh.data.shape[0]
+    if wx.data.shape[1] != 4 * hidden or wh.data.shape[1] != 4 * hidden or b.data.shape != (4 * hidden,):
+        raise ShapeError(
+            f"lstm_cell: wx {wx.data.shape}, wh {wh.data.shape}, b {b.data.shape} "
+            f"inconsistent with hidden size {hidden}"
+        )
+    gates = add(add(matmul(x, wx), matmul(h, wh)), b)
+    i = sigmoid(narrow(gates, 1, 0, hidden))
+    f = sigmoid(narrow(gates, 1, hidden, 2 * hidden))
+    g = tanh(narrow(gates, 1, 2 * hidden, 3 * hidden))
+    o = sigmoid(narrow(gates, 1, 3 * hidden, 4 * hidden))
+    c2 = add(mul(f, c), mul(i, g))
+    h2 = mul(o, tanh(c2))
+    return h2, c2
+
+
+def lstm_chain(x, steps, wx, wh, b):
+    """``lstm_seq`` as a chain of graph cells over step-major ``x``."""
+    batch = x.data.shape[0] // steps
+    hidden = wh.data.shape[0]
+    h = Tensor(np.zeros((batch, hidden)))
+    c = Tensor(np.zeros((batch, hidden)))
+    for t in range(steps):
+        h, c = lstm_cell(narrow(x, 0, t * batch, (t + 1) * batch), h, c, wx, wh, b)
+    return h

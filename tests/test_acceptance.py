@@ -36,7 +36,7 @@ from drivlab.failure import (
     train_failure,
 )
 from drivlab.pipeline import derived_seed
-from oracles import brute_force_horizon, brute_force_takeover
+from oracles import brute_force_horizon, brute_force_takeover, lstm_cell
 
 
 def _ok(criterion: str, detail: str) -> None:
@@ -163,7 +163,7 @@ def study():
 def test_c1_gradient_correctness():
     from drivlab.diffcore import (
         ParameterStore, Tensor, add, concat, cross_entropy_loss, dropout, l2_loss,
-        lstm_cell, matmul, mul, narrow, relu, reshape, scale, sigmoid, softmax, tanh, tsum,
+        lstm_seq, matmul, mul, narrow, relu, reshape, scale, sigmoid, softmax, tanh, tsum,
     )
     from drivlab.driver import BackboneArch, driver_forward, init_driver_params
     from drivlab.failure import hazard_forward, init_hazard_params
@@ -215,6 +215,9 @@ def test_c1_gradient_correctness():
         return add(weighted(h2), weighted(c2))
 
     cases.append(lstm_case)
+    # own stream, so the network checks below keep their inputs
+    xs = store.add("xs", np.random.default_rng(8).standard_normal((3 * 2, 4)))
+    cases.append(lambda: weighted(lstm_seq(xs, 3, wx, wh, bg)))
     for fn in cases:
         report = grad_check(fn, store)
         worst = max(worst, report.max_rel_error)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from drivlab.cli import main
+from drivlab.failure import LABELS_FORMAT, LABELS_HEADER
 
 SMALL_CONFIG = """
 # small world for CLI tests
@@ -140,3 +141,16 @@ def test_eval_from_score_files(tmp_path, config_file):
     assert code == 0
     payload = json.loads(report.read_text())
     assert {p["budget"] for p in payload["curves"]["learned"]} == {0.25, 0.5}
+
+
+@pytest.mark.parametrize(
+    "bad_row", ["ep0000,xx,0,0,0,0,0.5,20.0,0.4,21.0", "ep0000,3,0,0,0,0,0.5,20.0,0.4"]
+)
+def test_malformed_label_row_exit_code_2(tmp_path, bad_row, capsys):
+    labels = tmp_path / "labels.csv"
+    good = "ep0000,2,0,0,0,1,0.5,20.0,0.4,21.0"
+    labels.write_text(f"{LABELS_FORMAT}\n# m 8\n{LABELS_HEADER}\n{good}\n{bad_row}\n")
+    code = main(["eval", "--labels", str(labels), "--scores", f"learned={tmp_path / 's.csv'}",
+                 "--out", str(tmp_path / "e.json"), "--quiet"])
+    assert code == 2
+    assert f"{labels}:5: malformed label row" in capsys.readouterr().err

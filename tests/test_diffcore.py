@@ -13,7 +13,7 @@ from drivlab.diffcore import (
     dropout,
     grad_check,
     l2_loss,
-    lstm_cell,
+    lstm_seq,
     matmul,
     mul,
     narrow,
@@ -33,6 +33,7 @@ from drivlab.errors import (
     ShapeError,
     ValidationError,
 )
+from oracles import lstm_cell, lstm_chain
 
 RNG = np.random.default_rng(123)
 
@@ -126,6 +127,69 @@ class TestPrimitiveGradients:
             return tsum(add(_weighted_sum(h2), _weighted_sum(c2)))
 
         _check(loss_fn, store)
+
+
+def _lstm_store(steps, batch, n_in, hidden, x_grad=True, seed=0):
+    rng = np.random.default_rng(seed)
+    store = ParameterStore()
+    x_data = rng.standard_normal((steps * batch, n_in))
+    x = store.add("x", x_data) if x_grad else Tensor(x_data)
+    wx = store.add("wx", rng.standard_normal((n_in, 4 * hidden)) * 0.8)
+    wh = store.add("wh", rng.standard_normal((hidden, 4 * hidden)) * 0.8)
+    b = store.add("b", rng.standard_normal(4 * hidden) * 0.5)
+    return store, (x, steps, wx, wh, b)
+
+
+# (steps, batch, n_in, hidden): the vis and spd/ang track shapes, a ragged
+# batch, and the single-step / single-row edges
+LSTM_SHAPES = [(5, 32, 32, 32), (4, 32, 1, 8), (3, 7, 5, 4), (1, 3, 4, 3), (4, 1, 1, 8)]
+
+
+class TestLstmSeq:
+    @pytest.mark.parametrize("shape", LSTM_SHAPES)
+    def test_forward_bit_identical_to_cell_chain(self, shape):
+        _, args = _lstm_store(*shape)
+        assert np.array_equal(lstm_seq(*args).data, lstm_chain(*args).data)
+
+    def test_forward_single_row_within_rounding(self):
+        # numpy sends a one-row product to gemv, whose rounding differs from
+        # gemm's in the last bit, so the chain's per-step x @ wx at batch 1
+        # is not bit-identical to the fused all-steps projection
+        _, args = _lstm_store(5, 1, 32, 32)
+        ref = lstm_chain(*args).data
+        assert np.max(np.abs(lstm_seq(*args).data - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("shape", LSTM_SHAPES)
+    def test_gradients_match_cell_chain(self, shape):
+        store, args = _lstm_store(*shape)
+        grads = []
+        for op in (lstm_seq, lstm_chain):
+            store.zero_grads()
+            _weighted_sum(op(*args)).backward()
+            grads.append({name: t.grad.copy() for name, t in store.items()})
+        for name, ref in grads[1].items():
+            err = np.max(np.abs(grads[0][name] - ref))
+            assert err <= 1e-12 * np.max(np.abs(ref)), f"{name}: {err}"
+
+    @pytest.mark.parametrize(
+        "shape, x_grad", [((1, 2, 3, 2), True), ((3, 1, 2, 2), True), ((4, 3, 1, 3), False)]
+    )
+    def test_grad_check(self, shape, x_grad):
+        store, args = _lstm_store(*shape, x_grad=x_grad, seed=4)
+        _check(lambda: _weighted_sum(lstm_seq(*args)), store)
+
+    def test_shape_errors_name_op(self):
+        _, (x, _steps, wx, wh, b) = _lstm_store(3, 2, 4, 3)
+        with pytest.raises(ShapeError, match="lstm_seq"):
+            lstm_seq(x, 4, wx, wh, b)  # 6 rows are not 4 step blocks
+        with pytest.raises(ShapeError, match="lstm_seq"):
+            lstm_seq(x, 0, wx, wh, b)
+        with pytest.raises(ShapeError, match="lstm_seq"):
+            lstm_seq(x, 3, Tensor(np.zeros((5, 12))), wh, b)
+        with pytest.raises(ShapeError, match="lstm_seq"):
+            lstm_seq(x, 3, wx, Tensor(np.zeros((3, 8))), b)
+        with pytest.raises(ShapeError, match="lstm_seq"):
+            lstm_seq(x, 3, wx, wh, Tensor(np.zeros(8)))
 
 
 class TestOpContracts:
