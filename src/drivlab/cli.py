@@ -1,5 +1,9 @@
 """Command-line interface.
 
+Every command parses its arguments and makes one call into ``pipeline``, so
+the stage commands write the same bytes as ``run-all``. Every value the
+config file sets is set only there.
+
 Exit codes: 0 success, 2 validation error, 3 missing artifact, 4 numerical
 failure during training.
 """
@@ -8,220 +12,28 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 
-import numpy as np
-
-from . import core, evaluate, pipeline, simgen
-from .config import PipelineConfig, parse_budgets
-from .driver import TrainConfig, constant_mean_mae, eval_mae, load_driver, save_driver, train_driver
+from . import pipeline
+from .config import PipelineConfig
 from .errors import DrivlabError, ValidationError, exit_code_for
-from .failure import (
-    CANONICAL_THRESHOLDS,
-    build_failure_dataset,
-    load_hazard,
-    read_labels_csv,
-    save_hazard,
-    train_failure,
-    write_labels_csv,
-)
 
 log = logging.getLogger("drivlab")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--config", default=None, help="flat key = value config file")
     p.add_argument("--quiet", action="store_true", help="log warnings only")
 
 
-def _load_cfg(args) -> PipelineConfig:
-    cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    if getattr(args, "seed", None) is not None:
-        mapping = cfg.to_mapping()
-        mapping["seed"] = args.seed
-        cfg = PipelineConfig.from_mapping({k: str(v) for k, v in mapping.items()})
-    return cfg
-
-
-def _read_data(args, cfg):
-    episodes = core.read_episodes(args.data)
-    splits = core.read_split_manifest(args.split)
-    by_split = {
-        name: [ep for ep in episodes if ep.episode_id in set(splits.ids_of(name))]
-        for name in core.SPLIT_NAMES
-    }
-    return episodes, splits, by_split
-
-
-def _windows_of(episodes, k):
-    windows = []
-    for ep in sorted(episodes, key=lambda e: e.episode_id):
-        windows.extend(core.make_windows(ep, k=k, stride=1))
-    return windows
-
-
-def cmd_gen(args) -> int:
-    cfg = _load_cfg(args)
-    n = args.episodes if args.episodes is not None else cfg.episodes
-    episodes = simgen.generate_dataset(
-        cfg.world_config(), n, base_seed=pipeline.derived_seed(cfg.seed, "gen")
-    )
-    core.write_episodes(args.out, episodes, provenance={"seed": str(cfg.seed)})
-    log.info("wrote %d episodes to %s", n, args.out)
-    return 0
-
-
-def cmd_split(args) -> int:
-    cfg = _load_cfg(args)
-    episodes = core.read_episodes(args.data)
-    splits = core.split_dataset(episodes, seed=pipeline.derived_seed(cfg.seed, "split"))
-    core.write_split_manifest(
-        args.out, splits,
-        provenance={"seed": str(cfg.seed), "episodes": pipeline.file_digest(args.data)},
-    )
-    return 0
-
-
-def cmd_train_driver(args) -> int:
-    cfg = _load_cfg(args)
-    _, _, by_split = _read_data(args, cfg)
-    tc = TrainConfig(
-        lr=cfg.driver_lr, epochs=cfg.driver_epochs, batch_size=cfg.driver_batch_size,
-        lam=cfg.loss_balance, seed=pipeline.derived_seed(cfg.seed, "driver"),
-        dropout_p=cfg.driver_dropout,
-    )
-    net, _ = train_driver(_windows_of(by_split["D1"], cfg.k), tc, trained_on="D1")
-    save_driver(args.out, net)
-    eval_windows = _windows_of(by_split["D3"], cfg.k)
-    mae_speed, mae_angle = eval_mae(net, eval_windows)
-    base_speed, base_angle = constant_mean_mae(net.normalizer, eval_windows)
-    metrics = {
-        "format": "drivlab-driver-metrics v1",
-        "mae_speed": mae_speed, "mae_angle": mae_angle,
-        "baseline_mae_speed": base_speed, "baseline_mae_angle": base_angle,
-        "epochs": cfg.driver_epochs, "seed": cfg.seed,
-    }
-    pipeline._write_json(args.metrics or args.out + ".metrics.json", metrics)
-    return 0
-
-
-def cmd_label(args) -> int:
-    cfg = _load_cfg(args)
-    _, _, by_split = _read_data(args, cfg)
-    net = load_driver(args.driver)
-    names = ["tight", "middle", "loose"] if args.thresholds == "all" else [args.thresholds]
-    for name in names:
-        ds = build_failure_dataset(
-            net, by_split[args.on], split=args.on, th=CANONICAL_THRESHOLDS[name],
-            m=cfg.m, allow_leakage=args.allow_leakage,
-        )
-        path = os.path.join(args.out_dir, pipeline.art_labels(args.on, name))
-        write_labels_csv(path, ds, provenance={"seed": str(cfg.seed), "driver": pipeline.file_digest(args.driver)})
-        log.info("wrote %s (hazard fraction %.3f)", path, ds.hazard_fraction)
-    return 0
-
-
-def cmd_train_failure(args) -> int:
-    cfg = _load_cfg(args)
-    _, _, by_split = _read_data(args, cfg)
-    driver_net = load_driver(args.driver)
-    rows, meta = read_labels_csv(args.labels)
-    split = meta.get("split", "D2")
-    if split == driver_net.trained_on:
-        raise ValidationError("labels derive from the driver's own training split")
-    episodes = core.episodes_by_id(by_split[split])
-    windows = evaluate.windows_at(episodes, [(r.episode_id, r.t) for r in rows], cfg.k)
-    labels = np.array([r.g_horizon for r in rows], dtype=np.int64)
-    th = CANONICAL_THRESHOLDS.get(args.thresholds) if args.thresholds != "from-labels" else None
-    if th is None:
-        from .failure import Thresholds
-
-        th = Thresholds(float(meta["t_angle"]), float(meta["t_speed"]))
-    tc = TrainConfig(
-        lr=cfg.hazard_lr, epochs=cfg.hazard_epochs, batch_size=cfg.hazard_batch_size,
-        seed=pipeline.derived_seed(cfg.seed, "hazard"), dropout_p=cfg.hazard_dropout,
-    )
-    net, _ = train_failure(
-        windows, labels, tc, normalizer=driver_net.normalizer, thresholds=th,
-        m=int(meta.get("m", cfg.m)), trained_on=split,
-    )
-    save_hazard(args.out, net)
-    return 0
-
-
-def cmd_eval(args) -> int:
-    cfg = _load_cfg(args)
-    rows, meta = read_labels_csv(args.labels)
-    m = int(meta.get("m", cfg.m))
-    budgets = parse_budgets(args.budgets) if args.budgets else parse_budgets(cfg.budgets)
-    scenes = evaluate.build_scenes(rows, m)
-    traces: dict[str, evaluate.PolicyScoreTrace] = {}
-    for spec_item in args.scores or []:
-        if "=" not in spec_item:
-            raise ValidationError(f"--scores expects policy=path, got {spec_item!r}")
-        policy, _, path = spec_item.partition("=")
-        trace, smeta = evaluate.read_scores_csv(path)
-        if "split" in smeta and "split" in meta and smeta["split"] != meta["split"]:
-            raise ValidationError(
-                f"scores {path} come from split {smeta['split']}, labels from {meta['split']}"
-            )
-        traces[policy] = evaluate.PolicyScoreTrace(policy=policy, entries=trace.entries)
-    if not traces:
-        if not (args.hazard and args.driver and args.data):
-            raise ValidationError("eval needs --scores files or --hazard/--driver/--data")
-        hazard_net = load_hazard(args.hazard)
-        driver_net = load_driver(args.driver)
-        episodes = core.episodes_by_id(core.read_episodes(args.data))
-        known = {eid for eid, _ in scenes}
-        episodes = {k: v for k, v in episodes.items() if k in known}
-        traces["learned"] = evaluate.score_learned(hazard_net, episodes, scenes)
-        traces["uncertainty"] = evaluate.score_uncertainty(
-            driver_net, episodes, scenes, n_samples=cfg.mc_samples,
-            seed=pipeline.derived_seed(cfg.seed, "uncertainty"),
-        )
-    curves = {}
-    for policy, trace in traces.items():
-        curves[policy] = evaluate.reduction_curve(rows, trace, budgets, m, unit=args.count_unit)
-    curves["interval"] = evaluate.interval_curve(rows, scenes, budgets, m, unit=args.count_unit)
-    curves["oracle"] = evaluate.reduction_curve(
-        rows, evaluate.score_oracle(rows, scenes, m), budgets, m, unit=args.count_unit
-    )
-    gains = {}
-    if "learned" in curves:
-        for b in evaluate.GAIN_BUDGETS:
-            if any(abs(b - x) < 1e-9 for x in budgets):
-                g = evaluate.safety_gain(curves["learned"], curves["interval"], b)
-                gains[f"{round(100 * b)}"] = g if g is not None else "no-failures"
-    report = {
-        "format": "drivlab-eval v1",
-        "m": m,
-        "count_unit": args.count_unit,
-        "n_rows": len(rows),
-        "n_scenes": len(scenes),
-        "curves": {
-            name: [{"budget": b, "reduction": r} for b, r in res.points]
-            for name, res in curves.items()
-        },
-        "gains_vs_interval_pct": gains,
-        "labels_meta": meta,
-    }
-    pipeline._write_json(args.out, report)
-    return 0
-
-
-def cmd_report(args) -> int:
-    cfg = _load_cfg(args)
-    pipeline.stage_report(cfg, args.out_dir)
-    return 0
-
-
-def cmd_run_all(args) -> int:
-    cfg = _load_cfg(args)
-    path = pipeline.run_all(cfg, args.out_dir)
-    log.info("report written to %s", path)
-    return 0
+def _score_files(specs: list[str] | None) -> dict[str, str]:
+    files = {}
+    for spec in specs or []:
+        if "=" not in spec:
+            raise ValidationError(f"--scores expects policy=path, got {spec!r}")
+        policy, _, path = spec.partition("=")
+        files[policy] = path
+    return files
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,15 +47,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate synthetic episodes")
     _add_common(p)
-    p.add_argument("--episodes", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(run=lambda cfg, a: pipeline.stage_gen(cfg, a.out, {}))
 
     p = sub.add_parser("split", help="three-way episode split")
     _add_common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_split)
+    p.set_defaults(run=lambda cfg, a: pipeline.stage_split(cfg, a.data, a.out, {}))
 
     p = sub.add_parser("train-driver", help="train the driving model on D1")
     _add_common(p)
@@ -251,19 +62,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--metrics", default=None, help="metrics JSON path (default <out>.metrics.json)")
-    p.set_defaults(func=cmd_train_driver)
+    p.set_defaults(run=lambda cfg, a: pipeline.stage_train_driver(
+        cfg, a.data, a.split, a.out, a.metrics or a.out + ".metrics.json", {}))
 
-    p = sub.add_parser("label", help="label driver failures on a split")
+    p = sub.add_parser("label", help="label driver failures on a split at the configured thresholds")
     _add_common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--driver", required=True)
     p.add_argument("--on", choices=("D1", "D2", "D3"), default="D2")
-    p.add_argument("--thresholds", choices=("tight", "middle", "loose", "all"), default="middle")
     p.add_argument("--allow-leakage", action="store_true",
                    help="permit labeling the driver's own training split")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_label)
+    p.set_defaults(run=lambda cfg, a: pipeline.stage_label(
+        cfg, a.data, a.split, a.driver, a.on, a.out_dir, {}, allow_leakage=a.allow_leakage))
 
     p = sub.add_parser("train-failure", help="train the hazard classifier from a label file")
     _add_common(p)
@@ -271,31 +83,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--driver", required=True, help="driver checkpoint (normalizer source)")
-    p.add_argument("--thresholds", default="from-labels")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_failure)
+    p.set_defaults(run=lambda cfg, a: pipeline.stage_train_failure(
+        cfg, a.data, a.split, a.driver, a.labels, a.out, {}))
 
-    p = sub.add_parser("eval", help="takeover study from label and score files")
+    p = sub.add_parser("eval", help="takeover study from a label file and scores")
     _add_common(p)
     p.add_argument("--labels", required=True)
     p.add_argument("--scores", action="append", default=None, metavar="POLICY=PATH")
     p.add_argument("--hazard", default=None, help="hazard checkpoint (scores computed inline)")
     p.add_argument("--driver", default=None)
     p.add_argument("--data", default=None)
-    p.add_argument("--budgets", default=None, help="start:stop:step or comma list")
-    p.add_argument("--count-unit", choices=("steps", "windows"), default="steps")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(run=lambda cfg, a: pipeline.stage_eval(
+        cfg, a.labels, a.out, {}, scores=_score_files(a.scores),
+        hazard=a.hazard, driver=a.driver, episodes=a.data))
 
     p = sub.add_parser("report", help="combine stage outputs into report.json")
     _add_common(p)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(run=lambda cfg, a: pipeline.stage_report(cfg, a.out_dir))
 
     p = sub.add_parser("run-all", help="run the full pipeline into an output directory")
     _add_common(p)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_run_all)
+    p.set_defaults(run=lambda cfg, a: log.info(
+        "report written to %s", pipeline.run_all(cfg, a.out_dir)))
 
     return parser
 
@@ -309,10 +122,12 @@ def main(argv: list[str] | None = None) -> int:
         force=True,
     )
     try:
-        return args.func(args)
+        cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+        args.run(cfg, args)
     except DrivlabError as exc:
         print(f"drivlab: error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    return 0
 
 
 def entry() -> None:

@@ -7,13 +7,14 @@ are marked read-only so windows can safely share views of episode arrays.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ArtifactVersionError, ValidationError
+from .errors import ArtifactVersionError, MissingArtifactError, ValidationError
 
 SPEED_MIN, SPEED_MAX = 0.0, 180.0  # km/h
 ANGLE_MIN, ANGLE_MAX = -720.0, 720.0  # degrees
@@ -232,6 +233,9 @@ class Normalizer:
     def __post_init__(self) -> None:
         object.__setattr__(self, "obs_mean", _readonly(self.obs_mean))
         object.__setattr__(self, "obs_std", _readonly(self.obs_std))
+        scalars = [self.mean_speed, self.std_speed, self.mean_angle, self.std_angle]
+        if not np.all(np.isfinite(np.concatenate([scalars, self.obs_mean, self.obs_std]))):
+            raise ValidationError("normalizer statistics must be finite")
         if self.std_speed <= 0 or self.std_angle <= 0 or np.any(self.obs_std <= 0):
             raise ValidationError("normalizer std values must be positive")
 
@@ -319,6 +323,8 @@ def write_episodes(path, episodes: Sequence[Episode], provenance: Mapping[str, s
 
 
 def read_episodes(path) -> list[Episode]:
+    if not os.path.exists(path):
+        raise MissingArtifactError(f"missing artifact: episode file {path}")
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         parts = header.split()
@@ -353,14 +359,16 @@ def read_episodes(path) -> list[Episode]:
             if eid != cur_id:
                 flush()
                 cur_id, cur = eid, []
-            cur.append(
-                TimedRecord(
+            try:
+                record = TimedRecord(
                     step_index=int(fields[1]),
                     obs=np.array([float(v) for v in fields[4:]]),
                     speed=float(fields[2]),
                     angle=float(fields[3]),
                 )
-            )
+            except (ValueError, ValidationError) as exc:
+                raise ValidationError(f"{path}:{lineno}: malformed episode row: {exc}") from None
+            cur.append(record)
         flush()
     if not episodes:
         raise ValidationError(f"{path}: no records")
@@ -379,6 +387,8 @@ def write_split_manifest(path, splits: SplitSet, provenance: Mapping[str, str] |
 
 
 def read_split_manifest(path) -> SplitSet:
+    if not os.path.exists(path):
+        raise MissingArtifactError(f"missing artifact: split manifest {path}")
     groups: dict[str, list[str]] = {name: [] for name in SPLIT_NAMES}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")

@@ -58,16 +58,23 @@ def load_checkpoint(path) -> tuple[str, dict[str, str], ParameterStore]:
         if line == "end":
             return kind, meta, store
         if line.startswith("meta "):
-            _, key, value = line.split(" ", 2)
+            key, _, value = line[len("meta "):].partition(" ")
             meta[key] = value
             i += 1
         elif line.startswith("param "):
             parts = line.split(" ")
             name = parts[1]
-            shape = tuple(int(s) for s in parts[2:])
-            values = np.array([float(v) for v in lines[i + 1].split(" ")])
+            if i + 1 >= len(lines):
+                raise ValidationError(f"{path}: param {name} has no value line")
+            try:
+                shape = tuple(int(s) for s in parts[2:])
+                values = np.array([float(v) for v in lines[i + 1].split(" ")])
+            except ValueError:
+                raise ValidationError(f"{path}:{i + 1}: malformed param {name}") from None
             if values.size != int(np.prod(shape)):
                 raise ValidationError(f"{path}: param {name} has {values.size} values, shape {shape}")
+            if not np.all(np.isfinite(values)):
+                raise ValidationError(f"{path}: param {name} has non-finite values")
             store.add(name, values.reshape(shape))
             i += 2
         else:

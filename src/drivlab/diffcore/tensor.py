@@ -3,6 +3,11 @@
 Ops build a DAG of Tensor nodes; ``Tensor.backward()`` runs a topological
 sweep accumulating exact gradients of a scalar loss into every node with
 ``requires_grad``. Gradients sum across shared subexpressions.
+
+A node's ``_backward`` takes the node itself as its argument instead of
+capturing it, so a graph references only its inputs: it holds no reference
+cycle and is freed as soon as its output is dropped, without waiting for the
+cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node)
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -74,7 +79,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: {a.data.shape} + {b.data.shape}")
     out = _out(a.data + b.data, (a, b))
 
-    def backward():
+    def backward(out):
         _accum(a, out.grad)
         _accum(b, out.grad.sum(axis=0) if bias else out.grad)
 
@@ -87,7 +92,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: {a.data.shape} * {b.data.shape}")
     out = _out(a.data * b.data, (a, b))
 
-    def backward():
+    def backward(out):
         _accum(a, out.grad * b.data)
         _accum(b, out.grad * a.data)
 
@@ -99,7 +104,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
     out = _out(a.data * s, (a,))
 
-    def backward():
+    def backward(out):
         _accum(a, out.grad * s)
 
     out._backward = backward
@@ -111,7 +116,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
     out = _out(a.data @ b.data, (a, b))
 
-    def backward():
+    def backward(out):
         if a.requires_grad:
             _accum(a, out.grad @ b.data.T)
         if b.requires_grad:
@@ -124,7 +129,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     out = _out(np.maximum(x.data, 0.0), (x,))
 
-    def backward():
+    def backward(out):
         _accum(x, out.grad * (x.data > 0.0))
 
     out._backward = backward
@@ -134,7 +139,7 @@ def relu(x: Tensor) -> Tensor:
 def tanh(x: Tensor) -> Tensor:
     out = _out(np.tanh(x.data), (x,))
 
-    def backward():
+    def backward(out):
         _accum(x, out.grad * (1.0 - out.data * out.data))
 
     out._backward = backward
@@ -151,7 +156,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def sigmoid(x: Tensor) -> Tensor:
     out = _out(_sigmoid(x.data), (x,))
 
-    def backward():
+    def backward(out):
         _accum(x, out.grad * out.data * (1.0 - out.data))
 
     out._backward = backward
@@ -169,7 +174,7 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
     out = _out(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
     offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
-    def backward():
+    def backward(out):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             g = out.grad[lo:hi] if axis == 0 else out.grad[:, lo:hi]
             _accum(t, g)
@@ -186,7 +191,7 @@ def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     data = x.data[start:stop] if axis == 0 else x.data[:, start:stop]
     out = _out(data.copy(), (x,))
 
-    def backward():
+    def backward(out):
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
         if axis == 0:
@@ -203,7 +208,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         raise ShapeError(f"reshape: {x.data.shape} -> {shape}")
     out = _out(x.data.reshape(shape), (x,))
 
-    def backward():
+    def backward(out):
         _accum(x, out.grad.reshape(x.data.shape))
 
     out._backward = backward
@@ -225,7 +230,7 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = No
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
     out = _out(x.data * mask, (x,))
 
-    def backward():
+    def backward(out):
         _accum(x, out.grad * mask)
 
     out._backward = backward
@@ -239,7 +244,7 @@ def softmax(x: Tensor) -> Tensor:
     e = np.exp(z)
     out = _out(e / e.sum(axis=1, keepdims=True), (x,))
 
-    def backward():
+    def backward(out):
         dot = (out.grad * out.data).sum(axis=1, keepdims=True)
         _accum(x, out.data * (out.grad - dot))
 
@@ -250,7 +255,7 @@ def softmax(x: Tensor) -> Tensor:
 def tsum(x: Tensor) -> Tensor:
     out = _out(np.array(x.data.sum()), (x,))
 
-    def backward():
+    def backward(out):
         _accum(x, np.broadcast_to(out.grad, x.data.shape).copy())
 
     out._backward = backward
@@ -269,7 +274,7 @@ def l2_loss(pred: Tensor, target: np.ndarray) -> Tensor:
         raise NumericalError("non-finite loss")
     out = _out(value, (pred,))
 
-    def backward():
+    def backward(out):
         _accum(pred, out.grad * 2.0 * diff / diff.size)
 
     out._backward = backward
@@ -307,7 +312,7 @@ def cross_entropy_loss(
         raise NumericalError("non-finite loss")
     out = _out(value, (logits,))
 
-    def backward():
+    def backward(out):
         probs = np.exp(logp)
         probs[np.arange(n), labels] -= 1.0
         _accum(logits, out.grad * probs * (w / wsum)[:, None])
@@ -351,7 +356,7 @@ def lstm_seq(x: Tensor, steps: int, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor
         hs[t + 1] = act[:, 3] * tcs[t]
     out = _out(hs[steps], (x, wx, wh, b))
 
-    def backward():
+    def backward(out):
         i, f, g, o = (acts[:, :, k] for k in range(4))
         # local derivatives of every step at once: dh -> dc, dh -> output
         # gate, and dc -> input, forget and cell gates (pre-activation)

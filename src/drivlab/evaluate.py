@@ -362,7 +362,7 @@ def read_scores_csv(path) -> tuple[PolicyScoreTrace, dict[str, str]]:
             raise ArtifactVersionError(
                 f"{path}: unsupported score file header {header!r} ({SCORES_FORMAT})"
             )
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if line.startswith("# "):
                 key, _, value = line[2:].partition(" ")
@@ -370,7 +370,10 @@ def read_scores_csv(path) -> tuple[PolicyScoreTrace, dict[str, str]]:
                 continue
             if line == SCORES_HEADER or not line:
                 continue
-            eid, t, score = line.split(",")
-            entries.append((eid, int(t), float(score)))
+            try:
+                eid, t, score = line.split(",")
+                entries.append((eid, int(t), float(score)))
+            except ValueError:
+                raise ValidationError(f"{path}:{lineno}: malformed score row {line!r}") from None
     policy = meta.pop("policy", "unknown")
     return PolicyScoreTrace(policy=policy, entries=tuple(entries)), meta

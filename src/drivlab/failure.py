@@ -205,18 +205,19 @@ def build_failure_dataset(
 # ---------------------------------------------------------------------------
 
 
-def write_labels_csv(path, ds: FailureDataset, provenance: Mapping[str, str] | None = None) -> None:
-    lines = [
-        LABELS_FORMAT,
-        f"# split {ds.split}",
-        f"# t_angle {ds.thresholds.t_angle!r}",
-        f"# t_speed {ds.thresholds.t_speed!r}",
-        f"# m {ds.m}",
-        f"# dropped {ds.n_dropped}",
-    ]
-    for key, value in (provenance or {}).items():
-        lines.append(f"# {key} {value}")
-    lines.append(LABELS_HEADER)
+def write_labels_csv(
+    path, ds: FailureDataset, provenance: Mapping[str, str] | None = None
+) -> dict[str, str]:
+    """Write the label file; returns its metadata as ``read_labels_csv`` reads it back."""
+    meta = {
+        "split": ds.split,
+        "t_angle": repr(ds.thresholds.t_angle),
+        "t_speed": repr(ds.thresholds.t_speed),
+        "m": str(ds.m),
+        "dropped": str(ds.n_dropped),
+        **{key: str(value) for key, value in (provenance or {}).items()},
+    }
+    lines = [LABELS_FORMAT, *(f"# {key} {value}" for key, value in meta.items()), LABELS_HEADER]
     for r in ds.rows:
         lines.append(
             f"{r.episode_id},{r.t},{r.g_a},{r.g_s},{r.g},{r.g_horizon},"
@@ -224,6 +225,7 @@ def write_labels_csv(path, ds: FailureDataset, provenance: Mapping[str, str] | N
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+    return meta
 
 
 def read_labels_csv(path) -> tuple[list[LabeledStep], dict[str, str]]:

@@ -1,23 +1,31 @@
 """Five-stage pipeline: gen -> train-driver -> label -> train-failure -> eval.
 
-Every stage reads and writes plain files under one output directory, records
-provenance (format version, pipeline seed, upstream digests), and is
-idempotent for identical inputs and seeds. ``run_all`` chains the stages and
-emits a deterministic report.json.
+Each stage function takes explicit input and output paths and is the only
+code that does its job: ``run_stage``/``run_all`` and the per-stage CLI both
+call it, so the two write the same bytes. Every stage records provenance
+(format version, pipeline seed, upstream digests) and is idempotent for
+identical inputs and seeds. ``run_all`` chains the stages in one output
+directory and emits a deterministic report.json.
+
+Stages share a ``memo`` dict keyed by absolute path: it holds what a stage
+loaded or wrote, so each input is parsed at most once per memo. ``run_all``
+passes one memo through every stage.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
 import os
+from typing import Mapping
+
 import numpy as np
 
-from . import core, evaluate, simgen
+from . import core, simgen
 from .config import PipelineConfig, parse_budgets
 from .driver import (
-    DriverNet,
     TrainConfig,
     constant_mean_mae,
     eval_mae,
@@ -28,7 +36,7 @@ from .driver import (
 from .errors import MissingArtifactError, ValidationError
 from .failure import (
     CANONICAL_THRESHOLDS,
-    FailureDataset,
+    Thresholds,
     build_failure_dataset,
     load_hazard,
     read_labels_csv,
@@ -38,14 +46,16 @@ from .failure import (
 )
 from .evaluate import (
     GAIN_BUDGETS,
-    PolicyScoreTrace,
+    auc,
     build_scenes,
     interval_curve,
+    read_scores_csv,
     reduction_curve,
     safety_gain,
     score_learned,
     score_oracle,
     score_uncertainty,
+    windows_at,
     write_scores_csv,
 )
 
@@ -90,74 +100,29 @@ def derived_seed(base: int, tag: str) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _require(out_dir, *names) -> None:
-    for name in names:
-        if not os.path.exists(os.path.join(out_dir, name)):
-            raise MissingArtifactError(f"missing artifact: {name} (run earlier stages first)")
-
-
 def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _load_episodes(out_dir, cache: dict | None):
-    path = os.path.join(out_dir, ART_EPISODES)
-    if cache is not None and "episodes" in cache:
-        return cache["episodes"]
-    episodes = core.read_episodes(path)
-    if cache is not None:
-        cache["episodes"] = episodes
-    return episodes
+def _memo(memo: dict, path, load, *key):
+    """``load(path)``, run once per memo. ``key`` extends the path for a
+    result derived from that file rather than read from it."""
+    k = (os.path.abspath(path), *key)
+    if k not in memo:
+        memo[k] = load(path)
+    return memo[k]
 
 
-# ---------------------------------------------------------------------------
-# Stages
-# ---------------------------------------------------------------------------
+def _keep(memo: dict, path, value) -> None:
+    """Record what a stage wrote to ``path``, so later stages skip reading it."""
+    memo[(os.path.abspath(path),)] = value
 
 
-def stage_gen(cfg: PipelineConfig, out_dir, cache: dict | None = None) -> str:
-    episodes = simgen.generate_dataset(
-        cfg.world_config(), cfg.episodes, base_seed=derived_seed(cfg.seed, "gen")
-    )
-    path = os.path.join(out_dir, ART_EPISODES)
-    core.write_episodes(path, episodes, provenance={"seed": str(cfg.seed)})
-    if cache is not None:
-        cache["episodes"] = episodes  # in-memory episodes keep difficulty traces
-    log.info("gen: wrote %d episodes to %s", len(episodes), path)
-    return path
-
-
-def stage_split(cfg: PipelineConfig, out_dir, cache: dict | None = None) -> str:
-    _require(out_dir, ART_EPISODES)
-    episodes = _load_episodes(out_dir, cache)
-    splits = core.split_dataset(episodes, seed=derived_seed(cfg.seed, "split"))
-    path = os.path.join(out_dir, ART_SPLITS)
-    core.write_split_manifest(
-        path,
-        splits,
-        provenance={
-            "seed": str(cfg.seed),
-            "episodes": file_digest(os.path.join(out_dir, ART_EPISODES)),
-        },
-    )
-    if cache is not None:
-        cache["splits"] = splits
-    log.info("split: %d/%d/%d episodes", len(splits.d1), len(splits.d2), len(splits.d3))
-    return path
-
-
-def _split_episodes(out_dir, cache, split_name):
-    episodes = _load_episodes(out_dir, cache)
-    if cache is not None and "splits" in cache:
-        splits = cache["splits"]
-    else:
-        splits = core.read_split_manifest(os.path.join(out_dir, ART_SPLITS))
-        if cache is not None:
-            cache["splits"] = splits
-    ids = set(splits.ids_of(split_name))
-    return [ep for ep in episodes if ep.episode_id in ids]
+def _split_episodes(memo: dict, episodes, splits, split_name: str) -> list[core.Episode]:
+    ids = set(_memo(memo, splits, core.read_split_manifest).ids_of(split_name))
+    return [ep for ep in _memo(memo, episodes, core.read_episodes) if ep.episode_id in ids]
 
 
 def _windows_of(episodes, k):
@@ -167,12 +132,52 @@ def _windows_of(episodes, k):
     return windows
 
 
-def stage_train_driver(cfg: PipelineConfig, out_dir, cache: dict | None = None) -> str:
-    _require(out_dir, ART_EPISODES, ART_SPLITS)
-    d1 = _split_episodes(out_dir, cache, "D1")
-    d3 = _split_episodes(out_dir, cache, "D3")
-    train_windows = _windows_of(d1, cfg.k)
-    eval_windows = _windows_of(d3, cfg.k)
+def _label_header(path, meta: Mapping[str, str]) -> tuple[str, str, Thresholds, int]:
+    """(split, threshold name, thresholds, m) from a label file's metadata."""
+    try:
+        th = Thresholds(float(meta["t_angle"]), float(meta["t_speed"]))
+        split, m = meta["split"], int(meta["m"])
+    except (KeyError, ValueError):
+        raise ValidationError(f"{path}: label file lacks a valid split, t_angle, t_speed or m") from None
+    names = [name for name, canon in CANONICAL_THRESHOLDS.items() if canon == th]
+    if not names:
+        raise ValidationError(f"{path}: thresholds {th} are not a canonical operating point")
+    return split, names[0], th, m
+
+
+# ---------------------------------------------------------------------------
+# Stages
+# ---------------------------------------------------------------------------
+
+
+def stage_gen(cfg: PipelineConfig, episodes_out, memo: dict) -> str:
+    episodes = simgen.generate_dataset(
+        cfg.world_config(), cfg.episodes, base_seed=derived_seed(cfg.seed, "gen")
+    )
+    core.write_episodes(episodes_out, episodes, provenance={"seed": str(cfg.seed)})
+    _keep(memo, episodes_out, episodes)  # in-memory episodes keep difficulty traces
+    log.info("gen: wrote %d episodes to %s", len(episodes), episodes_out)
+    return episodes_out
+
+
+def stage_split(cfg: PipelineConfig, episodes, splits_out, memo: dict) -> str:
+    splits = core.split_dataset(
+        _memo(memo, episodes, core.read_episodes), seed=derived_seed(cfg.seed, "split")
+    )
+    core.write_split_manifest(
+        splits_out, splits,
+        provenance={"seed": str(cfg.seed), "episodes": file_digest(episodes)},
+    )
+    _keep(memo, splits_out, splits)
+    log.info("split: %d/%d/%d episodes", len(splits.d1), len(splits.d2), len(splits.d3))
+    return splits_out
+
+
+def stage_train_driver(
+    cfg: PipelineConfig, episodes, splits, driver_out, metrics_out, memo: dict
+) -> str:
+    train_windows = _windows_of(_split_episodes(memo, episodes, splits, "D1"), cfg.k)
+    eval_windows = _windows_of(_split_episodes(memo, episodes, splits, "D3"), cfg.k)
     tc = TrainConfig(
         lr=cfg.driver_lr,
         epochs=cfg.driver_epochs,
@@ -185,11 +190,11 @@ def stage_train_driver(cfg: PipelineConfig, out_dir, cache: dict | None = None) 
     net, _history = train_driver(train_windows, tc, val_windows=val_windows, trained_on="D1")
     net.provenance = {
         "pipeline_seed": str(cfg.seed),
-        "episodes": file_digest(os.path.join(out_dir, ART_EPISODES)),
-        "splits": file_digest(os.path.join(out_dir, ART_SPLITS)),
+        "episodes": file_digest(episodes),
+        "splits": file_digest(splits),
     }
-    path = os.path.join(out_dir, ART_DRIVER)
-    save_driver(path, net)
+    save_driver(driver_out, net)
+    _keep(memo, driver_out, net)
     mae_speed, mae_angle = eval_mae(net, eval_windows)
     base_speed, base_angle = constant_mean_mae(net.normalizer, eval_windows)
     metrics = {
@@ -204,202 +209,175 @@ def stage_train_driver(cfg: PipelineConfig, out_dir, cache: dict | None = None) 
         "n_train_windows": len(train_windows),
         "n_eval_windows": len(eval_windows),
     }
-    _write_json(os.path.join(out_dir, ART_DRIVER_METRICS), metrics)
-    if cache is not None:
-        cache["driver"] = net
+    _write_json(metrics_out, metrics)
     log.info(
         "train-driver: mae_speed=%.3f (baseline %.3f), mae_angle=%.3f (baseline %.3f)",
         mae_speed, base_speed, mae_angle, base_angle,
     )
-    return path
+    return driver_out
 
 
-def _get_driver(out_dir, cache) -> DriverNet:
-    if cache is not None and "driver" in cache:
-        return cache["driver"]
-    net = load_driver(os.path.join(out_dir, ART_DRIVER))
-    if cache is not None:
-        cache["driver"] = net
-    return net
-
-
-def _label_one(cfg, out_dir, cache, split_name, th_name) -> FailureDataset:
-    net = _get_driver(out_dir, cache)
-    episodes = _split_episodes(out_dir, cache, split_name)
-    ds = build_failure_dataset(
-        net, episodes, split=split_name, th=CANONICAL_THRESHOLDS[th_name], m=cfg.m
-    )
-    path = os.path.join(out_dir, art_labels(split_name, th_name))
-    write_labels_csv(
-        path,
-        ds,
-        provenance={
-            "seed": str(cfg.seed),
-            "driver": file_digest(os.path.join(out_dir, ART_DRIVER)),
-        },
-    )
-    if cache is not None:
-        cache[("labels", split_name, th_name)] = ds
-    return ds
-
-
-def stage_label(cfg: PipelineConfig, out_dir, cache: dict | None = None) -> list[str]:
-    _require(out_dir, ART_EPISODES, ART_SPLITS, ART_DRIVER)
+def stage_label(
+    cfg: PipelineConfig, episodes, splits, driver, split_name: str, out_dir, memo: dict,
+    allow_leakage: bool = False,
+) -> list[str]:
+    """Label the driver's failures on one split at every configured
+    threshold, writing ``labels_<split>_<threshold>.csv`` into ``out_dir``."""
+    net = _memo(memo, driver, load_driver)
+    split_episodes = _split_episodes(memo, episodes, splits, split_name)
+    provenance = {"seed": str(cfg.seed), "driver": file_digest(driver)}
     paths = []
     for th_name in cfg.threshold_names():
-        for split_name in ("D2", "D3"):
-            _label_one(cfg, out_dir, cache, split_name, th_name)
-            paths.append(os.path.join(out_dir, art_labels(split_name, th_name)))
-    return paths
-
-
-def _get_labels(cfg, out_dir, cache, split_name, th_name) -> FailureDataset:
-    key = ("labels", split_name, th_name)
-    if cache is not None and key in cache:
-        return cache[key]
-    path = os.path.join(out_dir, art_labels(split_name, th_name))
-    if not os.path.exists(path):
-        raise MissingArtifactError(f"missing artifact: {os.path.basename(path)}")
-    rows, meta = read_labels_csv(path)
-    episodes = core.episodes_by_id(_split_episodes(out_dir, cache, split_name))
-    positions = [(r.episode_id, r.t) for r in rows]
-    windows = evaluate.windows_at(episodes, positions, cfg.k)
-    ds = FailureDataset(
-        rows=rows,
-        windows=windows,
-        labels=np.array([r.g_horizon for r in rows], dtype=np.int64),
-        thresholds=CANONICAL_THRESHOLDS[th_name],
-        m=int(meta.get("m", cfg.m)),
-        split=split_name,
-        n_dropped=int(meta.get("dropped", 0)),
-    )
-    if cache is not None:
-        cache[key] = ds
-    return ds
-
-
-def stage_train_failure(cfg: PipelineConfig, out_dir, cache: dict | None = None) -> list[str]:
-    _require(out_dir, ART_EPISODES, ART_SPLITS, ART_DRIVER)
-    driver_net = _get_driver(out_dir, cache)
-    paths = []
-    for th_name in cfg.threshold_names():
-        ds = _get_labels(cfg, out_dir, cache, "D2", th_name)
-        if ds.split == driver_net.trained_on:
-            raise ValidationError("hazard training labels derive from the driver's split")
-        tc = TrainConfig(
-            lr=cfg.hazard_lr,
-            epochs=cfg.hazard_epochs,
-            batch_size=cfg.hazard_batch_size,
-            seed=derived_seed(cfg.seed, f"hazard-{th_name}"),
-            dropout_p=cfg.hazard_dropout,
+        ds = build_failure_dataset(
+            net, split_episodes, split=split_name, th=CANONICAL_THRESHOLDS[th_name], m=cfg.m,
+            allow_leakage=allow_leakage,
         )
-        net, _history = train_failure(
-            ds.windows, ds.labels, tc, normalizer=driver_net.normalizer,
-            thresholds=ds.thresholds, m=ds.m, trained_on="D2",
-        )
-        net.provenance = {
-            "pipeline_seed": str(cfg.seed),
-            "labels": file_digest(os.path.join(out_dir, art_labels("D2", th_name))),
-            "driver": file_digest(os.path.join(out_dir, ART_DRIVER)),
-        }
-        path = os.path.join(out_dir, art_hazard(th_name))
-        save_hazard(path, net)
-        if cache is not None:
-            cache[("hazard", th_name)] = net
+        path = os.path.join(out_dir, art_labels(split_name, th_name))
+        _keep(memo, path, (ds.rows, write_labels_csv(path, ds, provenance)))
         paths.append(path)
     return paths
 
 
-def _get_hazard(out_dir, cache, th_name):
-    key = ("hazard", th_name)
-    if cache is not None and key in cache:
-        return cache[key]
-    net = load_hazard(os.path.join(out_dir, art_hazard(th_name)))
-    if cache is not None:
-        cache[key] = net
-    return net
+def stage_train_failure(
+    cfg: PipelineConfig, episodes, splits, driver, labels, hazard_out, memo: dict
+) -> str:
+    """Train the hazard net on one label file; its threshold names the seed."""
+    driver_net = _memo(memo, driver, load_driver)
+    rows, meta = _memo(memo, labels, read_labels_csv)
+    split, th_name, th, m = _label_header(labels, meta)
+    if split == driver_net.trained_on:
+        raise ValidationError("hazard training labels derive from the driver's split")
+    by_id = core.episodes_by_id(_split_episodes(memo, episodes, splits, split))
+    windows = windows_at(by_id, [(r.episode_id, r.t) for r in rows], cfg.k)
+    tc = TrainConfig(
+        lr=cfg.hazard_lr,
+        epochs=cfg.hazard_epochs,
+        batch_size=cfg.hazard_batch_size,
+        seed=derived_seed(cfg.seed, f"hazard-{th_name}"),
+        dropout_p=cfg.hazard_dropout,
+    )
+    net, _history = train_failure(
+        windows, np.array([r.g_horizon for r in rows], dtype=np.int64), tc,
+        normalizer=driver_net.normalizer, thresholds=th, m=m, trained_on=split,
+    )
+    net.provenance = {
+        "pipeline_seed": str(cfg.seed),
+        "labels": file_digest(labels),
+        "driver": file_digest(driver),
+    }
+    save_hazard(hazard_out, net)
+    _keep(memo, hazard_out, net)
+    return hazard_out
 
 
-def stage_eval(cfg: PipelineConfig, out_dir, cache: dict | None = None) -> list[str]:
-    _require(out_dir, ART_EPISODES, ART_SPLITS, ART_DRIVER)
+def _checkpoint_scores(cfg, memo, split, scenes, hazard, driver, episodes):
+    """Learned and dropout-uncertainty scores for ``scenes``, each with the
+    provenance its score file records. The uncertainty scores depend on the
+    driver and the scenes only, so thresholds sharing a memo share them."""
+    hazard_net = _memo(memo, hazard, load_hazard)
+    if hazard_net.trained_on == split:
+        raise ValidationError("hazard net was trained on the evaluation split")
+    driver_net = _memo(memo, driver, load_driver)
+    by_id = core.episodes_by_id(_memo(memo, episodes, core.read_episodes))
+    provenance = {"split": split, "seed": str(cfg.seed)}
+
+    def uncertainty(driver_path):
+        trace = score_uncertainty(
+            driver_net, by_id, scenes,
+            n_samples=cfg.mc_samples, seed=derived_seed(cfg.seed, "uncertainty"),
+        )
+        return trace, {**provenance, "driver": file_digest(driver_path)}
+
+    return {
+        "learned": (
+            score_learned(hazard_net, by_id, scenes),
+            {**provenance, "hazard": file_digest(hazard)},
+        ),
+        "uncertainty": _memo(memo, driver, uncertainty, "uncertainty", tuple(scenes)),
+    }
+
+
+def stage_eval(
+    cfg: PipelineConfig, labels, eval_out, memo: dict,
+    scores: Mapping[str, str] | None = None,
+    hazard=None, driver=None, episodes=None,
+    scores_out: Mapping[str, str] | None = None,
+) -> str:
+    """Takeover study on one label file, written as ``eval_out`` JSON.
+
+    Policy scores come from ``scores`` files (policy -> path) or, without
+    them, from the ``hazard`` and ``driver`` checkpoints over ``episodes``;
+    ``scores_out`` (policy -> path) writes the computed scores. The interval
+    and oracle policies are always added.
+    """
+    rows, meta = _memo(memo, labels, read_labels_csv)
+    split, th_name, th, m = _label_header(labels, meta)
+    scenes = build_scenes(rows, m)
+    if scores:
+        traces = {policy: _memo(memo, path, read_scores_csv) for policy, path in scores.items()}
+    elif hazard and driver and episodes:
+        traces = _checkpoint_scores(cfg, memo, split, scenes, hazard, driver, episodes)
+    else:
+        raise ValidationError("eval needs --scores files or --hazard/--driver/--data")
+    for policy, (trace, trace_meta) in traces.items():
+        if trace_meta.get("split", split) != split:
+            raise ValidationError(
+                f"{policy} scores come from split {trace_meta['split']}, labels from {split}"
+            )
+        if [(eid, t) for eid, t, _ in trace.entries] != scenes:
+            raise ValidationError(f"{policy} scores do not cover exactly the scenes of {labels}")
+    for policy, path in (scores_out or {}).items():
+        write_scores_csv(path, *traces[policy])
+
     budgets = parse_budgets(cfg.budgets)
-    driver_net = _get_driver(out_dir, cache)
-    episodes = core.episodes_by_id(_split_episodes(out_dir, cache, "D3"))
-    paths = []
-    unc_trace: PolicyScoreTrace | None = None
-    for th_name in cfg.threshold_names():
-        hazard_net = _get_hazard(out_dir, cache, th_name)
-        if hazard_net.trained_on == "D3":
-            raise ValidationError("hazard net was trained on the evaluation split")
-        ds = _get_labels(cfg, out_dir, cache, "D3", th_name)
-        scenes = build_scenes(ds.rows, ds.m)
-        learned = score_learned(hazard_net, episodes, scenes)
-        if unc_trace is None:  # driver-based, threshold-independent
-            unc_trace = score_uncertainty(
-                driver_net, episodes, scenes,
-                n_samples=cfg.mc_samples, seed=derived_seed(cfg.seed, "uncertainty"),
-            )
-            write_scores_csv(
-                os.path.join(out_dir, art_scores("uncertainty")), unc_trace,
-                provenance={
-                    "split": "D3", "seed": str(cfg.seed),
-                    "driver": file_digest(os.path.join(out_dir, ART_DRIVER)),
-                },
-            )
-        write_scores_csv(
-            os.path.join(out_dir, art_scores("learned", th_name)), learned,
-            provenance={
-                "split": "D3", "seed": str(cfg.seed),
-                "hazard": file_digest(os.path.join(out_dir, art_hazard(th_name))),
-            },
-        )
-        oracle = score_oracle(ds.rows, scenes, ds.m)
-        th = ds.thresholds
-        curves = {
-            "learned": reduction_curve(ds.rows, learned, budgets, ds.m, th, cfg.count_unit),
-            "uncertainty": reduction_curve(ds.rows, unc_trace, budgets, ds.m, th, cfg.count_unit),
-            "interval": interval_curve(ds.rows, scenes, budgets, ds.m, th, cfg.count_unit),
-            "oracle": reduction_curve(ds.rows, oracle, budgets, ds.m, th, cfg.count_unit),
-        }
-        gain_budgets = [b for b in GAIN_BUDGETS if any(abs(b - x) < 1e-9 for x in budgets)]
-        gains = {}
-        for b in gain_budgets:
-            g = safety_gain(curves["learned"], curves["interval"], b)
-            # undefined when the baseline silenced nothing
-            gains[f"{round(100 * b)}"] = g if g is not None else "no-failures"
-        row_by_key = {(r.episode_id, r.t): r for r in ds.rows}
-        scene_labels = np.array([row_by_key[s].g_horizon for s in scenes], dtype=np.int64)
-        learned_scores = np.array([s for _, _, s in learned.entries])
-        report = {
-            "format": "drivlab-eval v1",
-            "thresholds": {"t_angle": th.t_angle, "t_speed": th.t_speed, "name": th_name},
-            "m": ds.m,
-            "count_unit": cfg.count_unit,
-            "n_rows": len(ds.rows),
-            "n_scenes": len(scenes),
-            "hazard_fraction_windows": ds.hazard_fraction,
-            "hazard_fraction_scenes": float(scene_labels.mean()) if len(scenes) else 0.0,
-            "auc_learned": evaluate.auc(learned_scores, scene_labels),
-            "curves": {
-                name: [{"budget": b, "reduction": r} for b, r in res.points]
-                for name, res in curves.items()
-            },
-            "gains_vs_interval_pct": gains,
-            "seed": cfg.seed,
-        }
-        path = os.path.join(out_dir, art_eval(th_name))
-        _write_json(path, report)
-        paths.append(path)
-        log.info(
-            "eval[%s]: auc=%s, gain@25%%=%s", th_name,
-            report["auc_learned"], gains.get("25"),
-        )
-    return paths
+    unit = cfg.count_unit
+    curves = {
+        policy: reduction_curve(rows, trace, budgets, m, th, unit)
+        for policy, (trace, _) in traces.items()
+    }
+    curves["interval"] = interval_curve(rows, scenes, budgets, m, th, unit)
+    curves["oracle"] = reduction_curve(rows, score_oracle(rows, scenes, m), budgets, m, th, unit)
+    gains = {}
+    if "learned" in curves:
+        for b in GAIN_BUDGETS:
+            if any(abs(b - x) < 1e-9 for x in budgets):
+                g = safety_gain(curves["learned"], curves["interval"], b)
+                # undefined when the baseline silenced nothing
+                gains[f"{round(100 * b)}"] = g if g is not None else "no-failures"
+    row_labels = np.array([r.g_horizon for r in rows], dtype=np.int64)
+    row_by_key = {(r.episode_id, r.t): r for r in rows}
+    scene_labels = np.array([row_by_key[s].g_horizon for s in scenes], dtype=np.int64)
+    learned_auc = None
+    if "learned" in traces:
+        learned_scores = np.array([s for _, _, s in traces["learned"][0].entries])
+        learned_auc = auc(learned_scores, scene_labels)
+    report = {
+        "format": "drivlab-eval v1",
+        "thresholds": {"t_angle": th.t_angle, "t_speed": th.t_speed, "name": th_name},
+        "m": m,
+        "count_unit": unit,
+        "n_rows": len(rows),
+        "n_scenes": len(scenes),
+        "hazard_fraction_windows": float(row_labels.mean()) if len(rows) else 0.0,
+        "hazard_fraction_scenes": float(scene_labels.mean()) if len(scenes) else 0.0,
+        "auc_learned": learned_auc,
+        "curves": {
+            name: [{"budget": b, "reduction": r} for b, r in res.points]
+            for name, res in curves.items()
+        },
+        "gains_vs_interval_pct": gains,
+        "seed": cfg.seed,
+    }
+    _write_json(eval_out, report)
+    log.info("eval[%s]: auc=%s, gain@25%%=%s", th_name, learned_auc, gains.get("25"))
+    return eval_out
 
 
-def stage_report(cfg: PipelineConfig, out_dir, cache: dict | None = None) -> str:
-    _require(out_dir, ART_DRIVER_METRICS)
-    with open(os.path.join(out_dir, ART_DRIVER_METRICS), "r", encoding="utf-8") as fh:
+def stage_report(cfg: PipelineConfig, out_dir) -> str:
+    metrics_path = os.path.join(out_dir, ART_DRIVER_METRICS)
+    if not os.path.exists(metrics_path):
+        raise MissingArtifactError(f"missing artifact: {ART_DRIVER_METRICS} (run earlier stages first)")
+    with open(metrics_path, "r", encoding="utf-8") as fh:
         driver_metrics = json.load(fh)
     per_threshold = {}
     for th_name in cfg.threshold_names():
@@ -427,18 +405,45 @@ def stage_report(cfg: PipelineConfig, out_dir, cache: dict | None = None) -> str
 
 
 def run_stage(name: str, cfg: PipelineConfig, out_dir, cache: dict | None = None):
-    stages = {
-        "gen": stage_gen,
-        "split": stage_split,
-        "train-driver": stage_train_driver,
-        "label": stage_label,
-        "train-failure": stage_train_failure,
-        "eval": stage_eval,
-        "report": stage_report,
-    }
-    if name not in stages:
-        raise ValidationError(f"unknown stage {name!r}; stages: {', '.join(STAGES)}")
-    return stages[name](cfg, out_dir, cache)
+    """Run one stage on the fixed artifact names inside ``out_dir``.
+    ``cache`` is a memo shared across calls; None gives the stage its own."""
+    memo = {} if cache is None else cache
+    path = functools.partial(os.path.join, out_dir)
+    episodes, splits, driver = path(ART_EPISODES), path(ART_SPLITS), path(ART_DRIVER)
+    names = cfg.threshold_names()
+    if name == "gen":
+        return stage_gen(cfg, episodes, memo)
+    if name == "split":
+        return stage_split(cfg, episodes, splits, memo)
+    if name == "train-driver":
+        return stage_train_driver(cfg, episodes, splits, driver, path(ART_DRIVER_METRICS), memo)
+    if name == "label":
+        return [
+            p for split in ("D2", "D3")
+            for p in stage_label(cfg, episodes, splits, driver, split, out_dir, memo)
+        ]
+    if name == "train-failure":
+        return [
+            stage_train_failure(
+                cfg, episodes, splits, driver, path(art_labels("D2", t)), path(art_hazard(t)), memo
+            )
+            for t in names
+        ]
+    if name == "eval":
+        return [
+            stage_eval(
+                cfg, path(art_labels("D3", t)), path(art_eval(t)), memo,
+                hazard=path(art_hazard(t)), driver=driver, episodes=episodes,
+                scores_out={
+                    "learned": path(art_scores("learned", t)),
+                    "uncertainty": path(art_scores("uncertainty")),
+                },
+            )
+            for t in names
+        ]
+    if name == "report":
+        return stage_report(cfg, out_dir)
+    raise ValidationError(f"unknown stage {name!r}; stages: {', '.join(STAGES)}")
 
 
 def run_all(cfg: PipelineConfig, out_dir) -> str:

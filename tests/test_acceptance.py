@@ -1,30 +1,25 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 the measured values (run with -s to see them on passing runs).
 
-The two expensive fixtures are session-scoped: ``full_run`` exercises the
-default synthetic config (1,000 episodes x 300 steps), ``study`` runs ten
-independent pipeline seeds at the middle threshold for the takeover
-comparison. Both assert their stated runtime caps.
+The two expensive fixtures are session-scoped and run the shipped pipeline:
+``full_run`` runs gen through label at the default synthetic config (1,000
+episodes x 300 steps), ``study`` runs ``run_all`` for ten independent seeds
+at the middle threshold for the takeover comparison. Both assert their stated
+runtime caps.
 """
 
+import json
+import shutil
 import time
 
 import numpy as np
 import pytest
 
-from drivlab import core, evaluate, simgen
+from drivlab import evaluate
 from drivlab.cli import main as cli_main
 from drivlab.config import PipelineConfig
 from drivlab.diffcore import grad_check
-from drivlab.driver import (
-    TrainConfig,
-    constant_mean_mae,
-    eval_mae,
-    load_driver,
-    predict_batch,
-    save_driver,
-    train_driver,
-)
+from drivlab.driver import load_driver, predict_batch, save_driver
 from drivlab.failure import (
     CANONICAL_THRESHOLDS,
     build_failure_dataset,
@@ -32,10 +27,10 @@ from drivlab.failure import (
     label_step,
     load_hazard,
     predict_hazard_batch,
+    read_labels_csv,
     save_hazard,
-    train_failure,
 )
-from drivlab.pipeline import derived_seed
+from drivlab.pipeline import ART_DRIVER_METRICS, art_eval, art_labels, run_all, run_stage
 from oracles import brute_force_horizon, brute_force_takeover, lstm_cell
 
 
@@ -49,38 +44,26 @@ def _ok(criterion: str, detail: str) -> None:
 
 
 @pytest.fixture(scope="session")
-def full_run():
-    """Default config end to end: driver competence + hazard-rate band."""
+def full_run(tmp_path_factory):
+    """Default config through gen, split, train-driver and label: driver
+    competence + hazard-rate band."""
     cfg = PipelineConfig()  # 1,000 episodes x 300 steps, 10 epochs
+    out = tmp_path_factory.mktemp("full_run")
     t0 = time.monotonic()
-    episodes = simgen.generate_dataset(cfg.world_config(), cfg.episodes, derived_seed(cfg.seed, "gen"))
-    splits = core.split_dataset(episodes, derived_seed(cfg.seed, "split"))
-    by_id = core.episodes_by_id(episodes)
-    windows = {
-        name: [
-            w
-            for eid in sorted(splits.ids_of(name))
-            for w in core.make_windows(by_id[eid], cfg.k)
-        ]
-        for name in ("D1", "D2", "D3")
-    }
-    tc = TrainConfig(
-        lr=cfg.driver_lr, epochs=cfg.driver_epochs, batch_size=cfg.driver_batch_size,
-        lam=cfg.loss_balance, seed=derived_seed(cfg.seed, "driver"), dropout_p=cfg.driver_dropout,
-    )
-    net, _ = train_driver(windows["D1"], tc, trained_on="D1")
-    mae_speed, mae_angle = eval_mae(net, windows["D3"])
-    base_speed, base_angle = constant_mean_mae(net.normalizer, windows["D3"])
-    d2_episodes = [by_id[eid] for eid in splits.d2]
-    ds2 = build_failure_dataset(net, d2_episodes, split="D2", th=CANONICAL_THRESHOLDS["middle"], m=cfg.m)
+    cache: dict = {}
+    for name in ("gen", "split", "train-driver", "label"):
+        run_stage(name, cfg, out, cache)
     runtime = time.monotonic() - t0
+    metrics = json.loads((out / ART_DRIVER_METRICS).read_text())
+    rows, _ = read_labels_csv(out / art_labels("D2", "middle"))
+    shutil.rmtree(out)  # a 100 MB episode file
     return {
         "cfg": cfg,
-        "mae_speed": mae_speed,
-        "mae_angle": mae_angle,
-        "base_speed": base_speed,
-        "base_angle": base_angle,
-        "hazard_fraction_middle": ds2.hazard_fraction,
+        "mae_speed": metrics["mae_speed"],
+        "mae_angle": metrics["mae_angle"],
+        "base_speed": metrics["baseline_mae_speed"],
+        "base_angle": metrics["baseline_mae_angle"],
+        "hazard_fraction_middle": float(np.array([r.g_horizon for r in rows], dtype=np.int64).mean()),
         "runtime": runtime,
     }
 
@@ -88,64 +71,28 @@ def full_run():
 STUDY_BUDGETS = list(evaluate.GAIN_BUDGETS)  # {10, 15, 20, 25, 30, 35, 40} percent
 STUDY_SEEDS = 10
 STUDY_WORLD = dict(episodes=150, episode_length=200, driver_epochs=6, hazard_epochs=6)
-
-
-def _run_study_seed(seed: int) -> dict:
-    cfg = PipelineConfig(seed=seed, **STUDY_WORLD)
-    episodes = simgen.generate_dataset(cfg.world_config(), cfg.episodes, derived_seed(seed, "gen"))
-    splits = core.split_dataset(episodes, derived_seed(seed, "split"))
-    by_id = core.episodes_by_id(episodes)
-    d_eps = {n: [by_id[e] for e in splits.ids_of(n)] for n in ("D1", "D2", "D3")}
-    train_w = [
-        w for ep in sorted(d_eps["D1"], key=lambda e: e.episode_id)
-        for w in core.make_windows(ep, cfg.k)
-    ]
-    net, _ = train_driver(
-        train_w,
-        TrainConfig(epochs=cfg.driver_epochs, seed=derived_seed(seed, "driver")),
-        trained_on="D1",
-    )
-    th = CANONICAL_THRESHOLDS["middle"]
-    ds2 = build_failure_dataset(net, d_eps["D2"], split="D2", th=th, m=cfg.m)
-    ds3 = build_failure_dataset(net, d_eps["D3"], split="D3", th=th, m=cfg.m)
-    hazard, _ = train_failure(
-        ds2.windows, ds2.labels,
-        TrainConfig(epochs=cfg.hazard_epochs, seed=derived_seed(seed, "hazard-middle")),
-        normalizer=net.normalizer, thresholds=th, m=cfg.m, trained_on="D2",
-    )
-    scenes = evaluate.build_scenes(ds3.rows, ds3.m)
-    eps3 = core.episodes_by_id(d_eps["D3"])
-    traces = {
-        "learned": evaluate.score_learned(hazard, eps3, scenes),
-        "uncertainty": evaluate.score_uncertainty(
-            net, eps3, scenes, n_samples=cfg.mc_samples, seed=derived_seed(seed, "uncertainty")
-        ),
-        "oracle": evaluate.score_oracle(ds3.rows, scenes, ds3.m),
-    }
-    out = {"monotone": True}
-    for name, trace in traces.items():
-        curve = evaluate.reduction_curve(ds3.rows, trace, STUDY_BUDGETS, ds3.m)
-        values = [r for _, r in curve.points]
-        out[name] = values
-        out["monotone"] &= all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-    out["interval"] = [
-        r
-        for _, r in evaluate.interval_curve(ds3.rows, scenes, STUDY_BUDGETS, ds3.m).points
-    ]
-    return out
+NESTED_POLICIES = ("learned", "uncertainty", "oracle")  # rank once, so curves never dip
 
 
 @pytest.fixture(scope="session")
-def study():
+def study(tmp_path_factory):
+    """``run_all`` at the middle threshold for each seed; curves from eval_middle.json."""
     t0 = time.monotonic()
     per_policy = {"learned": [], "interval": [], "uncertainty": [], "oracle": []}
-    monotone = True
+    budgets = ",".join(str(b) for b in STUDY_BUDGETS)
     for seed in range(STUDY_SEEDS):
-        res = _run_study_seed(seed)
-        monotone &= res["monotone"]
+        out = tmp_path_factory.mktemp(f"study{seed}")
+        run_all(PipelineConfig(seed=seed, budgets=budgets, **STUDY_WORLD), out)
+        curves = json.loads((out / art_eval("middle")).read_text())["curves"]
         for name in per_policy:
-            per_policy[name].append(res[name])
+            per_policy[name].append([p["reduction"] for p in curves[name]])
+        shutil.rmtree(out)
     means = {name: np.mean(np.array(vals), axis=0) for name, vals in per_policy.items()}
+    monotone = all(
+        a <= b + 1e-12
+        for name in NESTED_POLICIES for values in per_policy[name]
+        for a, b in zip(values, values[1:])
+    )
     return {
         "budgets": STUDY_BUDGETS,
         "means": means,
@@ -411,8 +358,6 @@ def test_c8_run_all_byte_identical(tmp_path):
         assert cli_main(["run-all", "--config", str(cfg), "--out-dir", str(out), "--quiet"]) == 0
         outs.append((out / "report.json").read_bytes())
     assert outs[0] == outs[1]
-    import json
-
     report = json.loads(outs[0])
     assert set(report["thresholds"]) == {"tight", "middle", "loose"}
     _ok(

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from drivlab.cli import main
+from drivlab.core import EPISODE_FORMAT
+from drivlab.evaluate import SCORES_FORMAT, SCORES_HEADER
 from drivlab.failure import LABELS_FORMAT, LABELS_HEADER
 
 SMALL_CONFIG = """
@@ -58,7 +60,7 @@ def test_stage_by_stage_flow(tmp_path, config_file):
     hazard = tmp_path / "hazard.ckpt"
     labels_dir = tmp_path
     cfg = ["--config", str(config_file), "--quiet"]
-    assert main(["gen", *cfg, "--episodes", "12", "--out", str(episodes)]) == 0
+    assert main(["gen", *cfg, "--out", str(episodes)]) == 0
     assert main(["split", *cfg, "--data", str(episodes), "--out", str(splits)]) == 0
     assert main(["train-driver", *cfg, "--data", str(episodes), "--split", str(splits),
                  "--out", str(driver)]) == 0
@@ -74,8 +76,7 @@ def test_stage_by_stage_flow(tmp_path, config_file):
     eval_labels = labels_dir / "labels_D3_middle.csv"
     report = tmp_path / "eval.json"
     assert main(["eval", *cfg, "--labels", str(eval_labels), "--hazard", str(hazard),
-                 "--driver", str(driver), "--data", str(episodes),
-                 "--budgets", "0.1:1.0:0.1", "--out", str(report)]) == 0
+                 "--driver", str(driver), "--data", str(episodes), "--out", str(report)]) == 0
     payload = json.loads(report.read_text())
     assert "learned" in payload["curves"]
     assert "interval" in payload["curves"]
@@ -133,14 +134,42 @@ def test_label_leakage_exit_code_2(tmp_path, config_file):
 def test_eval_from_score_files(tmp_path, config_file):
     out = tmp_path / "run"
     assert main(["run-all", "--config", str(config_file), "--out-dir", str(out), "--quiet"]) == 0
+    eval_config = tmp_path / "eval_config.txt"
+    eval_config.write_text(SMALL_CONFIG.replace("budgets = 0.05:1.0:0.05", "budgets = 0.25,0.5"))
     report = tmp_path / "fromfiles.json"
-    code = main(["eval", "--labels", str(out / "labels_D3_middle.csv"),
+    code = main(["eval", "--config", str(eval_config), "--labels", str(out / "labels_D3_middle.csv"),
                  "--scores", f"learned={out / 'scores_learned_middle.csv'}",
                  "--scores", f"uncertainty={out / 'scores_uncertainty.csv'}",
-                 "--budgets", "0.25,0.5", "--out", str(report), "--quiet"])
+                 "--out", str(report), "--quiet"])
     assert code == 0
     payload = json.loads(report.read_text())
     assert {p["budget"] for p in payload["curves"]["learned"]} == {0.25, 0.5}
+    assert payload["auc_learned"] is not None
+
+
+def test_stage_commands_write_run_all_bytes(tmp_path, config_file):
+    run, cli = tmp_path / "run", tmp_path / "cli"
+    cli.mkdir()
+    assert main(["run-all", "--config", str(config_file), "--out-dir", str(run), "--quiet"]) == 0
+    cfg = ["--config", str(config_file), "--quiet"]
+    data = ["--data", str(cli / "episodes.txt")]
+    split = ["--split", str(cli / "splits.tsv")]
+    driver = ["--driver", str(cli / "driver.ckpt")]
+    assert main(["gen", *cfg, "--out", str(cli / "episodes.txt")]) == 0
+    assert main(["split", *cfg, *data, "--out", str(cli / "splits.tsv")]) == 0
+    assert main(["train-driver", *cfg, *data, *split, "--out", str(cli / "driver.ckpt"),
+                 "--metrics", str(cli / "driver_metrics.json")]) == 0
+    for on in ("D2", "D3"):
+        assert main(["label", *cfg, *data, *split, *driver, "--on", on, "--out-dir", str(cli)]) == 0
+    assert main(["train-failure", *cfg, *data, *split, *driver,
+                 "--labels", str(cli / "labels_D2_middle.csv"),
+                 "--out", str(cli / "hazard_middle.ckpt")]) == 0
+    assert main(["eval", *cfg, *data, *driver, "--labels", str(cli / "labels_D3_middle.csv"),
+                 "--hazard", str(cli / "hazard_middle.ckpt"), "--out", str(cli / "eval_middle.json")]) == 0
+    for name in ("episodes.txt", "splits.tsv", "driver.ckpt", "driver_metrics.json",
+                 "labels_D2_middle.csv", "labels_D3_middle.csv", "hazard_middle.ckpt",
+                 "eval_middle.json"):
+        assert (cli / name).read_bytes() == (run / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(
@@ -154,3 +183,25 @@ def test_malformed_label_row_exit_code_2(tmp_path, bad_row, capsys):
                  "--out", str(tmp_path / "e.json"), "--quiet"])
     assert code == 2
     assert f"{labels}:5: malformed label row" in capsys.readouterr().err
+
+
+LABELS_D3 = (f"{LABELS_FORMAT}\n# split D3\n# t_angle 7.0\n# t_speed 3.0\n# m 8\n{LABELS_HEADER}\n"
+             "ep0000,2,0,0,0,1,0.5,20.0,0.4,21.0\n")
+
+
+@pytest.mark.parametrize("kind, text, lineno", [
+    ("episodes", f"{EPISODE_FORMAT} d=2 f=4\nep0000,0,10.0,0.0,0.1,0.2\nep0000,1,fast,0.0,0.1,0.2\n", 3),
+    ("scores", f"{SCORES_FORMAT}\n# policy learned\n{SCORES_HEADER}\nep0000,2,high\n", 4),
+])
+def test_malformed_text_field_exit_code_2(tmp_path, kind, text, lineno, capsys):
+    bad = tmp_path / f"{kind}.txt"
+    bad.write_text(text)
+    if kind == "episodes":
+        argv = ["split", "--data", str(bad), "--out", str(tmp_path / "splits.tsv")]
+    else:
+        labels = tmp_path / "labels.csv"
+        labels.write_text(LABELS_D3)
+        argv = ["eval", "--labels", str(labels), "--scores", f"learned={bad}",
+                "--out", str(tmp_path / "e.json")]
+    assert main([*argv, "--quiet"]) == 2
+    assert f"{bad}:{lineno}: malformed" in capsys.readouterr().err

@@ -173,6 +173,14 @@ class TestNormalizer:
         with pytest.raises(ValidationError):
             core.fit_normalizer([])
 
+    @pytest.mark.parametrize("field", ["mean_speed", "std_angle", "obs_mean"])
+    def test_rejects_non_finite_statistics(self, field):
+        stats = dict(mean_speed=50.0, std_speed=10.0, mean_angle=0.0, std_angle=5.0,
+                     obs_mean=np.zeros(2), obs_std=np.ones(2))
+        stats[field] = np.array([0.0, np.nan]) if field == "obs_mean" else float("nan")
+        with pytest.raises(ValidationError, match="finite"):
+            core.Normalizer(**stats)
+
     def test_train_only_stats_are_reused(self, small_episodes):
         # stats fitted on D1 must be reused verbatim on other splits
         splits = core.split_dataset(small_episodes, seed=2)

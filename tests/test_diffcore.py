@@ -337,7 +337,7 @@ class TestGradCheckHarness:
         def sign_flipped_sum(t):
             out = Tensor(np.array(t.data.sum()), requires_grad=True, _parents=(t,))
 
-            def backward():
+            def backward(out):
                 if t.grad is None:
                     t.grad = np.zeros_like(t.data)
                 t.grad -= np.broadcast_to(out.grad, t.data.shape)  # wrong sign
@@ -381,3 +381,27 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingArtifactError):
             load_checkpoint(tmp_path / "nope.ckpt")
+
+    def test_missing_value_line(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        path.write_text("#drivlab-ckpt v1\nkind driver\nparam w 2\n")
+        with pytest.raises(ValidationError, match="no value line"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("block", ["param w two\n1.0 2.0", "param w 2\n1.0 two"])
+    def test_non_numeric_shape_or_value(self, tmp_path, block):
+        path = tmp_path / "a.ckpt"
+        path.write_text(f"#drivlab-ckpt v1\nkind driver\n{block}\nend\n")
+        with pytest.raises(ValidationError, match=":3: malformed param w"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, value):
+        store = self._store()
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(path, "driver", {}, store)
+        text = path.read_text().splitlines()
+        text[3] = " ".join([value, *text[3].split(" ")[1:]])
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(ValidationError, match="non-finite"):
+            load_checkpoint(path)
