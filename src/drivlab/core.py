@@ -2,14 +2,14 @@
 
 Everything downstream (simulator, models, labeling, evaluation) speaks in the
 types defined here. All types are immutable after construction; numpy buffers
-are marked read-only so windows can safely share views of episode arrays.
+are marked read-only so slices of windows can safely share their columns.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,46 +29,34 @@ EPISODE_FORMAT = "#drivlab-episodes v1"
 SPLIT_FORMAT = "#drivlab-splits v1"
 
 
-def _fmt(x: float) -> str:
-    # repr of a Python float is the shortest exact round-trip form
-    return repr(float(x))
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.setflags(write=False)
     return a
 
 
-@dataclass(frozen=True)
-class TimedRecord:
-    """One synchronized sample: observation vector, human speed and steering angle.
-
-    Sampled at SAMPLE_RATE_HZ. Speed and angle carry the human oracle's
-    maneuver at this step and must lie in the legal CAN value ranges.
-    """
-
-    step_index: int
-    obs: np.ndarray
-    speed: float
-    angle: float
-
-    def __post_init__(self) -> None:
-        obs = _readonly(np.atleast_1d(self.obs))
-        object.__setattr__(self, "obs", obs)
-        if obs.ndim != 1:
-            raise ValidationError(f"obs must be a vector, got shape {obs.shape}")
-        if not np.all(np.isfinite(obs)):
-            raise ValidationError(f"obs has non-finite entries at step {self.step_index}")
-        if not (SPEED_MIN <= self.speed <= SPEED_MAX):
-            raise ValidationError(f"speed {self.speed} outside [{SPEED_MIN}, {SPEED_MAX}]")
-        if not (ANGLE_MIN <= self.angle <= ANGLE_MAX):
-            raise ValidationError(f"angle {self.angle} outside [{ANGLE_MIN}, {ANGLE_MAX}]")
+def _bad_step(obs: np.ndarray, speed: np.ndarray, angle: np.ndarray) -> tuple[int, str] | None:
+    """(step, reason) for the first step with non-finite obs or a speed or
+    angle outside the legal CAN ranges; None when every step is valid."""
+    bad_obs = ~np.all(np.isfinite(obs), axis=1)
+    bad_speed = ~((speed >= SPEED_MIN) & (speed <= SPEED_MAX))
+    bad = bad_obs | bad_speed | ~((angle >= ANGLE_MIN) & (angle <= ANGLE_MAX))
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    if bad_obs[i]:
+        return i, "obs has non-finite entries"
+    if bad_speed[i]:
+        return i, f"speed {speed[i]} outside [{SPEED_MIN}, {SPEED_MAX}]"
+    return i, f"angle {angle[i]} outside [{ANGLE_MIN}, {ANGLE_MAX}]"
 
 
 @dataclass(frozen=True)
 class Episode:
-    """An ordered run of records from one drive.
+    """One drive as read-only float64 columns sampled at SAMPLE_RATE_HZ:
+    observation vectors ``obs`` (n, d) and the human oracle's maneuver,
+    ``speed`` (n,) and ``angle`` (n,), which must lie in the legal CAN value
+    ranges. Row i is step i.
 
     ``meta`` holds generator bookkeeping (config digest, hidden difficulty
     traces). It exists for validation and tests only and must never feed a
@@ -77,95 +65,109 @@ class Episode:
 
     episode_id: str
     seed: int
-    records: tuple[TimedRecord, ...]
+    obs: np.ndarray
+    speed: np.ndarray
+    angle: np.ndarray
     meta: Mapping[str, object]
 
     def __post_init__(self) -> None:
-        records = tuple(self.records)
-        object.__setattr__(self, "records", records)
-        if not records:
+        for name in ("obs", "speed", "angle"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        n = len(self.obs)
+        if self.obs.ndim != 2:
+            raise ValidationError(f"episode {self.episode_id}: obs must be (n, d), got {self.obs.shape}")
+        if n == 0:
             raise ValidationError(f"episode {self.episode_id} has no records")
-        d = records[0].obs.shape[0]
-        for i, r in enumerate(records):
-            if r.step_index != records[0].step_index + i:
-                raise ValidationError(
-                    f"episode {self.episode_id}: step_index not contiguous at position {i}"
-                )
-            if r.obs.shape[0] != d:
-                raise ValidationError(f"episode {self.episode_id}: inconsistent obs dim")
+        if self.speed.shape != (n,) or self.angle.shape != (n,):
+            raise ValidationError(f"episode {self.episode_id}: speed and angle do not match {n} obs rows")
+        bad = _bad_step(self.obs, self.speed, self.angle)
+        if bad is not None:
+            raise ValidationError(f"episode {self.episode_id}: {bad[1]} at step {bad[0]}")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.obs.shape[0]
 
     @property
     def obs_dim(self) -> int:
-        return self.records[0].obs.shape[0]
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        cached = self.__dict__.get("_array_cache")
-        if cached is None:
-            obs = _readonly(np.stack([r.obs for r in self.records]))
-            speeds = _readonly(np.array([r.speed for r in self.records]))
-            angles = _readonly(np.array([r.angle for r in self.records]))
-            cached = (obs, speeds, angles)
-            self.__dict__["_array_cache"] = cached
-        return cached
-
-    def obs_matrix(self) -> np.ndarray:
-        """(len, obs_dim) read-only view of all observation vectors."""
-        return self._arrays()[0]
-
-    def speeds(self) -> np.ndarray:
-        return self._arrays()[1]
-
-    def angles(self) -> np.ndarray:
-        return self._arrays()[2]
+        return self.obs.shape[1]
 
 
 @dataclass(frozen=True)
-class WindowSample:
-    """Model input/target for one step ``t``: k+1 observation frames up to and
-    including t, the k previous speeds/angles, and the current-step targets."""
+class Windows:
+    """Model inputs/targets as row indices into episode columns.
 
-    frames: np.ndarray  # (k+1, obs_dim)
-    past_angles: np.ndarray  # (k,)
-    past_speeds: np.ndarray  # (k,)
-    target_angle: float
-    target_speed: float
-    origin: tuple[str, int]  # (episode_id, t)
+    ``obs``/``speed``/``angle`` concatenate the rows of the episodes the
+    windows reference. Window i ends at row ``end[i]``, which is step
+    ``t[i]`` of episode ``episode_ids[ep[i]]``: its k+1 observation frames are
+    rows end-k..end, its past speeds/angles rows end-k..end-1 and its targets
+    row end. Slicing selects windows and shares the columns.
+    """
+
+    obs: np.ndarray  # (rows, obs_dim)
+    speed: np.ndarray  # (rows,)
+    angle: np.ndarray  # (rows,)
+    end: np.ndarray  # (W,)
+    ep: np.ndarray  # (W,)
+    t: np.ndarray  # (W,)
+    episode_ids: tuple[str, ...]
+    k: int
+
+    def __len__(self) -> int:
+        return self.end.shape[0]
+
+    def __getitem__(self, idx) -> Windows:
+        return replace(self, end=self.end[idx], ep=self.ep[idx], t=self.t[idx])
 
     @property
-    def k(self) -> int:
-        return self.frames.shape[0] - 1
+    def target_speed(self) -> np.ndarray:
+        return self.speed[self.end]
+
+    @property
+    def target_angle(self) -> np.ndarray:
+        return self.angle[self.end]
 
 
-def make_windows(episode: Episode, k: int = DEFAULT_K, stride: int = 1) -> list[WindowSample]:
-    """One WindowSample per t in [k, len-1] stepping by ``stride``.
+def windows_at(
+    episodes: Mapping[str, Episode], positions: Sequence[tuple[str, int]], k: int
+) -> Windows:
+    """The windows ending at each (episode_id, t) position, in order.
 
-    Windows never span episodes; an episode shorter than k+1 records yields
-    an empty list.
+    The only constructor of windows. Windows never span episodes: t must lie
+    in [k, len-1] of its episode.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
+    codes = {eid: i for i, eid in enumerate(dict.fromkeys(eid for eid, _ in positions))}
+    unknown = [eid for eid in codes if eid not in episodes]
+    if unknown:
+        raise ValidationError(f"scene references unknown episode {unknown[0]}")
+    used = [episodes[eid] for eid in codes]
+    ep = np.array([codes[eid] for eid, _ in positions], dtype=np.int64)
+    t = np.array([t for _, t in positions], dtype=np.int64)
+    lengths = np.array([len(e) for e in used], dtype=np.int64)
+    bad = (t < k) | (t >= lengths[ep])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(f"scene t={t[i]} out of window range for episode {positions[i][0]}")
+    empty = {"obs": np.empty((0, 0)), "speed": np.empty(0), "angle": np.empty(0)}
+    obs, speed, angle = (
+        _readonly(np.concatenate([getattr(e, c) for e in used] or [empty[c]])) for c in empty
+    )
+    starts = np.cumsum(lengths) - lengths
+    return Windows(obs, speed, angle, end=starts[ep] + t, ep=ep, t=t, episode_ids=tuple(codes), k=k)
+
+
+def window_positions(episodes: Iterable[Episode], k: int, stride: int = 1) -> list[tuple[str, int]]:
+    """(episode_id, t) for every t in [k, len-1] stepping by ``stride``, per
+    episode in the given order; an episode shorter than k+1 steps has none."""
     if stride < 1:
         raise ValidationError(f"stride must be >= 1, got {stride}")
-    n = len(episode)
-    if n < k + 1:
-        return []
-    obs, speeds, angles = episode._arrays()
-    out = []
-    for t in range(k, n, stride):
-        out.append(
-            WindowSample(
-                frames=obs[t - k : t + 1],
-                past_angles=angles[t - k : t],
-                past_speeds=speeds[t - k : t],
-                target_angle=float(angles[t]),
-                target_speed=float(speeds[t]),
-                origin=(episode.episode_id, t),
-            )
-        )
-    return out
+    return [(ep.episode_id, t) for ep in episodes for t in range(k, len(ep), stride)]
+
+
+def make_windows(episode: Episode, k: int = DEFAULT_K, stride: int = 1) -> Windows:
+    """The windows of one episode at every t in [k, len-1] stepping by ``stride``."""
+    return windows_at({episode.episode_id: episode}, window_positions([episode], k, stride), k)
 
 
 @dataclass(frozen=True)
@@ -267,17 +269,13 @@ def _channel_stats(values: np.ndarray, name: str) -> tuple[float, float]:
     return mean, std
 
 
-def fit_normalizer(windows: Sequence[WindowSample]) -> Normalizer:
-    """Population z-score statistics over all frames, past values and targets."""
+def fit_normalizer(windows: Windows) -> Normalizer:
+    """Population z-score statistics over all frames, past values and targets,
+    each window contributing its rows end-k..end."""
     if not windows:
         raise ValidationError("cannot fit a normalizer on an empty window list")
-    frames = np.concatenate([w.frames for w in windows], axis=0)
-    speeds = np.concatenate(
-        [np.concatenate([w.past_speeds, [w.target_speed]]) for w in windows]
-    )
-    angles = np.concatenate(
-        [np.concatenate([w.past_angles, [w.target_angle]]) for w in windows]
-    )
+    rows = (windows.end[:, None] + np.arange(-windows.k, 1)).ravel()
+    frames, speeds, angles = windows.obs[rows], windows.speed[rows], windows.angle[rows]
     mean_s, std_s = _channel_stats(speeds, "speed")
     mean_a, std_a = _channel_stats(angles, "angle")
     obs_mean = np.mean(frames, axis=0)
@@ -315,9 +313,10 @@ def write_episodes(path, episodes: Sequence[Episode], provenance: Mapping[str, s
     for ep in episodes:
         if ep.obs_dim != d:
             raise ValidationError("episodes have inconsistent obs dims")
-        for r in ep.records:
-            obs = ",".join(_fmt(v) for v in r.obs)
-            lines.append(f"{ep.episode_id},{r.step_index},{_fmt(r.speed)},{_fmt(r.angle)},{obs}")
+        # tolist() yields Python floats, whose repr is the shortest round-trip form
+        rows = zip(ep.speed.tolist(), ep.angle.tolist(), ep.obs.tolist())
+        for t, (speed, angle, obs) in enumerate(rows):
+            lines.append(f"{ep.episode_id},{t},{speed!r},{angle!r},{','.join(map(repr, obs))}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -341,12 +340,21 @@ def read_episodes(path) -> list[Episode]:
             raise ValidationError(f"{path}: malformed episode header {header!r}") from None
 
         episodes: list[Episode] = []
+        seen: set[str] = set()
         cur_id: str | None = None
-        cur: list[TimedRecord] = []
+        values: list[list[float]] = []  # speed, angle, obs per row
+        linenos: list[int] = []
 
         def flush() -> None:
-            if cur_id is not None:
-                episodes.append(Episode(episode_id=cur_id, seed=0, records=tuple(cur), meta={}))
+            if cur_id is None:
+                return
+            cols = np.array(values)
+            bad = _bad_step(cols[:, 2:], cols[:, 0], cols[:, 1])
+            if bad is not None:
+                raise ValidationError(f"{path}:{linenos[bad[0]]}: malformed episode row: {bad[1]}")
+            episodes.append(
+                Episode(cur_id, seed=0, obs=cols[:, 2:], speed=cols[:, 0], angle=cols[:, 1], meta={})
+            )
 
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -358,17 +366,24 @@ def read_episodes(path) -> list[Episode]:
             eid = fields[0]
             if eid != cur_id:
                 flush()
-                cur_id, cur = eid, []
+                if eid in seen:
+                    raise ValidationError(
+                        f"{path}:{lineno}: malformed episode row: episode {eid} reappears after another episode"
+                    )
+                seen.add(eid)
+                cur_id, values, linenos = eid, [], []
             try:
-                record = TimedRecord(
-                    step_index=int(fields[1]),
-                    obs=np.array([float(v) for v in fields[4:]]),
-                    speed=float(fields[2]),
-                    angle=float(fields[3]),
-                )
-            except (ValueError, ValidationError) as exc:
+                step = int(fields[1])
+                row = [float(v) for v in fields[2:]]
+            except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: malformed episode row: {exc}") from None
-            cur.append(record)
+            if step != len(values):
+                raise ValidationError(
+                    f"{path}:{lineno}: malformed episode row: step_index {step} is not the "
+                    f"row's position {len(values)} in episode {eid}"
+                )
+            values.append(row)
+            linenos.append(lineno)
         flush()
     if not episodes:
         raise ValidationError(f"{path}: no records")

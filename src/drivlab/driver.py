@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .core import (
     SPEED_MAX,
     SPEED_MIN,
     Normalizer,
-    WindowSample,
+    Windows,
     fit_normalizer,
 )
 from .diffcore import (
@@ -202,21 +202,21 @@ def driver_forward(
     return out_a, out_s
 
 
-def windows_to_arrays(
-    windows: Sequence[WindowSample], normalizer: Normalizer
-) -> dict[str, np.ndarray]:
-    vis = normalizer.normalize(np.stack([w.frames for w in windows]), "obs")
-    spd = normalizer.normalize(np.stack([w.past_speeds for w in windows]), "speed")
-    ang = normalizer.normalize(np.stack([w.past_angles for w in windows]), "angle")
-    tgt_s = normalizer.normalize(np.array([[w.target_speed] for w in windows]), "speed")
-    tgt_a = normalizer.normalize(np.array([[w.target_angle] for w in windows]), "angle")
-    return {"vis": vis, "spd": spd, "ang": ang, "tgt_a": tgt_a, "tgt_s": tgt_s}
+def windows_to_arrays(windows: Windows, normalizer: Normalizer) -> dict[str, np.ndarray]:
+    """Normalized model inputs and targets: the columns are normalized once,
+    then each window gathers its rows end-k..end."""
+    obs, speed, angle = (normalizer.normalize(getattr(windows, c), c) for c in ("obs", "speed", "angle"))
+    end = windows.end[:, None]
+    frames = end + np.arange(-windows.k, 1)
+    past = frames[:, :-1]
+    return {"vis": obs[frames], "spd": speed[past], "ang": angle[past],
+            "tgt_a": angle[end], "tgt_s": speed[end]}
 
 
 def train_driver(
-    windows: Sequence[WindowSample],
+    windows: Windows,
     cfg: TrainConfig,
-    val_windows: Sequence[WindowSample] | None = None,
+    val_windows: Windows | None = None,
     trained_on: str = "D1",
 ) -> tuple[DriverNet, list[dict[str, float]]]:
     """Minimize l2(angle) + lam * l2(speed) over normalized targets with Adam.
@@ -228,9 +228,7 @@ def train_driver(
     if not windows:
         raise ValidationError("empty training set")
     normalizer = fit_normalizer(windows)
-    arch = BackboneArch(
-        obs_dim=windows[0].frames.shape[1], k=windows[0].k, dropout_p=cfg.dropout_p
-    )
+    arch = BackboneArch(obs_dim=windows.obs.shape[1], k=windows.k, dropout_p=cfg.dropout_p)
     init_rng, shuffle_rng, drop_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
     )
@@ -292,9 +290,7 @@ def _eval_loss(net: DriverNet, data: dict[str, np.ndarray], lam: float) -> float
     return total / count
 
 
-def predict_batch(
-    net: DriverNet, windows: Sequence[WindowSample]
-) -> tuple[np.ndarray, np.ndarray]:
+def predict_batch(net: DriverNet, windows: Windows) -> tuple[np.ndarray, np.ndarray]:
     """Denormalized, range-clipped (angle, speed) predictions."""
     if not windows:
         return np.empty(0), np.empty(0)
@@ -313,14 +309,9 @@ def predict_batch(
     return angle, speed
 
 
-def predict(net: DriverNet, window: WindowSample) -> tuple[float, float]:
-    angle, speed = predict_batch(net, [window])
-    return float(angle[0]), float(speed[0])
-
-
 def mc_predict_batch(
     net: DriverNet,
-    windows: Sequence[WindowSample],
+    windows: Windows,
     n_samples: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -345,27 +336,24 @@ def mc_predict_batch(
     return angles, speeds
 
 
-def eval_mae(net: DriverNet, windows: Sequence[WindowSample]) -> tuple[float, float]:
+def eval_mae(net: DriverNet, windows: Windows) -> tuple[float, float]:
     """(mae_speed, mae_angle) in physical units."""
     if not windows:
         raise ValidationError("eval_mae on an empty window list")
     angle, speed = predict_batch(net, windows)
-    true_a = np.array([w.target_angle for w in windows])
-    true_s = np.array([w.target_speed for w in windows])
-    return float(np.mean(np.abs(speed - true_s))), float(np.mean(np.abs(angle - true_a)))
+    return (
+        float(np.mean(np.abs(speed - windows.target_speed))),
+        float(np.mean(np.abs(angle - windows.target_angle))),
+    )
 
 
-def constant_mean_mae(
-    normalizer: Normalizer, windows: Sequence[WindowSample]
-) -> tuple[float, float]:
+def constant_mean_mae(normalizer: Normalizer, windows: Windows) -> tuple[float, float]:
     """MAE of the predict-the-training-mean baseline on ``windows``."""
     if not windows:
         raise ValidationError("baseline MAE on an empty window list")
-    true_a = np.array([w.target_angle for w in windows])
-    true_s = np.array([w.target_speed for w in windows])
     return (
-        float(np.mean(np.abs(normalizer.mean_speed - true_s))),
-        float(np.mean(np.abs(normalizer.mean_angle - true_a))),
+        float(np.mean(np.abs(normalizer.mean_speed - windows.target_speed))),
+        float(np.mean(np.abs(normalizer.mean_angle - windows.target_angle))),
     )
 
 

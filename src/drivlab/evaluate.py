@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Episode, WindowSample
+from .core import Episode, windows_at
 from .driver import DriverNet, mc_predict_batch
 from .errors import ArtifactVersionError, MissingArtifactError, ValidationError
 from .failure import HazardNet, LabeledStep, Thresholds, predict_hazard_batch
@@ -170,31 +170,6 @@ def reduction_curve(
 # ---------------------------------------------------------------------------
 # Policies
 # ---------------------------------------------------------------------------
-
-
-def windows_at(
-    episodes: Mapping[str, Episode], positions: Sequence[tuple[str, int]], k: int
-) -> list[WindowSample]:
-    out = []
-    for eid, t in positions:
-        try:
-            ep = episodes[eid]
-        except KeyError:
-            raise ValidationError(f"scene references unknown episode {eid}") from None
-        if t < k or t >= len(ep):
-            raise ValidationError(f"scene t={t} out of window range for episode {eid}")
-        obs, speeds, angles = ep._arrays()
-        out.append(
-            WindowSample(
-                frames=obs[t - k : t + 1],
-                past_angles=angles[t - k : t],
-                past_speeds=speeds[t - k : t],
-                target_angle=float(angles[t]),
-                target_speed=float(speeds[t]),
-                origin=(eid, t),
-            )
-        )
-    return out
 
 
 def score_learned(

@@ -10,13 +10,14 @@ lead time.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from dataclasses import dataclass, field as dataclass_field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Episode, Normalizer, WindowSample, make_windows
+from .core import Episode, Normalizer, Windows, episodes_by_id, window_positions, windows_at
 from .diffcore import ParameterStore, adam_step, cross_entropy_loss, softmax
 from .diffcore.checkpoint import load_checkpoint, save_checkpoint
 from .driver import (
@@ -117,7 +118,7 @@ class FailureDataset:
     """Labeled windows for hazard training plus per-step rows and stats."""
 
     rows: list[LabeledStep]
-    windows: list[WindowSample]  # aligned with rows
+    windows: Windows  # aligned with rows
     labels: np.ndarray  # (n,) horizon labels, aligned with rows
     thresholds: Thresholds
     m: int
@@ -148,46 +149,44 @@ def build_failure_dataset(
             f"refusing to label split {split}: the driver was trained on it "
             f"(pass allow_leakage to override)"
         )
-    k = net.arch.k
+    ordered = sorted(episodes, key=lambda e: e.episode_id)
+    windows = windows_at(episodes_by_id(ordered), window_positions(ordered, net.arch.k), net.arch.k)
+    pred_a, pred_s = predict_batch(net, windows)
+    true_a, true_s = windows.target_angle, windows.target_speed
     rows: list[LabeledStep] = []
-    kept_windows: list[WindowSample] = []
-    labels: list[int] = []
-    n_dropped = 0
-    for ep in sorted(episodes, key=lambda e: e.episode_id):
-        windows = make_windows(ep, k=k, stride=1)
-        if not windows:
-            continue
-        pred_a, pred_s = predict_batch(net, windows)
-        g_list = []
-        for w, pa, ps in zip(windows, pred_a, pred_s):
-            g_list.append(label_step((pa, ps), (w.target_angle, w.target_speed), th))
+    kept: list[int] = []
+    # windows are grouped by episode; horizons never cross an episode's end
+    firsts = np.flatnonzero(np.diff(windows.ep, prepend=-1)).tolist()
+    for lo, hi in zip(firsts, [*firsts[1:], len(windows)]):
+        g_list = [
+            label_step((pred_a[i], pred_s[i]), (true_a[i], true_s[i]), th)
+            for i in range(lo, hi)
+        ]
         g_seq = [g for (_, _, g) in g_list]
-        last_full = len(windows) - 1 - m
-        n_dropped += len(windows) - max(last_full + 1, 0)
-        for i in range(0, last_full + 1):
-            w = windows[i]
-            g_a, g_s, g = g_list[i]
-            gh = label_horizon(g_seq, i, m)
+        eid = windows.episode_ids[windows.ep[lo]]
+        for j in range(hi - lo - m):
+            i = lo + j
+            g_a, g_s, g = g_list[j]
             rows.append(
                 LabeledStep(
-                    episode_id=ep.episode_id,
-                    t=w.origin[1],
+                    episode_id=eid,
+                    t=int(windows.t[i]),
                     g_a=g_a,
                     g_s=g_s,
                     g=g,
-                    g_horizon=gh,
+                    g_horizon=label_horizon(g_seq, j, m),
                     pred_angle=float(pred_a[i]),
                     pred_speed=float(pred_s[i]),
-                    true_angle=w.target_angle,
-                    true_speed=w.target_speed,
+                    true_angle=float(true_a[i]),
+                    true_speed=float(true_s[i]),
                 )
             )
-            kept_windows.append(w)
-            labels.append(gh)
+            kept.append(i)
+    n_dropped = len(windows) - len(rows)
     ds = FailureDataset(
         rows=rows,
-        windows=kept_windows,
-        labels=np.array(labels, dtype=np.int64),
+        windows=windows[np.array(kept, dtype=np.int64)],
+        labels=np.array([r.g_horizon for r in rows], dtype=np.int64),
         thresholds=th,
         m=m,
         split=split,
@@ -257,6 +256,13 @@ def read_labels_csv(path) -> tuple[list[LabeledStep], dict[str, str]]:
                 )
             except ValueError:
                 raise ValidationError(f"{path}:{lineno}: malformed label row {line!r}") from None
+            flags = {row.g_a, row.g_s, row.g, row.g_horizon}
+            values = (row.pred_angle, row.pred_speed, row.true_angle, row.true_speed)
+            if not flags <= {0, 1} or row.g != row.g_a | row.g_s or not all(map(math.isfinite, values)):
+                raise ValidationError(
+                    f"{path}:{lineno}: malformed label row {line!r}: g_a, g_s, g and g_horizon "
+                    f"must be 0 or 1 with g = g_a | g_s, and predictions and truths finite"
+                )
             rows.append(row)
     return rows, meta
 
@@ -303,7 +309,7 @@ def hazard_forward(
 
 
 def train_failure(
-    windows: Sequence[WindowSample],
+    windows: Windows,
     labels: np.ndarray,
     cfg: TrainConfig,
     normalizer: Normalizer,
@@ -325,9 +331,7 @@ def train_failure(
             f"degenerate label distribution: class counts {counts.tolist()}"
         )
     class_weights = counts.sum() / (2.0 * counts)
-    arch = BackboneArch(
-        obs_dim=windows[0].frames.shape[1], k=windows[0].k, dropout_p=cfg.dropout_p
-    )
+    arch = BackboneArch(obs_dim=windows.obs.shape[1], k=windows.k, dropout_p=cfg.dropout_p)
     init_rng, shuffle_rng, drop_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
     )
@@ -363,7 +367,7 @@ def train_failure(
     return net, history
 
 
-def predict_hazard_batch(net: HazardNet, windows: Sequence[WindowSample]) -> np.ndarray:
+def predict_hazard_batch(net: HazardNet, windows: Windows) -> np.ndarray:
     """Softmax probability of the Hazardous class per window."""
     if not windows:
         return np.empty(0)

@@ -55,7 +55,6 @@ from .evaluate import (
     score_learned,
     score_oracle,
     score_uncertainty,
-    windows_at,
     write_scores_csv,
 )
 
@@ -121,15 +120,20 @@ def _keep(memo: dict, path, value) -> None:
 
 
 def _split_episodes(memo: dict, episodes, splits, split_name: str) -> list[core.Episode]:
+    """The split's episodes, sorted by id."""
     ids = set(_memo(memo, splits, core.read_split_manifest).ids_of(split_name))
-    return [ep for ep in _memo(memo, episodes, core.read_episodes) if ep.episode_id in ids]
+    split = [ep for ep in _memo(memo, episodes, core.read_episodes) if ep.episode_id in ids]
+    return sorted(split, key=lambda e: e.episode_id)
 
 
-def _windows_of(episodes, k):
-    windows = []
-    for ep in sorted(episodes, key=lambda e: e.episode_id):
-        windows.extend(core.make_windows(ep, k=k, stride=1))
-    return windows
+def _driver_digest(driver, labels, meta: Mapping[str, str]) -> str:
+    """Digest of ``driver``, which must be the driver the label file records."""
+    digest = file_digest(driver)
+    if meta.get("driver") != digest:
+        raise ValidationError(
+            f"{labels}: labels were made by driver {meta.get('driver', '(not recorded)')}, not by {driver}"
+        )
+    return digest
 
 
 def _label_header(path, meta: Mapping[str, str]) -> tuple[str, str, Thresholds, int]:
@@ -176,8 +180,10 @@ def stage_split(cfg: PipelineConfig, episodes, splits_out, memo: dict) -> str:
 def stage_train_driver(
     cfg: PipelineConfig, episodes, splits, driver_out, metrics_out, memo: dict
 ) -> str:
-    train_windows = _windows_of(_split_episodes(memo, episodes, splits, "D1"), cfg.k)
-    eval_windows = _windows_of(_split_episodes(memo, episodes, splits, "D3"), cfg.k)
+    train_windows, eval_windows = (
+        core.windows_at(core.episodes_by_id(eps), core.window_positions(eps, cfg.k), cfg.k)
+        for eps in (_split_episodes(memo, episodes, splits, s) for s in ("D1", "D3"))
+    )
     tc = TrainConfig(
         lr=cfg.driver_lr,
         epochs=cfg.driver_epochs,
@@ -247,8 +253,9 @@ def stage_train_failure(
     split, th_name, th, m = _label_header(labels, meta)
     if split == driver_net.trained_on:
         raise ValidationError("hazard training labels derive from the driver's split")
+    driver_digest = _driver_digest(driver, labels, meta)
     by_id = core.episodes_by_id(_split_episodes(memo, episodes, splits, split))
-    windows = windows_at(by_id, [(r.episode_id, r.t) for r in rows], cfg.k)
+    windows = core.windows_at(by_id, [(r.episode_id, r.t) for r in rows], cfg.k)
     tc = TrainConfig(
         lr=cfg.hazard_lr,
         epochs=cfg.hazard_epochs,
@@ -263,30 +270,33 @@ def stage_train_failure(
     net.provenance = {
         "pipeline_seed": str(cfg.seed),
         "labels": file_digest(labels),
-        "driver": file_digest(driver),
+        "driver": driver_digest,
     }
     save_hazard(hazard_out, net)
     _keep(memo, hazard_out, net)
     return hazard_out
 
 
-def _checkpoint_scores(cfg, memo, split, scenes, hazard, driver, episodes):
-    """Learned and dropout-uncertainty scores for ``scenes``, each with the
-    provenance its score file records. The uncertainty scores depend on the
-    driver and the scenes only, so thresholds sharing a memo share them."""
+def _checkpoint_scores(cfg, memo, labels, meta, scenes, hazard, driver, episodes):
+    """Learned and dropout-uncertainty scores for the scenes of ``labels``,
+    each with the provenance its score file records. The uncertainty scores
+    depend on the driver and the scenes only, so thresholds sharing a memo
+    share them."""
+    split = meta["split"]
     hazard_net = _memo(memo, hazard, load_hazard)
     if hazard_net.trained_on == split:
         raise ValidationError("hazard net was trained on the evaluation split")
     driver_net = _memo(memo, driver, load_driver)
+    driver_digest = _driver_digest(driver, labels, meta)
     by_id = core.episodes_by_id(_memo(memo, episodes, core.read_episodes))
     provenance = {"split": split, "seed": str(cfg.seed)}
 
-    def uncertainty(driver_path):
+    def uncertainty(_driver_path):
         trace = score_uncertainty(
             driver_net, by_id, scenes,
             n_samples=cfg.mc_samples, seed=derived_seed(cfg.seed, "uncertainty"),
         )
-        return trace, {**provenance, "driver": file_digest(driver_path)}
+        return trace, {**provenance, "driver": driver_digest}
 
     return {
         "learned": (
@@ -316,7 +326,7 @@ def stage_eval(
     if scores:
         traces = {policy: _memo(memo, path, read_scores_csv) for policy, path in scores.items()}
     elif hazard and driver and episodes:
-        traces = _checkpoint_scores(cfg, memo, split, scenes, hazard, driver, episodes)
+        traces = _checkpoint_scores(cfg, memo, labels, meta, scenes, hazard, driver, episodes)
     else:
         raise ValidationError("eval needs --scores files or --hazard/--driver/--data")
     for policy, (trace, trace_meta) in traces.items():

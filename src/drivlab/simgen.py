@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, fields, replace
 import numpy as np
 
-from .core import ANGLE_MAX, ANGLE_MIN, SPEED_MAX, SPEED_MIN, Episode, TimedRecord
+from .core import ANGLE_MAX, ANGLE_MIN, SPEED_MAX, SPEED_MIN, Episode
 from .errors import ValidationError
 
 # stream ids for the per-concern Philox streams
@@ -249,6 +249,11 @@ def _lead_gap_path(config: WorldConfig, congestion: float, n: int) -> np.ndarray
     return g
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def generate_episode(config: WorldConfig, episode_id: str | None = None) -> Episode:
     """Deterministic episode for ``config.seed``; see module docstring."""
     config.validate()
@@ -304,25 +309,20 @@ def generate_episode(config: WorldConfig, episode_id: str | None = None) -> Epis
         )
         angles[t], speeds[t] = oracle_action(state, config)
 
-    obs.setflags(write=False)
-    records = tuple(
-        TimedRecord(step_index=t, obs=obs[t], speed=float(speeds[t]), angle=float(angles[t]))
-        for t in range(n)
-    )
     meta = {
         "config_digest": config.digest(),
         "congestion": congestion,
         "visibility": visibility,
         "n_intersections": n_arrivals,
-        "curvature": tuple(float(x) for x in curvature[:n]),
-        "zone_mask": tuple(bool(x) for x in in_zone),
-        "branch": tuple(int(x) for x in branch),
-        "dist_next": tuple(int(x) for x in dist),
-        "zone_progress": tuple(float(x) for x in zone_progress),
-        "lead_gap": tuple(float(x) for x in gap),
+        "curvature": _frozen(curvature[:n]),
+        "zone_mask": _frozen(in_zone),
+        "branch": _frozen(branch),
+        "dist_next": _frozen(dist),
+        "zone_progress": _frozen(zone_progress),
+        "lead_gap": _frozen(gap),
     }
     eid = episode_id if episode_id is not None else f"ep{config.seed:010d}"
-    return Episode(episode_id=eid, seed=config.seed, records=records, meta=meta)
+    return Episode(eid, seed=config.seed, obs=obs, speed=speeds, angle=angles, meta=meta)
 
 
 def generate_dataset(config: WorldConfig, n_episodes: int, base_seed: int) -> list[Episode]:
@@ -341,12 +341,12 @@ def state_at(episode: Episode, t: int) -> WorldState:
     meta = episode.meta
     try:
         return WorldState(
-            curvature=meta["curvature"][t],
-            dist_to_intersection=meta["dist_next"][t],
-            in_zone=meta["zone_mask"][t],
-            zone_progress=meta["zone_progress"][t],
-            branch_sign=meta["branch"][t],
-            lead_gap=meta["lead_gap"][t],
+            curvature=float(meta["curvature"][t]),
+            dist_to_intersection=int(meta["dist_next"][t]),
+            in_zone=bool(meta["zone_mask"][t]),
+            zone_progress=float(meta["zone_progress"][t]),
+            branch_sign=int(meta["branch"][t]),
+            lead_gap=float(meta["lead_gap"][t]),
             congestion=meta["congestion"],
             visibility=meta["visibility"],
         )

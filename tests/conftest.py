@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from drivlab import core, simgen
@@ -11,6 +12,19 @@ def small_world(**overrides) -> simgen.WorldConfig:
     return simgen.WorldConfig(**kwargs)
 
 
+def all_windows(episodes, k=4):
+    """Every stride-1 window of ``episodes``, in the given order."""
+    return core.windows_at(core.episodes_by_id(episodes), core.window_positions(episodes, k), k)
+
+
+def windows_of_rows(frames, speeds, angles):
+    """One window per free-standing (k+1)-row episode: ``frames`` (n, k+1, d),
+    ``speeds`` and ``angles`` (n, k+1), the last row holding the targets."""
+    n, steps, _ = np.shape(frames)
+    eps = {f"w{i}": core.Episode(f"w{i}", 0, frames[i], speeds[i], angles[i], {}) for i in range(n)}
+    return core.windows_at(eps, [(eid, steps - 1) for eid in eps], steps - 1)
+
+
 @pytest.fixture(scope="session")
 def small_episodes():
     return simgen.generate_dataset(small_world(), 30, base_seed=500)
@@ -18,10 +32,7 @@ def small_episodes():
 
 @pytest.fixture(scope="session")
 def small_windows(small_episodes):
-    out = []
-    for ep in small_episodes[:6]:
-        out.extend(core.make_windows(ep, k=4))
-    return out
+    return all_windows(small_episodes[:6])
 
 
 @pytest.fixture(scope="session")
@@ -34,7 +45,7 @@ def tiny_pipeline(small_episodes):
     d1 = [by_id[e] for e in splits.d1]
     d2 = [by_id[e] for e in splits.d2]
     d3 = [by_id[e] for e in splits.d3]
-    train_w = [w for ep in sorted(d1, key=lambda e: e.episode_id) for w in core.make_windows(ep, 4)]
+    train_w = all_windows(sorted(d1, key=lambda e: e.episode_id))
     net, _ = train_driver(train_w, TrainConfig(epochs=3, seed=21), trained_on="D1")
     th = CANONICAL_THRESHOLDS["middle"]
     ds_train = build_failure_dataset(net, d2, split="D2", th=th, m=8)

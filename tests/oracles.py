@@ -2,7 +2,7 @@
 
 These deliberately use naive algorithms (repeated max-scan selection,
 nested-loop silencing, slice/any labeling, a per-gate autodiff graph for the
-LSTM) so equivalence tests never share a code path with the implementations
+LSTM, per-step slicing of windows) so equivalence tests never share a code path with the implementations
 they check.
 """
 
@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from drivlab.core import Normalizer
 from drivlab.diffcore import Tensor, add, matmul, mul, narrow, sigmoid, tanh
 from drivlab.errors import ShapeError
 
@@ -79,3 +80,45 @@ def lstm_chain(x, steps, wx, wh, b):
     for t in range(steps):
         h, c = lstm_cell(narrow(x, 0, t * batch, (t + 1) * batch), h, c, wx, wh, b)
     return h
+
+
+def sliced_windows(episode, k, stride):
+    """(frames, past_speeds, past_angles, target_speed, target_angle) per t in
+    [k, len-1] stepping by ``stride``, cut from the episode by slicing."""
+    return [
+        (
+            episode.obs[t - k : t + 1],
+            episode.speed[t - k : t],
+            episode.angle[t - k : t],
+            float(episode.speed[t]),
+            float(episode.angle[t]),
+        )
+        for t in range(k, len(episode), stride)
+    ]
+
+
+def sliced_arrays(windows, normalizer):
+    """Model arrays of ``sliced_windows``, stacked per window then normalized."""
+    return {
+        "vis": normalizer.normalize(np.stack([w[0] for w in windows]), "obs"),
+        "spd": normalizer.normalize(np.stack([w[1] for w in windows]), "speed"),
+        "ang": normalizer.normalize(np.stack([w[2] for w in windows]), "angle"),
+        "tgt_s": normalizer.normalize(np.array([[w[3]] for w in windows]), "speed"),
+        "tgt_a": normalizer.normalize(np.array([[w[4]] for w in windows]), "angle"),
+    }
+
+
+def sliced_normalizer(windows, floor):
+    """Population statistics over each window's frames, then its past values
+    followed by its target, window by window."""
+    frames = np.concatenate([w[0] for w in windows], axis=0)
+    speeds = np.concatenate([np.concatenate([w[1], [w[3]]]) for w in windows])
+    angles = np.concatenate([np.concatenate([w[2], [w[4]]]) for w in windows])
+    return Normalizer(
+        mean_speed=float(np.mean(speeds)),
+        std_speed=max(float(np.std(speeds)), floor),
+        mean_angle=float(np.mean(angles)),
+        std_angle=max(float(np.std(angles)), floor),
+        obs_mean=np.mean(frames, axis=0),
+        obs_std=np.maximum(np.std(frames, axis=0), floor),
+    )

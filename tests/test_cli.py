@@ -173,7 +173,13 @@ def test_stage_commands_write_run_all_bytes(tmp_path, config_file):
 
 
 @pytest.mark.parametrize(
-    "bad_row", ["ep0000,xx,0,0,0,0,0.5,20.0,0.4,21.0", "ep0000,3,0,0,0,0,0.5,20.0,0.4"]
+    "bad_row", [
+        "ep0000,xx,0,0,0,0,0.5,20.0,0.4,21.0",
+        "ep0000,3,0,0,0,0,0.5,20.0,0.4",
+        "ep0000,3,0,0,0,2,0.5,20.0,0.4,21.0",  # g_horizon outside {0, 1}
+        "ep0000,3,1,0,0,1,0.5,20.0,0.4,21.0",  # g != g_a | g_s
+        "ep0000,3,0,0,0,0,nan,20.0,0.4,21.0",  # non-finite prediction
+    ]
 )
 def test_malformed_label_row_exit_code_2(tmp_path, bad_row, capsys):
     labels = tmp_path / "labels.csv"
@@ -192,6 +198,13 @@ LABELS_D3 = (f"{LABELS_FORMAT}\n# split D3\n# t_angle 7.0\n# t_speed 3.0\n# m 8\
 @pytest.mark.parametrize("kind, text, lineno", [
     ("episodes", f"{EPISODE_FORMAT} d=2 f=4\nep0000,0,10.0,0.0,0.1,0.2\nep0000,1,fast,0.0,0.1,0.2\n", 3),
     ("scores", f"{SCORES_FORMAT}\n# policy learned\n{SCORES_HEADER}\nep0000,2,high\n", 4),
+    pytest.param("episodes", f"{EPISODE_FORMAT} d=2 f=4\nep0000,0,10.0,0.0,0.1,0.2\n"
+                 "ep0000,2,10.0,0.0,0.1,0.2\n", 3, id="episodes-step-index-not-position"),
+    pytest.param("episodes", f"{EPISODE_FORMAT} d=2 f=4\nep0000,0,10.0,0.0,0.1,0.2\n"
+                 "ep0001,0,10.0,0.0,0.1,0.2\nep0000,1,10.0,0.0,0.1,0.2\n", 4,
+                 id="episodes-id-reappears"),
+    pytest.param("episodes", f"{EPISODE_FORMAT} d=2 f=4\nep0000,0,10.0,0.0,0.1,0.2\n"
+                 "# comment\nep0000,1,181.0,0.0,0.1,0.2\n", 4, id="episodes-speed-out-of-range"),
 ])
 def test_malformed_text_field_exit_code_2(tmp_path, kind, text, lineno, capsys):
     bad = tmp_path / f"{kind}.txt"
@@ -205,3 +218,23 @@ def test_malformed_text_field_exit_code_2(tmp_path, kind, text, lineno, capsys):
                 "--out", str(tmp_path / "e.json")]
     assert main([*argv, "--quiet"]) == 2
     assert f"{bad}:{lineno}: malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", ["other-driver", "no-driver"])
+def test_labels_from_another_driver_exit_code_2(tmp_path, config_file, edit, capsys):
+    out = tmp_path / "run"
+    assert main(["run-all", "--config", str(config_file), "--out-dir", str(out), "--quiet"]) == 0
+    for split in ("D2", "D3"):
+        labels = out / f"labels_{split}_middle.csv"
+        lines = labels.read_text().splitlines(keepends=True)
+        driver_line = next(i for i, line in enumerate(lines) if line.startswith("# driver "))
+        lines[driver_line:driver_line + 1] = ["# driver " + "0" * 64 + "\n"] if edit == "other-driver" else []
+        labels.write_text("".join(lines))
+    common = ["--config", str(config_file), "--data", str(out / "episodes.txt"),
+              "--driver", str(out / "driver.ckpt"), "--quiet"]
+    assert main(["train-failure", *common, "--split", str(out / "splits.tsv"),
+                 "--labels", str(out / "labels_D2_middle.csv"),
+                 "--out", str(tmp_path / "hazard.ckpt")]) == 2
+    assert main(["eval", *common, "--labels", str(out / "labels_D3_middle.csv"),
+                 "--hazard", str(out / "hazard_middle.ckpt"), "--out", str(tmp_path / "e.json")]) == 2
+    assert capsys.readouterr().err.count("labels were made by driver") == 2

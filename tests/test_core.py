@@ -4,77 +4,95 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drivlab import core
+from drivlab.driver import windows_to_arrays
 from drivlab.errors import ArtifactVersionError, ValidationError
 from drivlab.simgen import WorldConfig, generate_dataset
 
+from conftest import all_windows, windows_of_rows
+from oracles import sliced_arrays, sliced_normalizer, sliced_windows
 
-def _episode(n, d=3, eid="e0", start=0):
+
+def _episode(n, d=3, eid="e0"):
     rng = np.random.default_rng(abs(hash(eid)) % 2**32)
-    records = tuple(
-        core.TimedRecord(
-            step_index=start + i,
-            obs=rng.standard_normal(d),
-            speed=float(rng.uniform(0, 120)),
-            angle=float(rng.uniform(-90, 90)),
-        )
-        for i in range(n)
-    )
-    return core.Episode(episode_id=eid, seed=1, records=records, meta={})
+    obs = rng.standard_normal((n, d))
+    speed = rng.uniform(0, 120, size=n)
+    angle = rng.uniform(-90, 90, size=n)
+    return core.Episode(episode_id=eid, seed=1, obs=obs, speed=speed, angle=angle, meta={})
 
 
-class TestTimedRecord:
-    def test_rejects_out_of_range_speed(self):
-        with pytest.raises(ValidationError):
-            core.TimedRecord(0, np.zeros(3), speed=181.0, angle=0.0)
-        with pytest.raises(ValidationError):
-            core.TimedRecord(0, np.zeros(3), speed=-0.1, angle=0.0)
-
-    def test_rejects_out_of_range_angle(self):
-        with pytest.raises(ValidationError):
-            core.TimedRecord(0, np.zeros(3), speed=10.0, angle=721.0)
-
-    def test_rejects_non_finite_obs(self):
-        with pytest.raises(ValidationError):
-            core.TimedRecord(0, np.array([1.0, np.nan]), speed=10.0, angle=0.0)
-
-    def test_obs_is_read_only(self):
-        r = core.TimedRecord(0, np.zeros(3), speed=10.0, angle=0.0)
-        with pytest.raises(ValueError):
-            r.obs[0] = 1.0
+def _columns(n=4, d=3):
+    return np.zeros((n, d)), np.full(n, 10.0), np.zeros(n)
 
 
 class TestEpisode:
-    def test_rejects_non_contiguous_steps(self):
-        ep = _episode(3)
-        records = (ep.records[0], ep.records[2], ep.records[1])
-        with pytest.raises(ValidationError):
-            core.Episode("bad", 0, records, {})
+    def test_rejects_out_of_range_speed(self):
+        for bad in (181.0, -0.1):
+            obs, speed, angle = _columns()
+            speed[2] = bad
+            with pytest.raises(ValidationError, match="speed .* at step 2"):
+                core.Episode("e", 0, obs, speed, angle, {})
+
+    def test_rejects_out_of_range_angle(self):
+        obs, speed, angle = _columns()
+        angle[1] = 721.0
+        with pytest.raises(ValidationError, match="angle .* at step 1"):
+            core.Episode("e", 0, obs, speed, angle, {})
+
+    def test_rejects_non_finite_obs(self):
+        obs, speed, angle = _columns()
+        obs[3, 1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite .* at step 3"):
+            core.Episode("e", 0, obs, speed, angle, {})
+
+    def test_columns_are_read_only(self):
+        ep = core.Episode("e", 0, *_columns(), {})
+        for column in (ep.obs, ep.speed, ep.angle):
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+
+    def test_rejects_empty_and_misshapen_columns(self):
+        with pytest.raises(ValidationError, match="no records"):
+            core.Episode("e", 0, *_columns(n=0), {})
+        obs, speed, angle = _columns()
+        with pytest.raises(ValidationError, match="obs must be"):
+            core.Episode("e", 0, speed, speed, angle, {})
+        with pytest.raises(ValidationError, match="do not match"):
+            core.Episode("e", 0, obs, speed[:3], angle, {})
 
     def test_arrays_match_records(self):
-        ep = _episode(5)
-        assert np.array_equal(ep.speeds(), [r.speed for r in ep.records])
-        assert np.array_equal(ep.obs_matrix()[2], ep.records[2].obs)
+        obs, speed, angle = _columns(n=5)
+        obs[2] = [1.0, 2.0, 3.0]
+        speed[4] = 33.5
+        ep = core.Episode("e", 0, obs, speed.astype(np.float32), angle.tolist(), {})
+        assert len(ep) == 5 and ep.obs_dim == 3
+        assert ep.speed.dtype == ep.angle.dtype == ep.obs.dtype == np.float64
+        assert np.array_equal(ep.speed, speed)
+        assert np.array_equal(ep.obs[2], [1.0, 2.0, 3.0])
+
+
+_IDENTITY = core.Normalizer(0.0, 1.0, 0.0, 1.0, np.zeros(3), np.ones(3))
 
 
 class TestMakeWindows:
     def test_six_records_k4_two_windows(self):
         ws = core.make_windows(_episode(6), k=4, stride=1)
-        assert [w.origin[1] for w in ws] == [4, 5]
+        assert ws.t.tolist() == [4, 5]
 
     def test_five_records_k4_one_window(self):
         ws = core.make_windows(_episode(5), k=4)
-        assert [w.origin[1] for w in ws] == [4]
+        assert ws.t.tolist() == [4]
 
     def test_four_records_k4_empty(self):
-        assert core.make_windows(_episode(4), k=4) == []
+        assert len(core.make_windows(_episode(4), k=4)) == 0
 
     def test_window_contents(self):
         ep = _episode(8)
-        w = core.make_windows(ep, k=4)[1]  # t = 5
-        assert w.frames.shape == (5, 3)
-        assert np.array_equal(w.frames[-1], ep.records[5].obs)
-        assert np.array_equal(w.past_speeds, [r.speed for r in ep.records[1:5]])
-        assert w.target_angle == ep.records[5].angle
+        arrays = windows_to_arrays(core.make_windows(ep, k=4), _IDENTITY)
+        # window 1 ends at t = 5
+        assert arrays["vis"][1].shape == (5, 3)
+        assert np.array_equal(arrays["vis"][1][-1], ep.obs[5])
+        assert np.array_equal(arrays["spd"][1], ep.speed[1:5])
+        assert arrays["tgt_a"][1, 0] == ep.angle[5]
 
     def test_invalid_args(self):
         with pytest.raises(ValidationError):
@@ -89,10 +107,45 @@ class TestMakeWindows:
         ws = core.make_windows(ep, k=k, stride=stride)
         expected = 0 if n < k + 1 else (n - 1 - k) // stride + 1
         assert len(ws) == expected
-        for w in ws:
-            assert w.origin[0] == ep.episode_id
-            assert w.frames.shape == (k + 1, 3)
-            assert len(w.past_speeds) == k
+        assert ws.t.tolist() == list(range(k, n, stride))
+        assert all(ws.episode_ids[e] == ep.episode_id for e in ws.ep)
+        assert ws.k == k
+
+    @given(n=st.integers(1, 40), k=st.integers(1, 6), stride=st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sliced_reference(self, n, k, stride):
+        ep = _episode(n, eid=f"r{n}_{k}_{stride}")
+        ws = core.make_windows(ep, k=k, stride=stride)
+        ref = sliced_windows(ep, k, stride)
+        assert len(ws) == len(ref)
+        if not ref:
+            return
+        norm = core.fit_normalizer(ws)
+        expected = sliced_normalizer(ref, core.STD_FLOOR)
+        for field in ("mean_speed", "std_speed", "mean_angle", "std_angle"):
+            assert getattr(norm, field) == getattr(expected, field), field
+        assert np.array_equal(norm.obs_mean, expected.obs_mean)
+        assert np.array_equal(norm.obs_std, expected.obs_std)
+        got, want = windows_to_arrays(ws, norm), sliced_arrays(ref, norm)
+        for key in want:
+            assert got[key].shape == want[key].shape and np.array_equal(got[key], want[key]), key
+
+    def test_windows_at_spans_episodes_and_slices_share_columns(self):
+        a, b = _episode(7, eid="a"), _episode(6, eid="b")
+        ws = core.windows_at({"a": a, "b": b, "unused": _episode(9, eid="u")},
+                             [("b", 5), ("a", 4), ("b", 4)], k=4)
+        assert ws.episode_ids == ("b", "a")
+        assert ws.obs.shape == (13, 3)  # only the referenced episodes' rows
+        arrays = windows_to_arrays(ws, _IDENTITY)
+        assert np.array_equal(arrays["vis"][1], a.obs[0:5])
+        assert np.array_equal(arrays["ang"][2], b.angle[0:4])
+        part = ws[1:]
+        assert len(part) == 2 and part.obs is ws.obs
+        assert np.array_equal(windows_to_arrays(part, _IDENTITY)["vis"], arrays["vis"][1:])
+        with pytest.raises(ValidationError, match="unknown episode"):
+            core.windows_at({"a": a}, [("z", 4)], k=4)
+        with pytest.raises(ValidationError, match="out of window range"):
+            core.windows_at({"a": a}, [("a", 4), ("a", 3)], k=4)
 
 
 class TestSplitDataset:
@@ -132,19 +185,9 @@ class TestSplitDataset:
 class TestNormalizer:
     def _windows_with(self, speeds, angles):
         # one window per value pair; frames/pasts carry the same value
-        out = []
-        for i, (s, a) in enumerate(zip(speeds, angles)):
-            out.append(
-                core.WindowSample(
-                    frames=np.full((2, 2), float(s)),
-                    past_angles=np.array([float(a)]),
-                    past_speeds=np.array([float(s)]),
-                    target_angle=float(a),
-                    target_speed=float(s),
-                    origin=("e", i + 1),
-                )
-            )
-        return out
+        speeds = np.repeat(np.asarray(speeds, dtype=float)[:, None], 2, axis=1)
+        angles = np.repeat(np.asarray(angles, dtype=float)[:, None], 2, axis=1)
+        return windows_of_rows(np.repeat(speeds[:, :, None], 2, axis=2), speeds, angles)
 
     def test_population_convention(self):
         norm = core.fit_normalizer(self._windows_with([0.0, 10.0], [0.0, 10.0]))
@@ -185,7 +228,7 @@ class TestNormalizer:
         # stats fitted on D1 must be reused verbatim on other splits
         splits = core.split_dataset(small_episodes, seed=2)
         by_id = core.episodes_by_id(small_episodes)
-        d1_windows = [w for e in splits.d1 for w in core.make_windows(by_id[e], 4)]
+        d1_windows = all_windows([by_id[e] for e in splits.d1])
         norm = core.fit_normalizer(d1_windows)
         refit = core.fit_normalizer(d1_windows)
         assert norm.mean_speed == refit.mean_speed
@@ -201,9 +244,9 @@ class TestEpisodeFiles:
         loaded = core.read_episodes(path)
         assert [e.episode_id for e in loaded] == [e.episode_id for e in eps]
         for a, b in zip(eps, loaded):
-            assert np.array_equal(a.obs_matrix(), b.obs_matrix())
-            assert np.array_equal(a.speeds(), b.speeds())
-            assert np.array_equal(a.angles(), b.angles())
+            assert np.array_equal(a.obs, b.obs)
+            assert np.array_equal(a.speed, b.speed)
+            assert np.array_equal(a.angle, b.angle)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -9,7 +9,6 @@ from drivlab.driver import (
     driver_forward,
     init_driver_params,
     load_driver,
-    predict,
     predict_batch,
     save_driver,
     train_driver,
@@ -17,26 +16,19 @@ from drivlab.driver import (
 )
 from drivlab.errors import NumericalError, ValidationError
 
-from conftest import small_world
+from conftest import all_windows, small_world, windows_of_rows
 from drivlab import simgen
 
 
 def _constant_windows(n=40, angle=5.0, speed=50.0, d=16, k=4):
     # separable sub-problem: constant targets, constant frames
     rng = np.random.default_rng(0)
-    out = []
-    for i in range(n):
-        out.append(
-            core.WindowSample(
-                frames=rng.normal(0.0, 1.0, size=(k + 1, d)),
-                past_angles=np.full(k, angle),
-                past_speeds=np.full(k, speed),
-                target_angle=angle + float(rng.normal(0, 1e-6)),
-                target_speed=speed + float(rng.normal(0, 1e-6)),
-                origin=("c", k + i),
-            )
-        )
-    return out
+    frames, speeds, angles = [], [], []
+    for _ in range(n):
+        frames.append(rng.normal(0.0, 1.0, size=(k + 1, d)))
+        angles.append([*np.full(k, angle), angle + float(rng.normal(0, 1e-6))])
+        speeds.append([*np.full(k, speed), speed + float(rng.normal(0, 1e-6))])
+    return windows_of_rows(np.array(frames), np.array(speeds), np.array(angles))
 
 
 @pytest.fixture(scope="module")
@@ -47,11 +39,7 @@ def trained(small_windows_module):
 
 @pytest.fixture(scope="module")
 def small_windows_module():
-    eps = simgen.generate_dataset(small_world(), 6, base_seed=500)
-    out = []
-    for ep in eps:
-        out.extend(core.make_windows(ep, k=4))
-    return out
+    return all_windows(simgen.generate_dataset(small_world(), 6, base_seed=500))
 
 
 class TestPredictContracts:
@@ -62,9 +50,9 @@ class TestPredictContracts:
             for part in ("1", "2"):
                 net.params[f"{prefix}{part}.w"].data[:] = 0.0
                 net.params[f"{prefix}{part}.b"].data[:] = 0.0
-        angle, speed = predict(net, windows[0])
-        assert angle == pytest.approx(net.normalizer.mean_angle, abs=1e-12)
-        assert speed == pytest.approx(net.normalizer.mean_speed, abs=1e-12)
+        angle, speed = predict_batch(net, windows[:1])
+        assert angle[0] == pytest.approx(net.normalizer.mean_angle, abs=1e-12)
+        assert speed[0] == pytest.approx(net.normalizer.mean_speed, abs=1e-12)
 
     def test_outputs_clipped_to_legal_ranges(self, small_windows_module):
         windows = small_windows_module[:50]
@@ -78,50 +66,36 @@ class TestPredictContracts:
 
     def test_dimension_mismatch_rejected(self, trained):
         net, _ = trained
-        bad = core.WindowSample(
-            frames=np.zeros((3, 16)),  # wrong k
-            past_angles=np.zeros(2),
-            past_speeds=np.zeros(2),
-            target_angle=0.0,
-            target_speed=0.0,
-            origin=("x", 2),
-        )
+        bad = windows_of_rows(np.zeros((1, 3, 16)), np.zeros((1, 3)), np.zeros((1, 3)))  # wrong k
         with pytest.raises(ValidationError):
-            predict(net, bad)
+            predict_batch(net, bad)
 
     def test_no_double_normalization(self, trained, small_windows_module):
-        # predict() must equal denormalize(raw head output) exactly
+        # predictions must equal denormalize(raw head output) exactly
         net, _ = trained
-        w = small_windows_module[7]
-        data = windows_to_arrays([w], net.normalizer)
+        w = small_windows_module[7:8]
+        data = windows_to_arrays(w, net.normalizer)
         out_a, out_s = driver_forward(net.params, net.arch, data["vis"], data["spd"], data["ang"])
-        angle, speed = predict(net, w)
-        assert angle == float(net.normalizer.denormalize(out_a.data[0, 0], "angle"))
-        assert speed == float(net.normalizer.denormalize(out_s.data[0, 0], "speed"))
+        angle, speed = predict_batch(net, w)
+        assert angle[0] == float(net.normalizer.denormalize(out_a.data[0, 0], "angle"))
+        assert speed[0] == float(net.normalizer.denormalize(out_s.data[0, 0], "speed"))
 
     def test_trained_on_noiseless_separable_problem_within_one_degree(self):
         # zero-noise world: the target angle is a clean linear readout of one
         # observation channel; training to convergence must nail the oracle
         rng = np.random.default_rng(3)
-        windows = []
-        for i in range(300):
-            frames = rng.normal(0.0, 1.0, size=(5, 16))
-            angle = 10.0 * frames[-1, 0]
-            windows.append(
-                core.WindowSample(
-                    frames=frames,
-                    past_angles=rng.normal(0.0, 10.0, size=4),
-                    past_speeds=np.full(4, 50.0) + rng.normal(0.0, 1.0, size=4),
-                    target_angle=angle,
-                    target_speed=50.0 + float(rng.normal(0.0, 1.0)),
-                    origin=("c", 4 + i),
-                )
-            )
+        frames, speeds, angles = [], [], []
+        for _ in range(300):
+            frames.append(rng.normal(0.0, 1.0, size=(5, 16)))
+            angles.append([*rng.normal(0.0, 10.0, size=4), 10.0 * frames[-1][-1, 0]])
+            past_speeds = np.full(4, 50.0) + rng.normal(0.0, 1.0, size=4)
+            speeds.append([*past_speeds, 50.0 + float(rng.normal(0.0, 1.0))])
+        windows = windows_of_rows(np.array(frames), np.array(speeds), np.array(angles))
         net, _ = train_driver(
             windows, TrainConfig(epochs=60, batch_size=32, seed=2, dropout_p=0.0)
         )
         pred_angle, _ = predict_batch(net, windows[:100])
-        truth = np.array([w.target_angle for w in windows[:100]])
+        truth = windows[:100].target_angle
         assert float(np.mean(np.abs(pred_angle - truth))) < 1.0
 
 
@@ -202,10 +176,7 @@ class TestEvalMae:
         monkeypatch.setattr(
             driver_mod,
             "predict_batch",
-            lambda n, ws: (
-                np.array([w.target_angle for w in ws]),
-                np.array([w.target_speed for w in ws]),
-            ),
+            lambda n, ws: (ws.target_angle, ws.target_speed),
         )
         assert driver_mod.eval_mae(net, windows) == (0.0, 0.0)
 
@@ -213,23 +184,17 @@ class TestEvalMae:
         import drivlab.driver as driver_mod
 
         net, _ = trained
-        w = _constant_windows(n=1)[0]
+        w = _constant_windows(n=1)
         monkeypatch.setattr(
-            driver_mod,
-            "predict_batch",
-            lambda n, ws: (
-                np.array([x.target_angle + 2.0 for x in ws]),
-                np.array([x.target_speed for x in ws]),
-            ),
+            driver_mod, "predict_batch", lambda n, ws: (ws.target_angle + 2.0, ws.target_speed)
         )
-        assert driver_mod.eval_mae(net, [w]) == (0.0, 2.0)
+        assert driver_mod.eval_mae(net, w) == (0.0, 2.0)
 
     def test_baseline_is_mean_predictor(self, trained, small_windows_module):
         net, _ = trained
         windows = small_windows_module[:30]
         base_s, base_a = constant_mean_mae(net.normalizer, windows)
-        true_s = np.array([w.target_speed for w in windows])
-        true_a = np.array([w.target_angle for w in windows])
+        true_s, true_a = windows.target_speed, windows.target_angle
         assert base_s == pytest.approx(np.mean(np.abs(true_s - net.normalizer.mean_speed)))
         assert base_a == pytest.approx(np.mean(np.abs(true_a - net.normalizer.mean_angle)))
 

@@ -195,10 +195,9 @@ class TestUncertaintyPolicy:
 
         net = replace(tiny_pipeline["driver"], arch=replace(tiny_pipeline["driver"].arch, dropout_p=0.5))
         ds = tiny_pipeline["eval_labels"]
-        w = ds.windows[10]
         n = 400
         rng = np.random.default_rng(17)
-        angles, speeds = mc_predict_batch(net, [w, w], n_samples=n, rng=rng)
+        angles, speeds = mc_predict_batch(net, ds.windows[[10, 10]], n_samples=n, rng=rng)
         for arr in (angles, speeds):
             v1, v2 = arr.var(axis=0)
             bound = 3.0 * math.sqrt(2.0) * math.sqrt(2.0 / (n - 1)) * max(v1, v2)

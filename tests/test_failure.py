@@ -19,6 +19,8 @@ from drivlab.failure import (
     write_labels_csv,
 )
 
+from conftest import windows_of_rows
+
 
 class TestSgn:
     def test_zero_maps_to_one(self):
@@ -124,10 +126,7 @@ class TestBuildFailureDataset:
         net = tiny_pipeline["driver"]
 
         def perfect(net_, windows):
-            return (
-                np.array([w.target_angle for w in windows]),
-                np.array([w.target_speed for w in windows]),
-            )
+            return windows.target_angle, windows.target_speed
 
         monkeypatch.setattr(failure, "predict_batch", perfect)
         ds = build_failure_dataset(net, self._episodes(), split="D2",
@@ -204,20 +203,13 @@ class TestLabelsCsv:
 def _planted_windows(n, seed, d=16, k=4):
     # hazard label is exactly "channel 3 of the current frame is positive"
     rng = np.random.default_rng(seed)
-    windows, labels = [], []
-    for i in range(n):
-        frames = rng.normal(0.0, 1.0, size=(k + 1, d))
-        windows.append(
-            core.WindowSample(
-                frames=frames,
-                past_angles=rng.normal(0.0, 5.0, size=k),
-                past_speeds=np.abs(rng.normal(50.0, 5.0, size=k)),
-                target_angle=0.0,
-                target_speed=50.0,
-                origin=("p", k + i),
-            )
-        )
-        labels.append(1 if frames[-1, 3] > 0 else 0)
+    frames, speeds, angles, labels = [], [], [], []
+    for _ in range(n):
+        frames.append(rng.normal(0.0, 1.0, size=(k + 1, d)))
+        angles.append([*rng.normal(0.0, 5.0, size=k), 0.0])
+        speeds.append([*np.abs(rng.normal(50.0, 5.0, size=k)), 50.0])
+        labels.append(1 if frames[-1][-1, 3] > 0 else 0)
+    windows = windows_of_rows(np.array(frames), np.array(speeds), np.array(angles))
     return windows, np.array(labels, dtype=np.int64)
 
 

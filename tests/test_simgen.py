@@ -19,8 +19,8 @@ class TestDeterminism:
         # changing congestion must not reshuffle the curvature stream
         a = simgen.generate_episode(small_world(seed=5, congestion_level=0.0))
         b = simgen.generate_episode(small_world(seed=5, congestion_level=1.0))
-        assert a.meta["curvature"] == b.meta["curvature"]
-        assert a.meta["zone_mask"] == b.meta["zone_mask"]
+        assert np.array_equal(a.meta["curvature"], b.meta["curvature"])
+        assert np.array_equal(a.meta["zone_mask"], b.meta["zone_mask"])
 
 
 class TestOracleClosedForm:
@@ -31,13 +31,13 @@ class TestOracleClosedForm:
         ep = simgen.generate_episode(cfg)
         curvature = np.array(ep.meta["curvature"])
         expected = np.clip(cfg.steer_gain * curvature, core.ANGLE_MIN, core.ANGLE_MAX)
-        assert np.array_equal(ep.angles(), expected)
+        assert np.array_equal(ep.angle, expected)
 
     def test_pure_noise_channels_untouched_by_noise_scale(self):
         a = simgen.generate_episode(small_world(seed=4, obs_noise_scale=0.0))
         b = simgen.generate_episode(small_world(seed=4, obs_noise_scale=2.0))
         tail = slice(simgen.N_SIGNAL_CHANNELS, None)
-        assert np.array_equal(a.obs_matrix()[:, tail], b.obs_matrix()[:, tail])
+        assert np.array_equal(a.obs[:, tail], b.obs[:, tail])
 
 
 class TestIntersectionProcess:
@@ -102,16 +102,16 @@ class TestOracleAction:
         ep = simgen.generate_episode(cfg)
         for t in range(0, len(ep), 7):
             angle, speed = simgen.oracle_action(simgen.state_at(ep, t), cfg)
-            assert angle == ep.records[t].angle
-            assert speed == ep.records[t].speed
+            assert angle == ep.angle[t]
+            assert speed == ep.speed[t]
 
     def test_ranges_always_legal(self):
-        # TimedRecord construction enforces the ranges; cover an extreme config
+        # Episode construction enforces the ranges; cover an extreme config
         cfg = small_world(seed=2, curvature_sigma=0.05, curvature_jump_prob=0.2,
                           congestion_level=1.0, visibility=0.0, intersection_rate=20.0)
         ep = simgen.generate_episode(cfg)
-        assert np.all(ep.speeds() >= core.SPEED_MIN) and np.all(ep.speeds() <= core.SPEED_MAX)
-        assert np.all(ep.angles() >= core.ANGLE_MIN) and np.all(ep.angles() <= core.ANGLE_MAX)
+        assert np.all(ep.speed >= core.SPEED_MIN) and np.all(ep.speed <= core.SPEED_MAX)
+        assert np.all(ep.angle >= core.ANGLE_MIN) and np.all(ep.angle <= core.ANGLE_MAX)
 
 
 class TestStraightBranchPassage:
@@ -121,7 +121,7 @@ class TestStraightBranchPassage:
             ep = simgen.generate_episode(small_world(seed=seed, intersection_rate=6.0))
             mask = np.array(ep.meta["zone_mask"])
             branch = np.array(ep.meta["branch"])
-            angles = ep.angles()
+            angles = ep.angle
             inside_straight = mask & (branch == 0)
             if inside_straight.any():
                 checked += 1
@@ -140,7 +140,7 @@ class TestPlantedDifficulty:
         inside, outside = [], []
         for ep in fleet:
             mask = np.array(ep.meta["zone_mask"])
-            speeds = ep.speeds()
+            speeds = ep.speed
             inside.extend(speeds[mask])
             outside.extend(speeds[~mask])
         assert np.mean(inside) < np.mean(outside)
@@ -159,9 +159,9 @@ class TestPlantedDifficulty:
                     continue
                 sign = branch[s]
                 if sign == 1:
-                    left.append(ep.obs_matrix()[s - lead])
+                    left.append(ep.obs[s - lead])
                 elif sign == -1:
-                    right.append(ep.obs_matrix()[s - lead])
+                    right.append(ep.obs[s - lead])
         left, right = np.array(left), np.array(right)
         assert len(left) > 20 and len(right) > 20
         d = left.shape[1]
