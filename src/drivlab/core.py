@@ -29,8 +29,8 @@ EPISODE_FORMAT = "#drivlab-episodes v1"
 SPLIT_FORMAT = "#drivlab-splits v1"
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 

@@ -10,7 +10,6 @@ fraction of baseline failure steps silenced.
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ import numpy as np
 from .core import Episode, windows_at
 from .driver import DriverNet, mc_predict_batch
 from .errors import ArtifactVersionError, MissingArtifactError, ValidationError
-from .failure import HazardNet, LabeledStep, Thresholds, predict_hazard_batch
+from .failure import MAX_STEP, HazardNet, Labels, Thresholds, predict_hazard_batch
 
 SCORES_FORMAT = "#drivlab-scores v1"
 SCORES_HEADER = "episode_id,t,score"
@@ -80,30 +79,36 @@ class TakeoverResult:
         raise ValidationError(f"{self.policy}: no point at budget {budget}")
 
 
-def build_scenes(rows: Sequence[LabeledStep], m: int) -> list[tuple[str, int]]:
+def scene_rows(rows: Labels, m: int) -> np.ndarray:
+    """Row index of each scene anchor: every (m+1)-th labeled step of each
+    episode, from its first."""
+    first = np.searchsorted(rows.ep, rows.ep, side="left")
+    return np.flatnonzero((np.arange(len(rows)) - first) % (m + 1) == 0)
+
+
+def build_scenes(rows: Labels, m: int) -> list[tuple[str, int]]:
     """Scene anchors every m+1 labeled steps within each episode."""
-    scenes: list[tuple[str, int]] = []
-    by_ep: dict[str, list[int]] = {}
-    for r in rows:
-        by_ep.setdefault(r.episode_id, []).append(r.t)
-    for eid in sorted(by_ep):
-        ts = sorted(by_ep[eid])
-        for i in range(0, len(ts), m + 1):
-            scenes.append((eid, ts[i]))
-    return scenes
+    return rows.positions(scene_rows(rows, m))
 
 
-def _index_rows(rows: Sequence[LabeledStep]):
-    by_ep: dict[str, tuple[list[int], list[LabeledStep]]] = {}
-    for r in sorted(rows, key=lambda r: (r.episode_id, r.t)):
-        ts, rs = by_ep.setdefault(r.episode_id, ([], []))
-        ts.append(r.t)
-        rs.append(r)
-    return by_ep
+_T_SPAN = 2 * MAX_STEP  # (ep, t) packs into the int64 key ep * _T_SPAN + t
+
+
+def _spans(rows: Labels, scenes: Sequence[tuple], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row range [lo, hi) of the labeled steps in each scene's span [t, t+m],
+    searched on the sorted (ep, t) key; empty for an episode without rows."""
+    code = {eid: i for i, eid in enumerate(rows.episode_ids)}
+    ep = np.array([code.get(s[0], -1) for s in scenes], dtype=np.int64)
+    t = np.array([s[1] for s in scenes], dtype=np.int64)
+    key = rows.ep * _T_SPAN + rows.t
+    # clipping to [-1, _T_SPAN - 1] keeps each query between its episode's neighbours
+    lo = np.searchsorted(key, ep * _T_SPAN + np.clip(t, -1, _T_SPAN - 1), side="left")
+    hi = np.searchsorted(key, ep * _T_SPAN + np.clip(t + m, -1, _T_SPAN - 1), side="right")
+    return lo, hi
 
 
 def simulate_takeover(
-    rows: Sequence[LabeledStep],
+    rows: Labels,
     trace: PolicyScoreTrace,
     budget: float,
     m: int,
@@ -119,29 +124,14 @@ def simulate_takeover(
     if unit not in ("steps", "windows"):
         raise ValidationError(f"unit must be 'steps' or 'windows', got {unit!r}")
     k_sel = budget_count(budget, len(trace))
-    ranked = sorted(trace.entries, key=lambda e: (-e[2], e[0], e[1]))
-    selected = ranked[:k_sel]
-
-    by_ep = _index_rows(rows)
-    silenced: dict[str, np.ndarray] = {
-        eid: np.zeros(len(ts), dtype=bool) for eid, (ts, _) in by_ep.items()
-    }
-    for eid, t, _score in selected:
-        if eid not in by_ep:
-            continue
-        ts, _ = by_ep[eid]
-        lo = bisect.bisect_left(ts, t)
-        hi = bisect.bisect_right(ts, t + m)
-        silenced[eid][lo:hi] = True
-
-    baseline = remaining = 0
-    for eid, (ts, rs) in by_ep.items():
-        mask = silenced[eid]
-        for i, r in enumerate(rs):
-            fail = r.g if unit == "steps" else r.g_horizon
-            baseline += fail
-            if not mask[i]:
-                remaining += fail
+    # entries are sorted by (episode_id, t), so a stable sort breaks score ties by them
+    ranked = np.argsort([-e[2] for e in trace.entries], kind="stable")
+    lo, hi = _spans(rows, [trace.entries[i] for i in ranked[:k_sel].tolist()], m)
+    n = len(rows)
+    silenced = np.cumsum(np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1))[:n] > 0
+    fail = rows.g if unit == "steps" else rows.g_horizon
+    baseline = int(fail.sum())
+    remaining = int(fail[~silenced].sum())
     if baseline == 0:
         return TakeoverOutcome(1.0, 0, 0, k_sel, True)
     return TakeoverOutcome(
@@ -154,7 +144,7 @@ def simulate_takeover(
 
 
 def reduction_curve(
-    rows: Sequence[LabeledStep],
+    rows: Labels,
     trace: PolicyScoreTrace,
     budgets: Sequence[float],
     m: int,
@@ -207,75 +197,50 @@ def score_uncertainty(
 
 def score_interval(scenes: Sequence[tuple[str, int]], budget: float) -> PolicyScoreTrace:
     """No learning: mark evenly spaced scenes within each episode, exactly
-    the budget count overall. Marked scenes score 1, the rest 0."""
-    n = len(scenes)
-    k_sel = budget_count(budget, n)
-    by_ep: dict[str, list[tuple[str, int]]] = {}
-    for s in sorted(scenes):
-        by_ep.setdefault(s[0], []).append(s)
-    eids = sorted(by_ep)
-    quotas = {}
-    fractional = []
-    assigned = 0
-    for eid in eids:
-        exact = k_sel * len(by_ep[eid]) / n
-        q = math.floor(exact + _CEIL_EPS)
-        quotas[eid] = q
-        assigned += q
-        fractional.append((-(exact - q), eid))
-    fractional.sort()
-    for _, eid in fractional:
-        if assigned >= k_sel:
-            break
-        if quotas[eid] < len(by_ep[eid]):
-            quotas[eid] += 1
-            assigned += 1
-    if assigned < k_sel:  # leftover capacity, deterministic order
-        for eid in eids:
-            while assigned < k_sel and quotas[eid] < len(by_ep[eid]):
-                quotas[eid] += 1
-                assigned += 1
-    marked: set[tuple[str, int]] = set()
-    for eid in eids:
-        group = by_ep[eid]
-        q = quotas[eid]
-        if q <= 0:
-            continue
-        for j in range(q):
-            marked.add(group[math.floor((j + 0.5) * len(group) / q)])
-    entries = tuple((eid, t, 1.0 if (eid, t) in marked else 0.0) for eid, t in sorted(scenes))
+    the budget count overall. Marked scenes score 1, the rest 0. Scenes are
+    distinct (episode_id, t) pairs."""
+    ordered = sorted(scenes)
+    k_sel = budget_count(budget, len(ordered))
+    _, first, sizes = np.unique([eid for eid, _ in ordered], return_index=True, return_counts=True)
+    # largest-remainder apportionment of k_sel by scene count, ties by episode id
+    exact = k_sel * sizes / len(ordered)
+    quotas = np.floor(exact + _CEIL_EPS).astype(np.int64)
+    # the floors fall short by less than the number of positive remainders,
+    # and an episode with one still has room, so no second pass is needed
+    by_remainder = np.argsort(-(exact - quotas), kind="stable")
+    has_room = by_remainder[quotas[by_remainder] < sizes[by_remainder]]
+    quotas[has_room[: max(k_sel - int(quotas.sum()), 0)]] += 1
+    ep = np.repeat(np.arange(len(sizes)), quotas)
+    j = np.arange(len(ep)) - (np.cumsum(quotas) - quotas)[ep]
+    marked = np.zeros(len(ordered))
+    marked[first[ep] + np.floor((j + 0.5) * sizes[ep] / quotas[ep]).astype(np.int64)] = 1.0
+    entries = tuple((eid, t, score) for (eid, t), score in zip(ordered, marked.tolist()))
     return PolicyScoreTrace(policy="interval", entries=entries)
 
 
 def interval_curve(
-    rows: Sequence[LabeledStep],
+    rows: Labels,
     scenes: Sequence[tuple[str, int]],
     budgets: Sequence[float],
     m: int,
     thresholds: Thresholds | None = None,
     unit: str = "steps",
 ) -> TakeoverResult:
-    points = []
-    for b in budgets:
-        trace = score_interval(scenes, b)
-        points.append((float(b), simulate_takeover(rows, trace, b, m, unit).reduction))
-    return TakeoverResult(policy="interval", points=tuple(points), thresholds=thresholds)
+    points = tuple(
+        (float(b), simulate_takeover(rows, score_interval(scenes, b), b, m, unit).reduction) for b in budgets
+    )
+    return TakeoverResult(policy="interval", points=points, thresholds=thresholds)
 
 
-def score_oracle(
-    rows: Sequence[LabeledStep], scenes: Sequence[tuple[str, int]], m: int
-) -> PolicyScoreTrace:
+def score_oracle(rows: Labels, scenes: Sequence[tuple[str, int]], m: int) -> PolicyScoreTrace:
     """True-label oracle: score = number of failing steps inside the scene's
     span. On non-overlapping scenes, ranking by this count is the optimal
     selection for every budget."""
-    by_ep = _index_rows(rows)
-    entries = []
-    for eid, t in scenes:
-        ts, rs = by_ep.get(eid, ([], []))
-        lo = bisect.bisect_left(ts, t)
-        hi = bisect.bisect_right(ts, t + m)
-        entries.append((eid, t, float(sum(r.g for r in rs[lo:hi]))))
-    return PolicyScoreTrace(policy="oracle", entries=tuple(entries))
+    lo, hi = _spans(rows, scenes, m)
+    failing = np.concatenate([[0], np.cumsum(rows.g)])
+    counts = (failing[hi] - failing[lo]).tolist()
+    entries = tuple((eid, t, float(c)) for (eid, t), c in zip(scenes, counts))
+    return PolicyScoreTrace(policy="oracle", entries=entries)
 
 
 def safety_gain(ours: TakeoverResult, base: TakeoverResult, budget: float) -> float | None:
@@ -296,16 +261,8 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]  # 1-based, ties averaged
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

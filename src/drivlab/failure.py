@@ -10,14 +10,13 @@ lead time.
 from __future__ import annotations
 
 import logging
-import math
 import os
 from dataclasses import dataclass, field as dataclass_field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Episode, Normalizer, Windows, episodes_by_id, window_positions, windows_at
+from .core import Episode, Normalizer, Windows, _readonly, episodes_by_id, window_positions, windows_at
 from .diffcore import ParameterStore, adam_step, cross_entropy_loss, softmax
 from .diffcore.checkpoint import load_checkpoint, save_checkpoint
 from .driver import (
@@ -72,54 +71,90 @@ CANONICAL_THRESHOLDS: Mapping[str, Thresholds] = {
 }
 
 
-def sgn(x: float) -> int:
-    """1 if x >= 0 else 0 (note: zero maps to 1)."""
-    return 1 if x >= 0 else 0
+MAX_STEP = 1 << 31  # labeled steps t lie in [0, MAX_STEP)
+_FLAGS = ("g_a", "g_s", "g", "g_horizon")
+_VALUES = ("pred_angle", "pred_speed", "true_angle", "true_speed")
+_COLUMNS = ("ep", "t", *_FLAGS, *_VALUES)  # label file order, after the episode id
 
 
-def label_step(
-    pred: tuple[float, float], truth: tuple[float, float], th: Thresholds
-) -> tuple[int, int, int]:
-    """(g_a, g_s, g) for one step; g is the OR of the two channel failures."""
-    pred_angle, pred_speed = pred
-    true_angle, true_speed = truth
-    g_a = sgn(abs(true_angle - pred_angle) - th.t_angle)
-    g_s = sgn(abs(true_speed - pred_speed) - th.t_speed)
-    return g_a, g_s, g_a | g_s
-
-
-def label_horizon(g_seq: Sequence[int], t: int, m: int) -> int:
-    """OR of g over steps t..t+m inclusive (m+1 terms)."""
-    if m < 0:
-        raise ValidationError(f"horizon m must be >= 0, got {m}")
-    if t < 0 or t + m >= len(g_seq):
-        raise ValidationError(f"horizon [{t}, {t + m}] out of bounds for length {len(g_seq)}")
-    return 1 if any(g_seq[t : t + m + 1]) else 0
+def _bad_row(cols: Mapping[str, np.ndarray], n_ids: int) -> tuple[int, str] | None:
+    """(row, reason) for the first row that breaks a ``Labels`` invariant;
+    None when every row is valid."""
+    ep, t = cols["ep"], cols["t"]
+    flags = np.stack([cols[c] for c in _FLAGS])
+    unordered = np.zeros(len(ep), dtype=bool)
+    unordered[1:] = (ep[1:] < ep[:-1]) | ((ep[1:] == ep[:-1]) & (t[1:] <= t[:-1]))
+    checks = (
+        ((ep < 0) | (ep >= n_ids), "episode code out of range"),
+        ((t < 0) | (t >= MAX_STEP), f"t must lie in [0, {MAX_STEP})"),
+        (((flags != 0) & (flags != 1)).any(axis=0), "g_a, g_s, g and g_horizon must be 0 or 1"),
+        (cols["g"] != cols["g_a"] | cols["g_s"], "g must equal g_a | g_s"),
+        (~np.isfinite(np.stack([cols[c] for c in _VALUES])).all(axis=0),
+         "predictions and truths must be finite"),
+        (unordered, "(episode_id, t) repeats or is out of order"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return i, next(reason for mask, reason in checks if mask[i])
 
 
 @dataclass(frozen=True)
-class LabeledStep:
-    """One labeled evaluation step, as written to the label CSV."""
+class Labels:
+    """Labeled steps as read-only columns, strictly increasing in
+    (episode_id, t).
 
-    episode_id: str
-    t: int
-    g_a: int
-    g_s: int
-    g: int
-    g_horizon: int
-    pred_angle: float
-    pred_speed: float
-    true_angle: float
-    true_speed: float
+    Row i is step ``t[i]`` (in [0, MAX_STEP)) of episode
+    ``episode_ids[ep[i]]``; the ids are sorted, so rows ordered by (ep, t) are
+    ordered by (episode_id, t).
+    ``g_a`` and ``g_s`` flag the angle and speed failures of the driver's
+    prediction, ``g`` is their OR and ``g_horizon`` the OR of ``g`` over steps
+    t..t+m of the episode. The four floats are the predicted and true maneuver.
+    """
+
+    episode_ids: tuple[str, ...]
+    ep: np.ndarray
+    t: np.ndarray
+    g_a: np.ndarray
+    g_s: np.ndarray
+    g: np.ndarray
+    g_horizon: np.ndarray
+    pred_angle: np.ndarray
+    pred_speed: np.ndarray
+    true_angle: np.ndarray
+    true_speed: np.ndarray
+
+    def __post_init__(self) -> None:
+        ids = tuple(self.episode_ids)
+        object.__setattr__(self, "episode_ids", ids)
+        for name in _COLUMNS:
+            dtype = np.float64 if name in _VALUES else np.int64
+            object.__setattr__(self, name, _readonly(getattr(self, name), dtype))
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ValidationError("label episode ids must be sorted and unique")
+        n = self.ep.size
+        if any(getattr(self, c).shape != (n,) for c in _COLUMNS):
+            raise ValidationError("label columns must be 1-D and of equal length")
+        bad = _bad_row(vars(self), len(ids))
+        if bad is not None:
+            raise ValidationError(f"labels: {bad[1]} at row {bad[0]}")
+
+    def __len__(self) -> int:
+        return self.ep.shape[0]
+
+    def positions(self, rows=slice(None)) -> list[tuple[str, int]]:
+        """(episode_id, t) of the given rows, all of them by default."""
+        ids = self.episode_ids
+        return [(ids[e], t) for e, t in zip(self.ep[rows].tolist(), self.t[rows].tolist())]
 
 
 @dataclass
 class FailureDataset:
     """Labeled windows for hazard training plus per-step rows and stats."""
 
-    rows: list[LabeledStep]
+    rows: Labels
     windows: Windows  # aligned with rows
-    labels: np.ndarray  # (n,) horizon labels, aligned with rows
     thresholds: Thresholds
     m: int
     split: str
@@ -127,7 +162,29 @@ class FailureDataset:
 
     @property
     def hazard_fraction(self) -> float:
-        return float(self.labels.mean()) if len(self.labels) else 0.0
+        return float(self.rows.g_horizon.mean()) if len(self.rows) else 0.0
+
+
+def step_failures(pred, truth, th: Thresholds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g_a, g_s, g) per step from (angle, speed) column pairs: a channel fails
+    when its deviation reaches the threshold; g is the OR of the two."""
+    g_a, g_s = (
+        (np.abs(true - p) - limit >= 0).astype(np.int64)
+        for p, true, limit in zip(pred, truth, (th.t_angle, th.t_speed))
+    )
+    return g_a, g_s, g_a | g_s
+
+
+def horizon_failures(g: np.ndarray, ep: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, g_horizon) for steps grouped by episode code ``ep``, each run of
+    one code being consecutive steps: the rows i whose horizon i..i+m stays
+    inside their episode, and the OR of ``g`` over each horizon."""
+    if m < 0:
+        raise ValidationError(f"horizon m must be >= 0, got {m}")
+    start = np.arange(max(len(g) - m, 0))
+    rows = start[ep[start + m] == ep[start]]
+    failing = np.concatenate([[0], np.cumsum(g, dtype=np.int64)])
+    return rows, (failing[rows + m + 1] - failing[rows] > 0).astype(np.int64)
 
 
 def build_failure_dataset(
@@ -153,44 +210,18 @@ def build_failure_dataset(
     windows = windows_at(episodes_by_id(ordered), window_positions(ordered, net.arch.k), net.arch.k)
     pred_a, pred_s = predict_batch(net, windows)
     true_a, true_s = windows.target_angle, windows.target_speed
-    rows: list[LabeledStep] = []
-    kept: list[int] = []
+    g_a, g_s, g = step_failures((pred_a, pred_s), (true_a, true_s), th)
     # windows are grouped by episode; horizons never cross an episode's end
-    firsts = np.flatnonzero(np.diff(windows.ep, prepend=-1)).tolist()
-    for lo, hi in zip(firsts, [*firsts[1:], len(windows)]):
-        g_list = [
-            label_step((pred_a[i], pred_s[i]), (true_a[i], true_s[i]), th)
-            for i in range(lo, hi)
-        ]
-        g_seq = [g for (_, _, g) in g_list]
-        eid = windows.episode_ids[windows.ep[lo]]
-        for j in range(hi - lo - m):
-            i = lo + j
-            g_a, g_s, g = g_list[j]
-            rows.append(
-                LabeledStep(
-                    episode_id=eid,
-                    t=int(windows.t[i]),
-                    g_a=g_a,
-                    g_s=g_s,
-                    g=g,
-                    g_horizon=label_horizon(g_seq, j, m),
-                    pred_angle=float(pred_a[i]),
-                    pred_speed=float(pred_s[i]),
-                    true_angle=float(true_a[i]),
-                    true_speed=float(true_s[i]),
-                )
-            )
-            kept.append(i)
+    kept, g_horizon = horizon_failures(g, windows.ep, m)
+    rows = Labels(
+        episode_ids=windows.episode_ids, ep=windows.ep[kept], t=windows.t[kept],
+        g_a=g_a[kept], g_s=g_s[kept], g=g[kept], g_horizon=g_horizon,
+        pred_angle=pred_a[kept], pred_speed=pred_s[kept],
+        true_angle=true_a[kept], true_speed=true_s[kept],
+    )
     n_dropped = len(windows) - len(rows)
     ds = FailureDataset(
-        rows=rows,
-        windows=windows[np.array(kept, dtype=np.int64)],
-        labels=np.array([r.g_horizon for r in rows], dtype=np.int64),
-        thresholds=th,
-        m=m,
-        split=split,
-        n_dropped=n_dropped,
+        rows=rows, windows=windows[kept], thresholds=th, m=m, split=split, n_dropped=n_dropped
     )
     log.info(
         "labeled %d steps on %s at (%.1f deg, %.1f km/h): hazard fraction %.3f, %d dropped",
@@ -217,20 +248,22 @@ def write_labels_csv(
         **{key: str(value) for key, value in (provenance or {}).items()},
     }
     lines = [LABELS_FORMAT, *(f"# {key} {value}" for key, value in meta.items()), LABELS_HEADER]
-    for r in ds.rows:
-        lines.append(
-            f"{r.episode_id},{r.t},{r.g_a},{r.g_s},{r.g},{r.g_horizon},"
-            f"{r.pred_angle!r},{r.pred_speed!r},{r.true_angle!r},{r.true_speed!r}"
-        )
+    rows, ids = ds.rows, ds.rows.episode_ids
+    # tolist() yields Python ints and floats, whose repr is the shortest round-trip form
+    columns = (getattr(rows, c).tolist() for c in _COLUMNS)
+    for e, t, g_a, g_s, g, g_h, p_a, p_s, t_a, t_s in zip(*columns):
+        lines.append(f"{ids[e]},{t},{g_a},{g_s},{g},{g_h},{p_a!r},{p_s!r},{t_a!r},{t_s!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return meta
 
 
-def read_labels_csv(path) -> tuple[list[LabeledStep], dict[str, str]]:
+def read_labels_csv(path) -> tuple[Labels, dict[str, str]]:
     if not os.path.exists(path):
         raise MissingArtifactError(f"missing artifact: label file {path}")
-    rows: list[LabeledStep] = []
+    eids: list[str] = []
+    ints: list[tuple[int, ...]] = []  # t, g_a, g_s, g, g_horizon, line number
+    floats: list[tuple[float, ...]] = []
     meta: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -249,22 +282,23 @@ def read_labels_csv(path) -> tuple[list[LabeledStep], dict[str, str]]:
                 continue
             try:
                 eid, t, g_a, g_s, g, g_h, p_a, p_s, t_a, t_s = line.split(",")
-                row = LabeledStep(
-                    episode_id=eid, t=int(t), g_a=int(g_a), g_s=int(g_s),
-                    g=int(g), g_horizon=int(g_h), pred_angle=float(p_a),
-                    pred_speed=float(p_s), true_angle=float(t_a), true_speed=float(t_s),
-                )
+                ints.append((int(t), int(g_a), int(g_s), int(g), int(g_h), lineno))
+                floats.append((float(p_a), float(p_s), float(t_a), float(t_s)))
             except ValueError:
                 raise ValidationError(f"{path}:{lineno}: malformed label row {line!r}") from None
-            flags = {row.g_a, row.g_s, row.g, row.g_horizon}
-            values = (row.pred_angle, row.pred_speed, row.true_angle, row.true_speed)
-            if not flags <= {0, 1} or row.g != row.g_a | row.g_s or not all(map(math.isfinite, values)):
-                raise ValidationError(
-                    f"{path}:{lineno}: malformed label row {line!r}: g_a, g_s, g and g_horizon "
-                    f"must be 0 or 1 with g = g_a | g_s, and predictions and truths finite"
-                )
-            rows.append(row)
-    return rows, meta
+            eids.append(eid)
+    try:
+        int_cols = np.array(ints, dtype=np.int64).reshape(-1, 6).T
+    except OverflowError:
+        lineno = next(row[-1] for row in ints if any(abs(v) >= 1 << 63 for v in row))
+        raise ValidationError(f"{path}:{lineno}: malformed label row: integer out of range") from None
+    episode_ids, ep = np.unique(np.array(eids, dtype=str), return_inverse=True)
+    cols = dict(zip(("t", *_FLAGS), int_cols), ep=ep.astype(np.int64))
+    cols.update(zip(_VALUES, np.array(floats, dtype=np.float64).reshape(-1, 4).T))
+    bad = _bad_row(cols, len(episode_ids))
+    if bad is not None:
+        raise ValidationError(f"{path}:{int_cols[5][bad[0]]}: malformed label row: {bad[1]}")
+    return Labels(episode_ids=tuple(episode_ids.tolist()), **cols), meta
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ from .evaluate import (
     score_learned,
     score_oracle,
     score_uncertainty,
+    scene_rows,
     write_scores_csv,
 )
 
@@ -141,6 +142,8 @@ def _label_header(path, meta: Mapping[str, str]) -> tuple[str, str, Thresholds, 
     try:
         th = Thresholds(float(meta["t_angle"]), float(meta["t_speed"]))
         split, m = meta["split"], int(meta["m"])
+        if m < 0:
+            raise ValueError(m)
     except (KeyError, ValueError):
         raise ValidationError(f"{path}: label file lacks a valid split, t_angle, t_speed or m") from None
     names = [name for name, canon in CANONICAL_THRESHOLDS.items() if canon == th]
@@ -255,7 +258,7 @@ def stage_train_failure(
         raise ValidationError("hazard training labels derive from the driver's split")
     driver_digest = _driver_digest(driver, labels, meta)
     by_id = core.episodes_by_id(_split_episodes(memo, episodes, splits, split))
-    windows = core.windows_at(by_id, [(r.episode_id, r.t) for r in rows], cfg.k)
+    windows = core.windows_at(by_id, rows.positions(), cfg.k)
     tc = TrainConfig(
         lr=cfg.hazard_lr,
         epochs=cfg.hazard_epochs,
@@ -264,7 +267,7 @@ def stage_train_failure(
         dropout_p=cfg.hazard_dropout,
     )
     net, _history = train_failure(
-        windows, np.array([r.g_horizon for r in rows], dtype=np.int64), tc,
+        windows, rows.g_horizon, tc,
         normalizer=driver_net.normalizer, thresholds=th, m=m, trained_on=split,
     )
     net.provenance = {
@@ -289,14 +292,14 @@ def _checkpoint_scores(cfg, memo, labels, meta, scenes, hazard, driver, episodes
     driver_net = _memo(memo, driver, load_driver)
     driver_digest = _driver_digest(driver, labels, meta)
     by_id = core.episodes_by_id(_memo(memo, episodes, core.read_episodes))
-    provenance = {"split": split, "seed": str(cfg.seed)}
+    provenance = {"split": split, "seed": str(cfg.seed), "driver": driver_digest}
 
     def uncertainty(_driver_path):
         trace = score_uncertainty(
             driver_net, by_id, scenes,
             n_samples=cfg.mc_samples, seed=derived_seed(cfg.seed, "uncertainty"),
         )
-        return trace, {**provenance, "driver": driver_digest}
+        return trace, provenance
 
     return {
         "learned": (
@@ -330,9 +333,16 @@ def stage_eval(
     else:
         raise ValidationError("eval needs --scores files or --hazard/--driver/--data")
     for policy, (trace, trace_meta) in traces.items():
+        if trace.policy != policy:
+            raise ValidationError(f"{policy} scores: the score file holds {trace.policy} scores")
         if trace_meta.get("split", split) != split:
             raise ValidationError(
                 f"{policy} scores come from split {trace_meta['split']}, labels from {split}"
+            )
+        if trace_meta.get("driver", "(not recorded)") != meta.get("driver"):
+            raise ValidationError(
+                f"{policy} scores come from driver {trace_meta.get('driver', '(not recorded)')}, "
+                f"labels from driver {meta.get('driver', '(not recorded)')}"
             )
         if [(eid, t) for eid, t, _ in trace.entries] != scenes:
             raise ValidationError(f"{policy} scores do not cover exactly the scenes of {labels}")
@@ -354,9 +364,7 @@ def stage_eval(
                 g = safety_gain(curves["learned"], curves["interval"], b)
                 # undefined when the baseline silenced nothing
                 gains[f"{round(100 * b)}"] = g if g is not None else "no-failures"
-    row_labels = np.array([r.g_horizon for r in rows], dtype=np.int64)
-    row_by_key = {(r.episode_id, r.t): r for r in rows}
-    scene_labels = np.array([row_by_key[s].g_horizon for s in scenes], dtype=np.int64)
+    scene_labels = rows.g_horizon[scene_rows(rows, m)]
     learned_auc = None
     if "learned" in traces:
         learned_scores = np.array([s for _, _, s in traces["learned"][0].entries])
@@ -368,7 +376,7 @@ def stage_eval(
         "count_unit": unit,
         "n_rows": len(rows),
         "n_scenes": len(scenes),
-        "hazard_fraction_windows": float(row_labels.mean()) if len(rows) else 0.0,
+        "hazard_fraction_windows": float(rows.g_horizon.mean()) if len(rows) else 0.0,
         "hazard_fraction_scenes": float(scene_labels.mean()) if len(scenes) else 0.0,
         "auc_learned": learned_auc,
         "curves": {

@@ -3,7 +3,7 @@ import pytest
 
 from drivlab import core, simgen
 from drivlab.driver import TrainConfig, train_driver
-from drivlab.failure import CANONICAL_THRESHOLDS, build_failure_dataset, train_failure
+from drivlab.failure import CANONICAL_THRESHOLDS, Labels, build_failure_dataset, train_failure
 
 
 def small_world(**overrides) -> simgen.WorldConfig:
@@ -23,6 +23,21 @@ def windows_of_rows(frames, speeds, angles):
     n, steps, _ = np.shape(frames)
     eps = {f"w{i}": core.Episode(f"w{i}", 0, frames[i], speeds[i], angles[i], {}) for i in range(n)}
     return core.windows_at(eps, [(eid, steps - 1) for eid in eps], steps - 1)
+
+
+def labels_of(rows):
+    """Labels from (episode_id, t, g) or (episode_id, t, g, g_horizon) tuples
+    in any order: g_horizon defaults to g, g_a is g, g_s is 0 and the four
+    floats are 0."""
+    rows = sorted((r[0], r[1], r[2], r[-1]) for r in rows)
+    ids = sorted({r[0] for r in rows})
+    code = {eid: i for i, eid in enumerate(ids)}
+    g, zeros = [r[2] for r in rows], np.zeros(len(rows))
+    return Labels(
+        episode_ids=ids, ep=[code[r[0]] for r in rows], t=[r[1] for r in rows],
+        g_a=g, g_s=np.zeros(len(rows), dtype=np.int64), g=g, g_horizon=[r[3] for r in rows],
+        pred_angle=zeros, pred_speed=zeros, true_angle=zeros, true_speed=zeros,
+    )
 
 
 @pytest.fixture(scope="session")
@@ -51,7 +66,7 @@ def tiny_pipeline(small_episodes):
     ds_train = build_failure_dataset(net, d2, split="D2", th=th, m=8)
     ds_eval = build_failure_dataset(net, d3, split="D3", th=th, m=8)
     hazard, _ = train_failure(
-        ds_train.windows, ds_train.labels, TrainConfig(epochs=3, seed=31),
+        ds_train.windows, ds_train.rows.g_horizon, TrainConfig(epochs=3, seed=31),
         normalizer=net.normalizer, thresholds=th, m=8, trained_on="D2",
     )
     return {

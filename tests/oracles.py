@@ -1,9 +1,10 @@
 """Independent reference implementations used to verify the real ones.
 
 These deliberately use naive algorithms (repeated max-scan selection,
-nested-loop silencing, slice/any labeling, a per-gate autodiff graph for the
-LSTM, per-step slicing of windows) so equivalence tests never share a code path with the implementations
-they check.
+nested-loop silencing and counting, per-step scalar and slice/any labeling, a
+per-gate autodiff graph for the LSTM, per-step slicing of windows) so
+equivalence tests never share a code path with the implementations they
+check.
 """
 
 import math
@@ -12,7 +13,30 @@ import numpy as np
 
 from drivlab.core import Normalizer
 from drivlab.diffcore import Tensor, add, matmul, mul, narrow, sigmoid, tanh
-from drivlab.errors import ShapeError
+from drivlab.errors import ShapeError, ValidationError
+
+
+def sgn(x):
+    """1 if x >= 0 else 0 (note: zero maps to 1)."""
+    return 1 if x >= 0 else 0
+
+
+def label_step(pred, truth, th):
+    """(g_a, g_s, g) for one step; g is the OR of the two channel failures."""
+    pred_angle, pred_speed = pred
+    true_angle, true_speed = truth
+    g_a = sgn(abs(true_angle - pred_angle) - th.t_angle)
+    g_s = sgn(abs(true_speed - pred_speed) - th.t_speed)
+    return g_a, g_s, g_a | g_s
+
+
+def label_horizon(g_seq, t, m):
+    """OR of g over steps t..t+m inclusive (m+1 terms)."""
+    if m < 0:
+        raise ValidationError(f"horizon m must be >= 0, got {m}")
+    if t < 0 or t + m >= len(g_seq):
+        raise ValidationError(f"horizon [{t}, {t + m}] out of bounds for length {len(g_seq)}")
+    return 1 if any(g_seq[t : t + m + 1]) else 0
 
 
 def brute_force_takeover(rows, trace, budget, m, unit="steps"):
@@ -31,20 +55,78 @@ def brute_force_takeover(rows, trace, budget, m, unit="steps"):
                 best = e
         selected.append(best)
         remaining.remove(best)
+    eids = [rows.episode_ids[e] for e in rows.ep.tolist()]
+    ts = rows.t.tolist()
     silenced = set()
     for eid, t, _score in selected:
-        for r in rows:
-            if r.episode_id == eid and t <= r.t <= t + m:
-                silenced.add((r.episode_id, r.t))
-
-    def fails(r):
-        return r.g if unit == "steps" else r.g_horizon
-
-    baseline = sum(fails(r) for r in rows)
+        for i in range(len(ts)):
+            if eids[i] == eid and t <= ts[i] <= t + m:
+                silenced.add(i)
+    fails = (rows.g if unit == "steps" else rows.g_horizon).tolist()
+    baseline = sum(fails)
     if baseline == 0:
         return 1.0
-    rem = sum(fails(r) for r in rows if (r.episode_id, r.t) not in silenced)
+    rem = sum(fails[i] for i in range(len(ts)) if i not in silenced)
     return 1.0 - rem / baseline
+
+
+def brute_force_oracle(rows, scenes, m):
+    """Failing steps of each scene's episode with t in [t, t+m]."""
+    eids = [rows.episode_ids[e] for e in rows.ep.tolist()]
+    ts, g = rows.t.tolist(), rows.g.tolist()
+    return [
+        float(sum(g[i] for i in range(len(ts)) if eids[i] == eid and t <= ts[i] <= t + m))
+        for eid, t in scenes
+    ]
+
+
+def interval_entries(scenes, budget):
+    """Interval-policy entries by per-episode quota loops: largest remainder
+    first, then leftover capacity in episode order, then evenly spaced marks."""
+    n = len(scenes)
+    k_sel = math.ceil(budget * n - 1e-9)
+    by_ep: dict[str, list[tuple[str, int]]] = {}
+    for s in sorted(scenes):
+        by_ep.setdefault(s[0], []).append(s)
+    eids = sorted(by_ep)
+    quotas = {}
+    fractional = []
+    assigned = 0
+    for eid in eids:
+        exact = k_sel * len(by_ep[eid]) / n
+        q = math.floor(exact + 1e-9)
+        quotas[eid] = q
+        assigned += q
+        fractional.append((-(exact - q), eid))
+    fractional.sort()
+    for _, eid in fractional:
+        if assigned >= k_sel:
+            break
+        if quotas[eid] < len(by_ep[eid]):
+            quotas[eid] += 1
+            assigned += 1
+    if assigned < k_sel:  # leftover capacity, deterministic order
+        for eid in eids:
+            while assigned < k_sel and quotas[eid] < len(by_ep[eid]):
+                quotas[eid] += 1
+                assigned += 1
+    marked: set[tuple[str, int]] = set()
+    for eid in eids:
+        group = by_ep[eid]
+        q = quotas[eid]
+        if q <= 0:
+            continue
+        for j in range(q):
+            marked.add(group[math.floor((j + 0.5) * len(group) / q)])
+    return tuple((eid, t, 1.0 if (eid, t) in marked else 0.0) for eid, t in sorted(scenes))
+
+
+def pairwise_auc(scores, labels):
+    """Share of (positive, negative) pairs ranked correctly, ties counting half."""
+    pos = [s for s, y in zip(scores, labels) if y == 1]
+    neg = [s for s, y in zip(scores, labels) if y == 0]
+    wins = sum(1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg)
+    return wins / (len(pos) * len(neg))
 
 
 def brute_force_horizon(g_seq, t, m):

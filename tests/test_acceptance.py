@@ -23,15 +23,16 @@ from drivlab.driver import load_driver, predict_batch, save_driver
 from drivlab.failure import (
     CANONICAL_THRESHOLDS,
     build_failure_dataset,
-    label_horizon,
-    label_step,
+    horizon_failures,
     load_hazard,
     predict_hazard_batch,
     read_labels_csv,
     save_hazard,
+    step_failures,
 )
 from drivlab.pipeline import ART_DRIVER_METRICS, art_eval, art_labels, run_all, run_stage
-from oracles import brute_force_horizon, brute_force_takeover, lstm_cell
+from conftest import labels_of
+from oracles import brute_force_horizon, brute_force_takeover, label_horizon, label_step, lstm_cell
 
 
 def _ok(criterion: str, detail: str) -> None:
@@ -63,7 +64,7 @@ def full_run(tmp_path_factory):
         "mae_angle": metrics["mae_angle"],
         "base_speed": metrics["baseline_mae_speed"],
         "base_angle": metrics["baseline_mae_angle"],
-        "hazard_fraction_middle": float(np.array([r.g_horizon for r in rows], dtype=np.int64).mean()),
+        "hazard_fraction_middle": float(rows.g_horizon.mean()),
         "runtime": runtime,
     }
 
@@ -216,16 +217,24 @@ def test_c2_labeling_oracle_equivalence():
         t = int(rng.integers(0, max(length - m, 1)))
         if t + m >= length:
             continue
-        assert label_horizon(g, t, m) == brute_force_horizon(g, t, m)
+        rows, g_h = horizon_failures(np.array(g, dtype=np.int64), np.zeros(length, dtype=np.int64), m)
+        assert rows.tolist() == list(range(length - m))
+        assert g_h.tolist() == [brute_force_horizon(g, i, m) for i in range(length - m)]
+        assert g_h[t] == label_horizon(g, t, m)
+
+    def flags(pred, th):  # the vectorised labeler on one step, truth (0, 0)
+        out = step_failures(np.array([pred]).T, np.zeros((2, 1)), th)
+        assert tuple(int(f[0]) for f in out) == label_step(pred, (0.0, 0.0), th)
+        return tuple(int(f[0]) for f in out)
 
     # boundary: deviation exactly equal to the threshold fails (sgn(0) = 1)
     for th in CANONICAL_THRESHOLDS.values():
-        ga, gs, g = label_step((th.t_angle, 0.0), (0.0, 0.0), th)
+        ga, gs, g = flags((th.t_angle, 0.0), th)
         assert (ga, g) == (1, 1)
-        ga, gs, g = label_step((0.0, th.t_speed), (0.0, 0.0), th)
+        ga, gs, g = flags((0.0, th.t_speed), th)
         assert (gs, g) == (1, 1)
         just_under = (th.t_angle * (1 - 1e-12), 0.0)
-        assert label_step(just_under, (0.0, 0.0), th)[0] == 0
+        assert flags(just_under, th)[0] == 0
     _ok("C2", f"{n_cases} fuzzed horizon sequences exact; threshold-boundary cases fail as required")
 
 
@@ -235,8 +244,8 @@ def test_c3_threshold_nesting(tiny_pipeline):
     step_sets, horizon_sets, fractions = {}, {}, {}
     for name in ("tight", "middle", "loose"):
         ds = build_failure_dataset(net, d3, split="D3", th=CANONICAL_THRESHOLDS[name], m=8)
-        step_sets[name] = {(r.episode_id, r.t) for r in ds.rows if r.g == 1}
-        horizon_sets[name] = {(r.episode_id, r.t) for r in ds.rows if r.g_horizon == 1}
+        step_sets[name] = set(ds.rows.positions(ds.rows.g == 1))
+        horizon_sets[name] = set(ds.rows.positions(ds.rows.g_horizon == 1))
         fractions[name] = ds.hazard_fraction
     assert step_sets["loose"] <= step_sets["middle"] <= step_sets["tight"]
     assert horizon_sets["loose"] <= horizon_sets["middle"] <= horizon_sets["tight"]
@@ -248,8 +257,6 @@ def test_c3_threshold_nesting(tiny_pipeline):
 
 
 def test_c4_takeover_simulator_oracle_equivalence():
-    from drivlab.failure import LabeledStep
-
     rng = np.random.default_rng(404)
     n_cases = 10_000
     checked_curves = 0
@@ -261,12 +268,7 @@ def test_c4_takeover_simulator_oracle_equivalence():
             n_rows = int(rng.integers(1, 8))
             for t in range(n_rows):
                 g = int(rng.random() < 0.4)
-                rows.append(
-                    LabeledStep(
-                        episode_id=f"e{e}", t=t, g_a=g, g_s=0, g=g, g_horizon=g,
-                        pred_angle=0.0, pred_speed=0.0, true_angle=0.0, true_speed=0.0,
-                    )
-                )
+                rows.append((f"e{e}", t, g))
             n_scenes = int(rng.integers(1, min(n_rows, 6) + 1))
             total_scenes += n_scenes
             for s in range(n_scenes):
@@ -274,6 +276,7 @@ def test_c4_takeover_simulator_oracle_equivalence():
         if total_scenes > 20:
             continue
         trace = evaluate.PolicyScoreTrace(policy="fuzz", entries=tuple(entries))
+        rows = labels_of(rows)
         m = int(rng.integers(0, 4))
         budget = float(rng.uniform(0.05, 1.0))
         ours = evaluate.simulate_takeover(rows, trace, budget, m).reduction

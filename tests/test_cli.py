@@ -179,6 +179,9 @@ def test_stage_commands_write_run_all_bytes(tmp_path, config_file):
         "ep0000,3,0,0,0,2,0.5,20.0,0.4,21.0",  # g_horizon outside {0, 1}
         "ep0000,3,1,0,0,1,0.5,20.0,0.4,21.0",  # g != g_a | g_s
         "ep0000,3,0,0,0,0,nan,20.0,0.4,21.0",  # non-finite prediction
+        "ep0000,2,0,0,0,1,0.5,20.0,0.4,21.0",  # duplicate (episode_id, t)
+        "ep0000,1,0,0,0,1,0.5,20.0,0.4,21.0",  # (episode_id, t) out of order
+        "ep0000,99999999999999999999,0,0,0,1,0.5,20.0,0.4,21.0",  # t beyond int64
     ]
 )
 def test_malformed_label_row_exit_code_2(tmp_path, bad_row, capsys):
@@ -189,6 +192,15 @@ def test_malformed_label_row_exit_code_2(tmp_path, bad_row, capsys):
                  "--out", str(tmp_path / "e.json"), "--quiet"])
     assert code == 2
     assert f"{labels}:5: malformed label row" in capsys.readouterr().err
+
+
+def test_negative_horizon_exit_code_2(tmp_path, capsys):
+    labels = tmp_path / "labels.csv"
+    labels.write_text(f"{LABELS_FORMAT}\n# split D3\n# t_angle 7.0\n# t_speed 3.0\n# m -1\n{LABELS_HEADER}\n")
+    code = main(["eval", "--labels", str(labels), "--scores", f"learned={tmp_path / 's.csv'}",
+                 "--out", str(tmp_path / "e.json"), "--quiet"])
+    assert code == 2
+    assert "lacks a valid split, t_angle, t_speed or m" in capsys.readouterr().err
 
 
 LABELS_D3 = (f"{LABELS_FORMAT}\n# split D3\n# t_angle 7.0\n# t_speed 3.0\n# m 8\n{LABELS_HEADER}\n"
@@ -238,3 +250,33 @@ def test_labels_from_another_driver_exit_code_2(tmp_path, config_file, edit, cap
     assert main(["eval", *common, "--labels", str(out / "labels_D3_middle.csv"),
                  "--hazard", str(out / "hazard_middle.ckpt"), "--out", str(tmp_path / "e.json")]) == 2
     assert capsys.readouterr().err.count("labels were made by driver") == 2
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """One run-all of the small config, shared by tests that only read it."""
+    out = tmp_path_factory.mktemp("small_run")
+    config = out / "config.txt"
+    config.write_text(SMALL_CONFIG)
+    assert main(["run-all", "--config", str(config), "--out-dir", str(out / "run"), "--quiet"]) == 0
+    return out / "run"
+
+
+@pytest.mark.parametrize("case", ["swapped-policy", "other-driver", "no-driver"])
+def test_score_file_provenance_exit_code_2(tmp_path, small_run, case, capsys):
+    learned, uncertainty = small_run / "scores_learned_middle.csv", small_run / "scores_uncertainty.csv"
+    if case == "swapped-policy":
+        learned, uncertainty = uncertainty, learned
+    else:
+        lines = learned.read_text().splitlines(keepends=True)
+        driver_line = next(i for i, line in enumerate(lines) if line.startswith("# driver "))
+        lines[driver_line:driver_line + 1] = ["# driver " + "0" * 64 + "\n"] if case == "other-driver" else []
+        learned = tmp_path / "scores_learned_middle.csv"
+        learned.write_text("".join(lines))
+    code = main(["eval", "--config", str(small_run.parent / "config.txt"),
+                 "--labels", str(small_run / "labels_D3_middle.csv"),
+                 "--scores", f"learned={learned}", "--scores", f"uncertainty={uncertainty}",
+                 "--out", str(tmp_path / "e.json"), "--quiet"])
+    assert code == 2
+    message = "holds uncertainty scores" if case == "swapped-policy" else "learned scores come from driver"
+    assert message in capsys.readouterr().err

@@ -19,21 +19,19 @@ from drivlab.evaluate import (
     score_uncertainty,
     simulate_takeover,
 )
-from drivlab.failure import LabeledStep
+
+from conftest import labels_of
+from oracles import brute_force_oracle, brute_force_takeover, interval_entries, pairwise_auc
 
 
 def _row(eid, t, g, gh=None):
-    return LabeledStep(
-        episode_id=eid, t=t, g_a=g, g_s=0, g=g, g_horizon=g if gh is None else gh,
-        pred_angle=0.0, pred_speed=0.0, true_angle=0.0, true_speed=0.0,
-    )
+    return (eid, t, g) if gh is None else (eid, t, g, gh)
 
 
 def _trace(policy, entries):
     return PolicyScoreTrace(policy=policy, entries=tuple(entries))
 
 
-from oracles import brute_force_takeover  # noqa: E402  (independent reference)
 
 
 class TestBudgetCount:
@@ -52,7 +50,7 @@ class TestBudgetCount:
 class TestSimulateTakeover:
     def test_spec_example_perfect_scores(self):
         labels = [1, 0, 1, 0, 0, 0, 0, 1, 0, 0]
-        rows = [_row("e", t, g) for t, g in enumerate(labels)]
+        rows = labels_of([_row("e", t, g) for t, g in enumerate(labels)])
         trace = _trace("x", [("e", t, float(g)) for t, g in enumerate(labels)])
         out = simulate_takeover(rows, trace, budget=0.3, m=0)
         assert out.reduction == 1.0
@@ -60,32 +58,32 @@ class TestSimulateTakeover:
         assert not out.no_failures
 
     def test_all_zero_labels_flagged(self):
-        rows = [_row("e", t, 0) for t in range(5)]
+        rows = labels_of([_row("e", t, 0) for t in range(5)])
         trace = _trace("x", [("e", t, 0.5) for t in range(5)])
         out = simulate_takeover(rows, trace, budget=0.2, m=0)
         assert out.reduction == 1.0
         assert out.no_failures
 
     def test_full_budget_silences_everything(self):
-        rows = [_row("e", t, 1) for t in range(6)]
+        rows = labels_of([_row("e", t, 1) for t in range(6)])
         trace = _trace("x", [("e", t, 0.0) for t in range(6)])
         assert simulate_takeover(rows, trace, budget=1.0, m=0).reduction == 1.0
 
     def test_budget_validation(self):
-        rows = [_row("e", 0, 1)]
+        rows = labels_of([_row("e", 0, 1)])
         trace = _trace("x", [("e", 0, 1.0)])
         with pytest.raises(ValidationError):
             simulate_takeover(rows, trace, budget=0.0, m=0)
 
     def test_horizon_silencing(self):
-        rows = [_row("e", t, 1 if t in (3, 4) else 0) for t in range(8)]
+        rows = labels_of([_row("e", t, 1 if t in (3, 4) else 0) for t in range(8)])
         trace = _trace("x", [("e", 0, 1.0), ("e", 4, 0.5)])
         out = simulate_takeover(rows, trace, budget=0.5, m=2)
         # only ('e', 0) selected; silences t in [0, 2]; both failures remain
         assert out.reduction == 0.0
 
     def test_window_unit_counts_horizon_rows(self):
-        rows = [_row("e", 0, 0, gh=1), _row("e", 1, 1, gh=1), _row("e", 2, 0, gh=0)]
+        rows = labels_of([_row("e", 0, 0, gh=1), _row("e", 1, 1, gh=1), _row("e", 2, 0, gh=0)])
         trace = _trace("x", [("e", 0, 1.0), ("e", 1, 0.0), ("e", 2, 0.0)])
         out = simulate_takeover(rows, trace, budget=1 / 3, m=0, unit="windows")
         assert out.baseline_failures == 2
@@ -106,7 +104,7 @@ class TestSimulateTakeover:
             for t in range(rows_per):
                 rows.append(_row(f"e{e}", t, int(rng.random() < 0.4)))
                 entries.append((f"e{e}", t, float(rng.choice([0.0, 0.3, 0.3, 0.9]))))
-        trace = _trace("fuzz", entries)
+        trace, rows = _trace("fuzz", entries), labels_of(rows)
         ours = simulate_takeover(rows, trace, budget, m).reduction
         ref = brute_force_takeover(rows, trace, budget, m)
         assert ours == pytest.approx(ref, abs=1e-12)
@@ -115,11 +113,48 @@ class TestSimulateTakeover:
     @settings(max_examples=60, deadline=None)
     def test_curve_monotone_for_ranked_traces(self, seed):
         rng = np.random.default_rng(seed)
-        rows = [_row("e", t, int(rng.random() < 0.3)) for t in range(30)]
+        rows = labels_of([_row("e", t, int(rng.random() < 0.3)) for t in range(30)])
         trace = _trace("r", [("e", t, float(rng.random())) for t in range(30)])
         res = reduction_curve(rows, trace, [i / 20 for i in range(1, 21)], m=2)
         reductions = [r for _, r in res.points]
         assert all(a <= b + 1e-12 for a, b in zip(reductions, reductions[1:]))
+
+
+class TestAgainstReference:
+    """simulate_takeover and score_oracle against the nested-loop references,
+    on rows with gaps in t, scenes with tied scores and overlapping spans, and
+    scenes naming episodes that have no rows."""
+
+    @given(
+        steps=st.dictionaries(
+            st.tuples(st.sampled_from("abc"), st.integers(0, 15)),
+            st.tuples(st.integers(0, 1), st.integers(0, 1)),  # (g, g_horizon)
+            max_size=30,
+        ),
+        scenes=st.lists(
+            st.tuples(st.sampled_from(["a", "b", "c", "zz"]), st.integers(0, 15),
+                      st.sampled_from([0.0, 0.5, 1.0])),
+            min_size=1, max_size=24,
+        ),
+        m=st.integers(0, 4),
+        budget=st.floats(0.05, 1.0),
+        unit=st.sampled_from(["steps", "windows"]),
+        no_failures=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_simulator_and_oracle_match_reference(self, steps, scenes, m, budget, unit, no_failures):
+        rows = labels_of([
+            (eid, t, 0, 0) if no_failures else (eid, t, g, g_h)
+            for (eid, t), (g, g_h) in steps.items()
+        ])
+        trace = _trace("fuzz", scenes)
+        out = simulate_takeover(rows, trace, budget, m, unit)
+        assert out.reduction == brute_force_takeover(rows, trace, budget, m, unit)
+        assert out.no_failures == (not (rows.g if unit == "steps" else rows.g_horizon).any())
+        positions = [(eid, t) for eid, t, _ in scenes]
+        counts = brute_force_oracle(rows, positions, m)
+        expected = sorted((eid, t, s) for (eid, t), s in zip(positions, counts))
+        assert score_oracle(rows, positions, m).entries == tuple(expected)
 
 
 class TestIntervalPolicy:
@@ -141,6 +176,14 @@ class TestIntervalPolicy:
             n_marked = sum(1 for (_, _, s) in trace.entries if s == 1.0)
             assert n_marked == budget_count(budget, len(scenes))
 
+    @given(
+        scenes=st.sets(st.tuples(st.sampled_from("abcd"), st.integers(0, 40)), min_size=1, max_size=60),
+        budget=st.one_of(st.floats(0.01, 1.0), st.integers(1, 20).map(lambda i: i / 20)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_quota_loop_reference(self, scenes, budget):
+        assert score_interval(list(scenes), budget).entries == interval_entries(list(scenes), budget)
+
     def test_uniform_random_labels_reduce_by_budget(self):
         # Monte-Carlo oracle: expected reduction equals the budget
         rng = np.random.default_rng(0)
@@ -152,7 +195,7 @@ class TestIntervalPolicy:
         reductions = []
         for _ in range(1000):
             labels = rng.permutation(base)
-            rows = [_row("e", t, int(g)) for t, g in enumerate(labels)]
+            rows = labels_of([_row("e", t, int(g)) for t, g in enumerate(labels)])
             reductions.append(simulate_takeover(rows, trace, budget, m=0).reduction)
         assert abs(np.mean(reductions) - budget) < 0.02
 
@@ -214,7 +257,7 @@ class TestUncertaintyPolicy:
 
 class TestOraclePolicy:
     def test_score_is_failing_step_count(self):
-        rows = [_row("e", t, 1 if t < 3 else 0) for t in range(9)]
+        rows = labels_of([_row("e", t, 1 if t < 3 else 0) for t in range(9)])
         scenes = [("e", 0), ("e", 3), ("e", 6)]
         trace = score_oracle(rows, scenes, m=2)
         assert [s for _, _, s in trace.entries] == [3.0, 0.0, 0.0]
@@ -236,12 +279,12 @@ class TestOraclePolicy:
 
 class TestScenes:
     def test_non_overlapping_tiles(self):
-        rows = [_row("e", t, 0) for t in range(4, 30)]
+        rows = labels_of([_row("e", t, 0) for t in range(4, 30)])
         scenes = build_scenes(rows, m=8)
         assert scenes == [("e", 4), ("e", 13), ("e", 22)]
 
     def test_per_episode(self):
-        rows = [_row(e, t, 0) for e in ("a", "b") for t in range(4, 10)]
+        rows = labels_of([_row(e, t, 0) for e in ("a", "b") for t in range(4, 10)])
         scenes = build_scenes(rows, m=2)
         assert scenes == [("a", 4), ("a", 7), ("b", 4), ("b", 7)]
 
@@ -284,6 +327,18 @@ class TestAuc:
 
     def test_single_class_undefined(self):
         assert evaluate.auc(np.array([0.1, 0.2]), np.array([1, 1])) is None
+
+    @given(
+        pairs=st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.integers(0, 1)),
+                       min_size=2, max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pairwise_reference(self, pairs):
+        scores, labels = (np.array(column) for column in zip(*pairs))
+        if labels.min() == labels.max():
+            assert evaluate.auc(scores, labels) is None
+        else:
+            assert evaluate.auc(scores, labels) == pytest.approx(pairwise_auc(scores, labels), abs=1e-12)
 
 
 class TestScoresCsv:
