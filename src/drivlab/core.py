@@ -165,9 +165,10 @@ def window_positions(episodes: Iterable[Episode], k: int, stride: int = 1) -> li
     return [(ep.episode_id, t) for ep in episodes for t in range(k, len(ep), stride)]
 
 
-def make_windows(episode: Episode, k: int = DEFAULT_K, stride: int = 1) -> Windows:
-    """The windows of one episode at every t in [k, len-1] stepping by ``stride``."""
-    return windows_at({episode.episode_id: episode}, window_positions([episode], k, stride), k)
+def make_windows(*episodes: Episode, k: int = DEFAULT_K, stride: int = 1) -> Windows:
+    """The windows of ``episodes`` at every t in [k, len-1] stepping by
+    ``stride``, episode by episode in the given order."""
+    return windows_at(episodes_by_id(episodes), window_positions(episodes, k, stride), k)
 
 
 @dataclass(frozen=True)

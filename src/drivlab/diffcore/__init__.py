@@ -9,16 +9,9 @@ from .tensor import (
     dropout,
     l2_loss,
     lstm_seq,
-    matmul,
-    mul,
-    narrow,
     relu,
-    reshape,
     scale,
-    sigmoid,
     softmax,
-    tanh,
-    tsum,
 )
 from .optim import ParameterStore, adam_step
 from .nn import glorot_uniform, init_linear, init_lstm, linear
@@ -27,8 +20,7 @@ from .checkpoint import CHECKPOINT_FORMAT, load_checkpoint, save_checkpoint
 
 __all__ = [
     "Tensor", "add", "concat", "cross_entropy_loss", "dropout", "l2_loss",
-    "lstm_seq", "matmul", "mul", "narrow", "relu", "reshape", "scale",
-    "sigmoid", "softmax", "tanh", "tsum",
+    "lstm_seq", "relu", "scale", "softmax",
     "ParameterStore", "adam_step",
     "glorot_uniform", "init_linear", "init_lstm", "linear",
     "GradCheckReport", "grad_check",

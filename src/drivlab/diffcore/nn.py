@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 
+from ..errors import ShapeError
 from .optim import ParameterStore
-from .tensor import Tensor, add, matmul
+from .tensor import Tensor, _accum, _out
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -27,7 +28,21 @@ def init_linear(
 
 
 def linear(store: ParameterStore, name: str, x: Tensor) -> Tensor:
-    return add(matmul(x, store[f"{name}.w"]), store[f"{name}.b"])
+    """``x @ w + b`` for ``x`` (B, n_in) as one node."""
+    w, b = store[f"{name}.w"], store[f"{name}.b"]
+    if x.data.ndim != 2 or w.data.shape != (x.data.shape[1], b.data.shape[0]):
+        raise ShapeError(f"linear {name}: {x.data.shape} @ {w.data.shape} + {b.data.shape}")
+    out = _out(x.data @ w.data + b.data, (x, w, b))
+
+    def backward(out):
+        if x.requires_grad:
+            _accum(x, out.grad @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ out.grad)
+        _accum(b, out.grad.sum(axis=0))
+
+    out._backward = backward
+    return out
 
 
 def init_lstm(

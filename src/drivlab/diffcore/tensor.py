@@ -64,8 +64,10 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy: ``add`` hands the same array to both of its parents
+        t.grad = g.copy()
+    else:
+        t.grad += g
 
 
 def _out(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
@@ -87,40 +89,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul: {a.data.shape} * {b.data.shape}")
-    out = _out(a.data * b.data, (a, b))
-
-    def backward(out):
-        _accum(a, out.grad * b.data)
-        _accum(b, out.grad * a.data)
-
-    out._backward = backward
-    return out
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
     out = _out(a.data * s, (a,))
 
     def backward(out):
         _accum(a, out.grad * s)
-
-    out._backward = backward
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
-    out = _out(a.data @ b.data, (a, b))
-
-    def backward(out):
-        if a.requires_grad:
-            _accum(a, out.grad @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ out.grad)
 
     out._backward = backward
     return out
@@ -136,31 +110,11 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def tanh(x: Tensor) -> Tensor:
-    out = _out(np.tanh(x.data), (x,))
-
-    def backward(out):
-        _accum(x, out.grad * (1.0 - out.data * out.data))
-
-    out._backward = backward
-    return out
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # two-branch form avoids exp overflow for large |x|
-    pos = x >= 0
-    e = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out = _out(_sigmoid(x.data), (x,))
-
-    def backward(out):
-        _accum(x, out.grad * out.data * (1.0 - out.data))
-
-    out._backward = backward
-    return out
+    # exp(-|x|) never overflows; min(x, -x) is -|x| but passes NaN through
+    # unchanged, so this equals the two-branch 1/(1+e), e/(1+e) bit for bit
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
@@ -178,38 +132,6 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             g = out.grad[lo:hi] if axis == 0 else out.grad[:, lo:hi]
             _accum(t, g)
-
-    out._backward = backward
-    return out
-
-
-def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 2 or axis not in (0, 1):
-        raise ShapeError(f"narrow: need a 2-D tensor and axis in (0, 1), got {x.data.shape}")
-    if not (0 <= start < stop <= x.data.shape[axis]):
-        raise ShapeError(f"narrow: [{start}, {stop}) out of bounds for axis {axis} of {x.data.shape}")
-    data = x.data[start:stop] if axis == 0 else x.data[:, start:stop]
-    out = _out(data.copy(), (x,))
-
-    def backward(out):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        if axis == 0:
-            x.grad[start:stop] += out.grad
-        else:
-            x.grad[:, start:stop] += out.grad
-
-    out._backward = backward if x.requires_grad else None
-    return out
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape)) != x.data.size:
-        raise ShapeError(f"reshape: {x.data.shape} -> {shape}")
-    out = _out(x.data.reshape(shape), (x,))
-
-    def backward(out):
-        _accum(x, out.grad.reshape(x.data.shape))
 
     out._backward = backward
     return out
@@ -247,16 +169,6 @@ def softmax(x: Tensor) -> Tensor:
     def backward(out):
         dot = (out.grad * out.data).sum(axis=1, keepdims=True)
         _accum(x, out.data * (out.grad - dot))
-
-    out._backward = backward
-    return out
-
-
-def tsum(x: Tensor) -> Tensor:
-    out = _out(np.array(x.data.sum()), (x,))
-
-    def backward(out):
-        _accum(x, np.broadcast_to(out.grad, x.data.shape).copy())
 
     out._backward = backward
     return out
@@ -321,65 +233,81 @@ def cross_entropy_loss(
     return out
 
 
-def lstm_seq(x: Tensor, steps: int, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
-    """Single-layer LSTM over a whole sequence as one node; returns the final
-    hidden state ``(B, H)`` from a zero initial state.
+def lstm_seq(x: Tensor, steps: int, wx, wh, b) -> Tensor:
+    """Single-layer LSTMs over whole sequences as one node, one LSTM per
+    track; returns every track's final hidden state from a zero initial
+    state, side by side: ``(B, tracks * H)``.
 
-    ``x`` is step-major, ``(steps * B, n_in)``: rows ``[t*B, (t+1)*B)`` are
-    step ``t``. Gate layout along the 4H axis: input, forget, cell, output.
-    The input projection runs once for all steps; the per-step arithmetic
-    keeps the order of a chain of graph cells, so the forward is bit-identical
-    to it. The backward is hand-written backpropagation through time.
+    ``x`` is ``(tracks, steps * B, n_in)``, or ``(steps * B, n_in)`` for one
+    track, and each track is step-major: rows ``[t*B, (t+1)*B)`` are step
+    ``t``. ``wx``, ``wh`` and ``b`` hold one tensor per track, or are a single
+    tensor for one track. Tracks share their shapes, so the per-step loop runs
+    once for all of them. Gate layout along the 4H axis: input, forget, cell,
+    output. The input projection runs once for all steps; the per-step
+    arithmetic keeps the order of a chain of graph cells, so each track's
+    forward is bit-identical to it. The backward is hand-written
+    backpropagation through time.
     """
-    hidden = wh.data.shape[0]
-    if x.data.ndim != 2 or steps < 1 or x.data.shape[0] % steps:
-        raise ShapeError(f"lstm_seq: x {x.data.shape} is not {steps} step-major blocks")
-    n_in, g4 = x.data.shape[1], 4 * hidden
-    if wx.data.shape != (n_in, g4) or wh.data.shape != (hidden, g4) or b.data.shape != (g4,):
+    wx, wh, b = (list(w) if isinstance(w, (list, tuple)) else [w] for w in (wx, wh, b))
+    tracks, hidden = len(wx), wh[0].data.shape[0]
+    xd = x.data if x.data.ndim == 3 else x.data[None]
+    if xd.ndim != 3 or xd.shape[0] != tracks or steps < 1 or xd.shape[1] % steps:
+        raise ShapeError(f"lstm_seq: x {x.data.shape} is not {tracks} track(s) of {steps} step-major blocks")
+    n_in, g4 = xd.shape[2], 4 * hidden
+    if len(wh) != tracks or len(b) != tracks or any(
+        w.data.shape != (n_in, g4) or u.data.shape != (hidden, g4) or c.data.shape != (g4,)
+        for w, u, c in zip(wx, wh, b)
+    ):
         raise ShapeError(
-            f"lstm_seq: x {x.data.shape}, wx {wx.data.shape}, wh {wh.data.shape}, "
-            f"b {b.data.shape} inconsistent with hidden size {hidden}"
+            f"lstm_seq: x {x.data.shape}, wx {[w.data.shape for w in wx]}, "
+            f"wh {[w.data.shape for w in wh]}, b {[w.data.shape for w in b]} "
+            f"inconsistent with {tracks} track(s) of hidden size {hidden}"
         )
-    batch = x.data.shape[0] // steps
-    xw = (x.data @ wx.data).reshape(steps, batch, g4)
-    acts = np.empty((steps, batch, 4, hidden))  # activated gates i, f, g, o
-    cs = np.zeros((steps + 1, batch, hidden))  # cs[t] is the cell state entering step t
-    hs = np.zeros((steps + 1, batch, hidden))
-    tcs = np.empty((steps, batch, hidden))  # tanh of the cell state leaving step t
+    batch = xd.shape[1] // steps
+    wxs, whs = (np.stack([w.data for w in ws]) for ws in (wx, wh))
+    bs = np.stack([w.data for w in b])[:, None]  # (tracks, 1, 4H): broadcast over the batch
+    xw = (xd @ wxs).reshape(tracks, steps, batch, g4)
+    acts = np.empty((tracks, steps, batch, 4, hidden))  # activated gates i, f, g, o
+    cs = np.zeros((tracks, steps + 1, batch, hidden))  # cs[:, t] is the cell state entering step t
+    hs = np.zeros((tracks, steps + 1, batch, hidden))
+    tcs = np.empty((tracks, steps, batch, hidden))  # tanh of the cell state leaving step t
     for t in range(steps):
-        a = ((xw[t] + hs[t] @ wh.data) + b.data).reshape(batch, 4, hidden)
-        act = acts[t]
+        a = ((xw[:, t] + hs[:, t] @ whs) + bs).reshape(tracks, batch, 4, hidden)
+        act = acts[:, t]
         act[:] = _sigmoid(a)
-        act[:, 2] = np.tanh(a[:, 2])
-        cs[t + 1] = act[:, 1] * cs[t] + act[:, 0] * act[:, 2]
-        tcs[t] = np.tanh(cs[t + 1])
-        hs[t + 1] = act[:, 3] * tcs[t]
-    out = _out(hs[steps], (x, wx, wh, b))
+        act[:, :, 2] = np.tanh(a[:, :, 2])
+        cs[:, t + 1] = act[:, :, 1] * cs[:, t] + act[:, :, 0] * act[:, :, 2]
+        tcs[:, t] = np.tanh(cs[:, t + 1])
+        hs[:, t + 1] = act[:, :, 3] * tcs[:, t]
+    out = _out(hs[:, steps].transpose(1, 0, 2).reshape(batch, tracks * hidden), (x, *wx, *wh, *b))
 
     def backward(out):
-        i, f, g, o = (acts[:, :, k] for k in range(4))
+        i, f, g, o = (acts[:, :, :, k] for k in range(4))
         # local derivatives of every step at once: dh -> dc, dh -> output
         # gate, and dc -> input, forget and cell gates (pre-activation)
         d_cell = o * (1.0 - tcs * tcs)
         d_out = tcs * o * (1.0 - o)
-        d_ifg = np.stack([g * i * (1.0 - i), cs[:steps] * f * (1.0 - f), i * (1.0 - g * g)], axis=2)
-        d_gates = np.empty((steps, batch, 4, hidden))
-        dh, dc = out.grad, np.zeros((batch, hidden))
+        d_ifg = np.stack([g * i * (1.0 - i), cs[:, :steps] * f * (1.0 - f), i * (1.0 - g * g)], axis=3)
+        d_gates = np.empty((tracks, steps, batch, 4, hidden))
+        dh = out.grad.reshape(batch, tracks, hidden).transpose(1, 0, 2)
+        dc = np.zeros((tracks, batch, hidden))
+        wh_t = whs.transpose(0, 2, 1)
         for t in reversed(range(steps)):
-            dc = dc + dh * d_cell[t]
-            d_gates[t, :, :3] = dc[:, None] * d_ifg[t]
-            d_gates[t, :, 3] = dh * d_out[t]
-            dc = dc * f[t]
+            dc = dc + dh * d_cell[:, t]
+            d_gates[:, t, :, :3] = dc[:, :, None] * d_ifg[:, t]
+            d_gates[:, t, :, 3] = dh * d_out[:, t]
+            dc = dc * f[:, t]
             if t:
-                dh = d_gates[t].reshape(batch, g4) @ wh.data.T
-        d_gates = d_gates.reshape(steps * batch, g4)
-        if wh.requires_grad:
-            _accum(wh, hs[:steps].reshape(steps * batch, hidden).T @ d_gates)
-        if wx.requires_grad:
-            _accum(wx, x.data.T @ d_gates)
-        _accum(b, d_gates.sum(axis=0))
+                dh = d_gates[:, t].reshape(tracks, batch, g4) @ wh_t
+        d_gates = d_gates.reshape(tracks, steps * batch, g4)
+        for k in range(tracks):
+            if wh[k].requires_grad:
+                _accum(wh[k], hs[k, :steps].reshape(steps * batch, hidden).T @ d_gates[k])
+            if wx[k].requires_grad:
+                _accum(wx[k], xd[k].T @ d_gates[k])
+            _accum(b[k], d_gates[k].sum(axis=0))
         if x.requires_grad:
-            _accum(x, d_gates @ wx.data.T)
+            _accum(x, (d_gates @ wxs.transpose(0, 2, 1)).reshape(x.data.shape))
 
     out._backward = backward
     return out

@@ -141,9 +141,10 @@ def init_driver_params(arch: BackboneArch, rng: np.random.Generator) -> Paramete
     return store
 
 
-def _track(store: ParameterStore, name: str, x: Tensor, steps: int) -> Tensor:
-    """One recurrent track over step-major ``x``; returns its final hidden state."""
-    return lstm_seq(x, steps, store[f"{name}.wx"], store[f"{name}.wh"], store[f"{name}.b"])
+def _tracks(store: ParameterStore, names: tuple[str, ...], x: Tensor, steps: int) -> Tensor:
+    """Recurrent tracks of equal shape over step-major ``x``, one LSTM call;
+    returns their final hidden states side by side."""
+    return lstm_seq(x, steps, *([store[f"{n}.{w}"] for n in names] for w in ("wx", "wh", "b")))
 
 
 def backbone_forward(
@@ -167,10 +168,11 @@ def backbone_forward(
     flat = Tensor(np.ascontiguousarray(vis.transpose(1, 0, 2)).reshape(steps * batch, d))
     enc = relu(linear(store, "enc1", flat))
     enc = relu(linear(store, "enc2", enc))
-    h_vis = _track(store, "vis", enc, steps)
-    h_spd = _track(store, "spd", Tensor(spd.T.reshape(arch.k * batch, 1)), arch.k)
-    h_ang = _track(store, "ang", Tensor(ang.T.reshape(arch.k * batch, 1)), arch.k)
-    fused = concat([h_vis, h_spd, h_ang], axis=1)
+    h_vis = _tracks(store, ("vis",), enc, steps)
+    # speed and angle share their shapes, so they run as two tracks of one call
+    signals = Tensor(np.stack([spd.T, ang.T]).reshape(2, arch.k * batch, 1))
+    h_sig = _tracks(store, ("spd", "ang"), signals, arch.k)
+    fused = concat([h_vis, h_sig], axis=1)
     return dropout(fused, arch.dropout_p, mode, rng)
 
 

@@ -47,7 +47,7 @@ class PolicyScoreTrace:
     def __post_init__(self) -> None:
         entries = tuple(sorted(self.entries, key=lambda e: (e[0], e[1])))
         object.__setattr__(self, "entries", entries)
-        if any(not np.isfinite(e[2]) for e in entries):
+        if not np.isfinite(np.array([e[2] for e in entries], dtype=np.float64)).all():
             raise ValidationError(f"{self.policy}: non-finite score in trace")
 
     def __len__(self) -> int:

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Episode, Normalizer, Windows, _readonly, episodes_by_id, window_positions, windows_at
+from .core import Episode, Normalizer, Windows, _readonly, make_windows
 from .diffcore import ParameterStore, adam_step, cross_entropy_loss, softmax
 from .diffcore.checkpoint import load_checkpoint, save_checkpoint
 from .driver import (
@@ -207,7 +207,7 @@ def build_failure_dataset(
             f"(pass allow_leakage to override)"
         )
     ordered = sorted(episodes, key=lambda e: e.episode_id)
-    windows = windows_at(episodes_by_id(ordered), window_positions(ordered, net.arch.k), net.arch.k)
+    windows = make_windows(*ordered, k=net.arch.k)
     pred_a, pred_s = predict_batch(net, windows)
     true_a, true_s = windows.target_angle, windows.target_speed
     g_a, g_s, g = step_failures((pred_a, pred_s), (true_a, true_s), th)

@@ -184,7 +184,7 @@ def stage_train_driver(
     cfg: PipelineConfig, episodes, splits, driver_out, metrics_out, memo: dict
 ) -> str:
     train_windows, eval_windows = (
-        core.windows_at(core.episodes_by_id(eps), core.window_positions(eps, cfg.k), cfg.k)
+        core.make_windows(*eps, k=cfg.k)
         for eps in (_split_episodes(memo, episodes, splits, s) for s in ("D1", "D3"))
     )
     tc = TrainConfig(

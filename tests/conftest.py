@@ -14,7 +14,7 @@ def small_world(**overrides) -> simgen.WorldConfig:
 
 def all_windows(episodes, k=4):
     """Every stride-1 window of ``episodes``, in the given order."""
-    return core.windows_at(core.episodes_by_id(episodes), core.window_positions(episodes, k), k)
+    return core.make_windows(*episodes, k=k)
 
 
 def windows_of_rows(frames, speeds, angles):

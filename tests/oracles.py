@@ -2,9 +2,11 @@
 
 These deliberately use naive algorithms (repeated max-scan selection,
 nested-loop silencing and counting, per-step scalar and slice/any labeling, a
-per-gate autodiff graph for the LSTM, per-step slicing of windows) so
-equivalence tests never share a code path with the implementations they
-check.
+per-gate autodiff graph for the LSTM, per-step slicing of windows, a
+per-parameter Adam loop, the two-branch sigmoid) so equivalence tests never
+share a code path with the implementations they check. The graph ops that
+only the references and the gradient checks use (``mul``, ``matmul``,
+``tanh``, ``sigmoid``, ``narrow``, ``reshape``, ``tsum``) live here too.
 """
 
 import math
@@ -12,7 +14,8 @@ import math
 import numpy as np
 
 from drivlab.core import Normalizer
-from drivlab.diffcore import Tensor, add, matmul, mul, narrow, sigmoid, tanh
+from drivlab.diffcore import Tensor, add
+from drivlab.diffcore.tensor import _accum, _out
 from drivlab.errors import ShapeError, ValidationError
 
 
@@ -131,6 +134,119 @@ def pairwise_auc(scores, labels):
 
 def brute_force_horizon(g_seq, t, m):
     return 1 if any(g_seq[t : t + m + 1]) else 0
+
+
+def mul(a, b):
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"mul: {a.data.shape} * {b.data.shape}")
+    out = _out(a.data * b.data, (a, b))
+
+    def backward(out):
+        _accum(a, out.grad * b.data)
+        _accum(b, out.grad * a.data)
+
+    out._backward = backward
+    return out
+
+
+def matmul(a, b):
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
+    out = _out(a.data @ b.data, (a, b))
+
+    def backward(out):
+        if a.requires_grad:
+            _accum(a, out.grad @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ out.grad)
+
+    out._backward = backward
+    return out
+
+
+def tanh(x):
+    out = _out(np.tanh(x.data), (x,))
+
+    def backward(out):
+        _accum(x, out.grad * (1.0 - out.data * out.data))
+
+    out._backward = backward
+    return out
+
+
+def two_branch_sigmoid(x):
+    """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so exp never overflows."""
+    pos = x >= 0
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def sigmoid(x):
+    out = _out(two_branch_sigmoid(x.data), (x,))
+
+    def backward(out):
+        _accum(x, out.grad * out.data * (1.0 - out.data))
+
+    out._backward = backward
+    return out
+
+
+def narrow(x, axis, start, stop):
+    if x.data.ndim != 2 or axis not in (0, 1):
+        raise ShapeError(f"narrow: need a 2-D tensor and axis in (0, 1), got {x.data.shape}")
+    if not (0 <= start < stop <= x.data.shape[axis]):
+        raise ShapeError(f"narrow: [{start}, {stop}) out of bounds for axis {axis} of {x.data.shape}")
+    data = x.data[start:stop] if axis == 0 else x.data[:, start:stop]
+    out = _out(data.copy(), (x,))
+
+    def backward(out):
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        if axis == 0:
+            x.grad[start:stop] += out.grad
+        else:
+            x.grad[:, start:stop] += out.grad
+
+    out._backward = backward if x.requires_grad else None
+    return out
+
+
+def reshape(x, shape):
+    if int(np.prod(shape)) != x.data.size:
+        raise ShapeError(f"reshape: {x.data.shape} -> {shape}")
+    out = _out(x.data.reshape(shape), (x,))
+
+    def backward(out):
+        _accum(x, out.grad.reshape(x.data.shape))
+
+    out._backward = backward
+    return out
+
+
+def tsum(x):
+    out = _out(np.array(x.data.sum()), (x,))
+
+    def backward(out):
+        _accum(x, np.broadcast_to(out.grad, x.data.shape).copy())
+
+    out._backward = backward
+    return out
+
+
+def adam_loop(data, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam as a loop over parameters: ``data``, ``m`` and
+    ``v`` map names to arrays updated in place, ``grads`` maps names to
+    gradients, and a missing gradient counts as zero. ``step`` is the
+    1-based step number."""
+    bc1 = 1.0 - beta1 ** step
+    bc2 = 1.0 - beta2 ** step
+    for name, param in data.items():
+        g = grads.get(name, 0.0)
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * np.square(g)
+        param -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
 
 
 def lstm_cell(x, h, c, wx, wh, b):

@@ -110,9 +110,10 @@ def study(tmp_path_factory):
 
 def test_c1_gradient_correctness():
     from drivlab.diffcore import (
-        ParameterStore, Tensor, add, concat, cross_entropy_loss, dropout, l2_loss,
-        lstm_seq, matmul, mul, narrow, relu, reshape, scale, sigmoid, softmax, tanh, tsum,
+        ParameterStore, Tensor, add, concat, cross_entropy_loss, dropout, l2_loss, linear,
+        lstm_seq, relu, scale, softmax,
     )
+    from oracles import matmul, mul, narrow, reshape, sigmoid, tanh, tsum
     from drivlab.driver import BackboneArch, driver_forward, init_driver_params
     from drivlab.failure import hazard_forward, init_hazard_params
 
@@ -169,6 +170,13 @@ def test_c1_gradient_correctness():
     for fn in cases:
         report = grad_check(fn, store)
         worst = max(worst, report.max_rel_error)
+    # the linear node on its own store and stream, so the cases above keep theirs
+    lin_rng = np.random.default_rng(9)
+    lin = ParameterStore()
+    xl = lin.add("x", lin_rng.standard_normal((3, 4)))
+    lin.add("lin.w", lin_rng.standard_normal((4, 2)))
+    lin.add("lin.b", lin_rng.standard_normal(2))
+    worst = max(worst, grad_check(lambda: weighted(linear(lin, "lin", xl)), lin).max_rel_error)
     assert worst < 1e-4
 
     # both full networks at width 8

@@ -130,6 +130,26 @@ class TestMakeWindows:
         for key in want:
             assert got[key].shape == want[key].shape and np.array_equal(got[key], want[key]), key
 
+    @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+           k=st.integers(1, 4), stride=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_several_episodes_match_per_episode_windows(self, lengths, k, stride):
+        eps = [_episode(n, eid=f"m{i}_{n}") for i, n in enumerate(lengths)]
+        ws = core.make_windows(*eps, k=k, stride=stride)
+        parts = [core.make_windows(ep, k=k, stride=stride) for ep in eps]
+        assert ws.t.tolist() == [t for w in parts for t in w.t.tolist()]
+        assert [ws.episode_ids[e] for e in ws.ep] == [ep.episode_id for w, ep in zip(parts, eps) for _ in range(len(w))]
+        if not len(ws):
+            return
+        got = windows_to_arrays(ws, _IDENTITY)
+        for key in got:
+            want = np.concatenate([windows_to_arrays(w, _IDENTITY)[key] for w in parts if len(w)])
+            assert np.array_equal(got[key], want), key
+
+    def test_several_episodes_reject_duplicate_ids(self):
+        with pytest.raises(ValidationError, match="duplicate episode_id"):
+            core.make_windows(_episode(6, eid="a"), _episode(7, eid="a"), k=4)
+
     def test_windows_at_spans_episodes_and_slices_share_columns(self):
         a, b = _episode(7, eid="a"), _episode(6, eid="b")
         ws = core.windows_at({"a": a, "b": b, "unused": _episode(9, eid="u")},

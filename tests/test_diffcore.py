@@ -13,17 +13,11 @@ from drivlab.diffcore import (
     dropout,
     grad_check,
     l2_loss,
+    linear,
     lstm_seq,
-    matmul,
-    mul,
-    narrow,
     relu,
-    reshape,
     scale,
-    sigmoid,
     softmax,
-    tanh,
-    tsum,
 )
 from drivlab.diffcore.checkpoint import load_checkpoint, save_checkpoint
 from drivlab.errors import (
@@ -33,7 +27,20 @@ from drivlab.errors import (
     ShapeError,
     ValidationError,
 )
-from oracles import lstm_cell, lstm_chain
+from drivlab.diffcore.tensor import _sigmoid
+from oracles import (
+    adam_loop,
+    lstm_cell,
+    lstm_chain,
+    matmul,
+    mul,
+    narrow,
+    reshape,
+    sigmoid,
+    tanh,
+    tsum,
+    two_branch_sigmoid,
+)
 
 RNG = np.random.default_rng(123)
 
@@ -112,6 +119,14 @@ class TestPrimitiveGradients:
         _check(lambda: cross_entropy_loss(a, labels), store)
         _check(lambda: cross_entropy_loss(a, labels, np.array([0.5, 1.5])), store)
 
+    def test_linear_node(self):
+        rng = np.random.default_rng(41)  # own stream: the RNG draws of the other cases stay put
+        store = ParameterStore()
+        x = store.add("x", rng.standard_normal((3, 4)))
+        store.add("lin.w", rng.standard_normal((4, 2)))
+        store.add("lin.b", rng.standard_normal(2))
+        _check(lambda: _weighted_sum(linear(store, "lin", x)), store)
+
     def test_lstm_cell(self):
         store = ParameterStore()
         h = 3
@@ -178,6 +193,42 @@ class TestLstmSeq:
         store, args = _lstm_store(*shape, x_grad=x_grad, seed=4)
         _check(lambda: _weighted_sum(lstm_seq(*args)), store)
 
+    @pytest.mark.parametrize("batch", [2, 3, 32, 257, 2048])
+    @pytest.mark.parametrize("n_in, hidden", [(1, 8), (3, 4)])
+    def test_two_tracks_match_per_track_cell_chains(self, batch, n_in, hidden):
+        steps = 4
+        rng = np.random.default_rng(batch)
+        store = ParameterStore()
+        x = store.add("x", rng.standard_normal((2, steps * batch, n_in)))
+        wx, wh, b = ([store.add(f"{k}.{w}", rng.standard_normal(shape) * 0.8) for k in range(2)]
+                     for w, shape in (("wx", (n_in, 4 * hidden)), ("wh", (hidden, 4 * hidden)),
+                                      ("b", (4 * hidden,))))
+        stacked = lstm_seq(x, steps, wx, wh, b)
+        rows = [Tensor(x.data[k].copy(), requires_grad=True) for k in range(2)]
+        chains = [lstm_chain(rows[k], steps, wx[k], wh[k], b[k]) for k in range(2)]
+        assert stacked.data.shape == (batch, 2 * hidden)
+        assert np.array_equal(stacked.data, np.concatenate([c.data for c in chains], axis=1))
+
+        grads = []
+        for out in (stacked, concat(chains, axis=1)):
+            store.zero_grads()
+            _weighted_sum(out).backward()
+            grads.append({name: t.grad for name, t in store.items()})
+        grads[1]["x"] = np.stack([r.grad for r in rows])  # the chains read x through copies
+        for name, ref in grads[1].items():
+            err = np.max(np.abs(grads[0][name] - ref))
+            assert err <= 1e-12 * np.max(np.abs(ref)), f"{name}: {err}"
+
+    def test_track_shape_errors(self):
+        _, (x, steps, wx, wh, b) = _lstm_store(3, 2, 4, 3)
+        two = Tensor(np.stack([x.data, x.data]))
+        with pytest.raises(ShapeError, match="lstm_seq"):
+            lstm_seq(two, steps, wx, wh, b)  # two tracks of x, one of weights
+        with pytest.raises(ShapeError, match="lstm_seq"):
+            lstm_seq(two, steps, [wx, wx], [wh], [b, b])
+        with pytest.raises(ShapeError, match="lstm_seq"):
+            lstm_seq(two, steps, [wx, wx], [wh, Tensor(np.zeros((2, 8)))], [b, b])
+
     def test_shape_errors_name_op(self):
         _, (x, _steps, wx, wh, b) = _lstm_store(3, 2, 4, 3)
         with pytest.raises(ShapeError, match="lstm_seq"):
@@ -214,6 +265,22 @@ class TestOpContracts:
             z, zh, zh, Tensor(np.zeros((2, 12))), Tensor(np.zeros((3, 12))), Tensor(np.zeros(12))
         )
         assert np.all(h2.data == 0.0) and np.all(c2.data == 0.0)
+
+    def test_first_gradient_is_not_aliased(self):
+        # add hands one array to both parents; the first gradient a node
+        # stores must be its own, or a later sum into it leaks to the other
+        a = Tensor(np.array([[1.0]]), requires_grad=True)
+        b = Tensor(np.array([[2.0]]), requires_grad=True)
+        tsum(add(add(a, b), a)).backward()
+        assert a.grad[0, 0] == 2.0 and b.grad[0, 0] == 1.0
+
+    def test_sigmoid_matches_two_branch_form_bit_for_bit(self):
+        edges = [0.0, -0.0, 800.0, -800.0, 709.0, -709.0, 746.0, -746.0, 1e-300, -1e-300,
+                 np.inf, -np.inf, np.nan, -np.nan]
+        x = np.concatenate([edges, np.random.default_rng(3).standard_normal(1000) * 40])
+        with np.errstate(all="ignore"):
+            got, want = _sigmoid(x), two_branch_sigmoid(x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_shared_subexpression_accumulates(self):
         x = Tensor(np.array([[3.0]]), requires_grad=True)
@@ -304,6 +371,45 @@ class TestAdam:
         p.grad = np.ones(2)
         adam_step(store, lr=0.1)
         assert p.grad is None
+
+    @staticmethod
+    def _run_against_loop(store, steps, rng):
+        data = {name: t.data.copy() for name, t in store.items()}
+        m, v = ({n: np.zeros_like(d) for n, d in data.items()} for _ in range(2))
+        for step in range(1, steps + 1):
+            grads = {}
+            for name, t in store.items():
+                # "idle" never gets a gradient; "late" gets one from step 3 on
+                if name == "idle" or (name == "late" and step < 3):
+                    continue
+                grads[name] = t.grad = rng.standard_normal(t.data.shape)
+            adam_step(store, lr=0.05)
+            adam_loop(data, grads, m, v, step, lr=0.05)
+            for name, t in store.items():
+                assert np.array_equal(t.data.view(np.int64), data[name].view(np.int64)), (step, name)
+                assert t.grad is None
+
+    def test_flat_buffers_match_per_parameter_loop(self, tmp_path):
+        rng = np.random.default_rng(13)
+        store = ParameterStore()
+        for name, shape in (("w", (3, 4)), ("idle", (2, 2)), ("b", (4,)), ("late", (5,)), ("s", (1, 1))):
+            store.add(name, rng.standard_normal(shape))
+        self._run_against_loop(store, 6, np.random.default_rng(14))
+
+        # a store loaded from a checkpoint starts fresh moments over loaded values
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(path, "driver", {}, store)
+        _, _, loaded = load_checkpoint(path)
+        self._run_against_loop(loaded, 6, np.random.default_rng(15))
+
+    def test_parameters_are_views_of_one_buffer(self):
+        store = ParameterStore()
+        a = store.add("a", np.arange(6.0).reshape(2, 3))
+        b = store.add("b", np.array([7.0]))  # growing the buffer rebinds a's view
+        assert np.array_equal(a.data, np.arange(6.0).reshape(2, 3)) and b.data[0] == 7.0
+        a.data[1, 2] = -1.0
+        assert np.shares_memory(a.data, b.data) is False and store["a"].data[1, 2] == -1.0
+        assert a.data.base is b.data.base
 
     def test_deterministic_trajectories(self):
         trajs = []
