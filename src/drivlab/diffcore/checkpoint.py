@@ -28,8 +28,8 @@ def save_checkpoint(path, kind: str, meta: dict[str, str], store: ParameterStore
             raise ValidationError(f"checkpoint meta {key!r} must be single-line, space-free key")
         lines.append(f"meta {key} {value}")
     for name, tensor in store.items():
-        shape = " ".join(str(s) for s in tensor.data.shape)
-        lines.append(f"param {name} {shape}")
+        # a 0-d parameter has no dimensions after its name
+        lines.append(" ".join(["param", name, *(str(s) for s in tensor.data.shape)]))
         lines.append(" ".join(_fmt(v) for v in tensor.data.reshape(-1)))
     lines.append("end")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

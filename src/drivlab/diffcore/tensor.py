@@ -110,11 +110,19 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function of ``x``, written to ``out`` when given, using
+    ``work`` (same shape) as scratch; ``out`` may be ``x`` itself."""
     # exp(-|x|) never overflows; min(x, -x) is -|x| but passes NaN through
-    # unchanged, so this equals the two-branch 1/(1+e), e/(1+e) bit for bit
-    e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # unchanged. The numerator exp(min(x, 0)) is 1 for x >= 0 and e below, so
+    # this equals the two-branch 1/(1+e), e/(1+e) bit for bit
+    e = np.negative(x, out=work)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    num = np.minimum(x, 0.0, out=out)
+    np.exp(num, out=num)
+    return np.divide(num, e, out=num)
 
 
 def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
@@ -271,14 +279,24 @@ def lstm_seq(x: Tensor, steps: int, wx, wh, b) -> Tensor:
     cs = np.zeros((tracks, steps + 1, batch, hidden))  # cs[:, t] is the cell state entering step t
     hs = np.zeros((tracks, steps + 1, batch, hidden))
     tcs = np.empty((tracks, steps, batch, hidden))  # tanh of the cell state leaving step t
+    # per-step work buffers, reused by every step; additions commute, so the
+    # in-place order (h @ wh + xw) + b gives the cell chain's bits
+    a = np.empty((tracks, batch, g4))
+    a4 = a.reshape(tracks, batch, 4, hidden)
+    work = np.empty_like(a4)
+    ig = np.empty((tracks, batch, hidden))
     for t in range(steps):
-        a = ((xw[:, t] + hs[:, t] @ whs) + bs).reshape(tracks, batch, 4, hidden)
+        np.matmul(hs[:, t], whs, out=a)
+        a += xw[:, t]
+        a += bs
         act = acts[:, t]
-        act[:] = _sigmoid(a)
-        act[:, :, 2] = np.tanh(a[:, :, 2])
-        cs[:, t + 1] = act[:, :, 1] * cs[:, t] + act[:, :, 0] * act[:, :, 2]
-        tcs[:, t] = np.tanh(cs[:, t + 1])
-        hs[:, t + 1] = act[:, :, 3] * tcs[:, t]
+        _sigmoid(a4, out=act, work=work)
+        np.tanh(a4[:, :, 2], out=act[:, :, 2])
+        np.multiply(act[:, :, 1], cs[:, t], out=cs[:, t + 1])
+        np.multiply(act[:, :, 0], act[:, :, 2], out=ig)
+        cs[:, t + 1] += ig
+        np.tanh(cs[:, t + 1], out=tcs[:, t])
+        np.multiply(act[:, :, 3], tcs[:, t], out=hs[:, t + 1])
     out = _out(hs[:, steps].transpose(1, 0, 2).reshape(batch, tracks * hidden), (x, *wx, *wh, *b))
 
     def backward(out):

@@ -46,7 +46,10 @@ from .errors import NumericalError, ValidationError
 
 log = logging.getLogger("drivlab.driver")
 
-PREDICT_BATCH = 2048
+# Rows per inference forward. Each chunk's autodiff tape is freed before the
+# next chunk runs, so this bounds inference memory. 512 is a multiple of the
+# BLAS kernels' row blocks, so a row gets the bits of one whole-split forward.
+PREDICT_BATCH = 512
 
 
 @dataclass(frozen=True)
@@ -275,39 +278,37 @@ def train_driver(
     return net, history
 
 
-def _eval_loss(net: DriverNet, data: dict[str, np.ndarray], lam: float) -> float:
-    total, count = 0.0, 0
-    n = data["vis"].shape[0]
-    for start in range(0, n, PREDICT_BATCH):
+def forward_chunks(forward, data: Mapping[str, np.ndarray]) -> list[np.ndarray]:
+    """Run ``forward(vis, spd, ang)``, which returns a tuple of tensors, over
+    the rows of ``data`` in chunks of ``PREDICT_BATCH``; returns each output's
+    values over all rows. Only one chunk's graph is alive at a time."""
+    parts = []
+    for start in range(0, data["vis"].shape[0], PREDICT_BATCH):
         sl = slice(start, start + PREDICT_BATCH)
-        out_a, out_s = driver_forward(
-            net.params, net.arch, data["vis"][sl], data["spd"][sl], data["ang"][sl]
-        )
-        b = out_a.data.shape[0]
-        loss = float(np.mean((out_a.data - data["tgt_a"][sl]) ** 2))
-        if lam > 0:
-            loss += lam * float(np.mean((out_s.data - data["tgt_s"][sl]) ** 2))
-        total += loss * b
-        count += b
-    return total / count
+        parts.append([out.data for out in forward(data["vis"][sl], data["spd"][sl], data["ang"][sl])])
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _predict_normalized(net: DriverNet, data: Mapping[str, np.ndarray]) -> list[np.ndarray]:
+    """(angle, speed) head outputs in normalized space, each (N, 1)."""
+    return forward_chunks(lambda vis, spd, ang: driver_forward(net.params, net.arch, vis, spd, ang), data)
+
+
+def _eval_loss(net: DriverNet, data: dict[str, np.ndarray], lam: float) -> float:
+    out_a, out_s = _predict_normalized(net, data)
+    loss = float(np.mean((out_a - data["tgt_a"]) ** 2))
+    if lam > 0:
+        loss += lam * float(np.mean((out_s - data["tgt_s"]) ** 2))
+    return loss
 
 
 def predict_batch(net: DriverNet, windows: Windows) -> tuple[np.ndarray, np.ndarray]:
     """Denormalized, range-clipped (angle, speed) predictions."""
     if not windows:
         return np.empty(0), np.empty(0)
-    data = windows_to_arrays(windows, net.normalizer)
-    angles, speeds = [], []
-    n = len(windows)
-    for start in range(0, n, PREDICT_BATCH):
-        sl = slice(start, start + PREDICT_BATCH)
-        out_a, out_s = driver_forward(
-            net.params, net.arch, data["vis"][sl], data["spd"][sl], data["ang"][sl]
-        )
-        angles.append(out_a.data[:, 0])
-        speeds.append(out_s.data[:, 0])
-    angle = np.clip(net.normalizer.denormalize(np.concatenate(angles), "angle"), ANGLE_MIN, ANGLE_MAX)
-    speed = np.clip(net.normalizer.denormalize(np.concatenate(speeds), "speed"), SPEED_MIN, SPEED_MAX)
+    out_a, out_s = _predict_normalized(net, windows_to_arrays(windows, net.normalizer))
+    angle = np.clip(net.normalizer.denormalize(out_a[:, 0], "angle"), ANGLE_MIN, ANGLE_MAX)
+    speed = np.clip(net.normalizer.denormalize(out_s[:, 0], "speed"), SPEED_MIN, SPEED_MAX)
     return angle, speed
 
 
@@ -317,24 +318,32 @@ def mc_predict_batch(
     n_samples: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(n_samples, N) stochastic forward passes with dropout kept on."""
+    """(n_samples, N) stochastic forward passes with dropout kept on.
+
+    Dropout acts only after the trunk, so the trunk runs once and each
+    sample applies dropout and the heads to all N rows. The masks are drawn
+    per sample over all rows, so their order does not depend on
+    ``PREDICT_BATCH``."""
     if net.arch.dropout_p <= 0.0:
         raise ValidationError("dropout disabled; uncertainty undefined")
     if n_samples < 2:
         raise ValidationError(f"need at least 2 mc samples, got {n_samples}")
-    data = windows_to_arrays(windows, net.normalizer)
     n = len(windows)
     angles = np.empty((n_samples, n))
     speeds = np.empty((n_samples, n))
+    if not n:
+        return angles, speeds
+    params, arch = net.params, net.arch
+    (trunk,) = forward_chunks(
+        lambda vis, spd, ang: (backbone_forward(params, arch, vis, spd, ang, "eval"),),
+        windows_to_arrays(windows, net.normalizer),
+    )
     for s in range(n_samples):
-        for start in range(0, n, PREDICT_BATCH):
-            sl = slice(start, start + PREDICT_BATCH)
-            out_a, out_s = driver_forward(
-                net.params, net.arch, data["vis"][sl], data["spd"][sl], data["ang"][sl],
-                mode="mc", rng=rng,
-            )
-            angles[s, sl] = net.normalizer.denormalize(out_a.data[:, 0], "angle")
-            speeds[s, sl] = net.normalizer.denormalize(out_s.data[:, 0], "speed")
+        fused = dropout(Tensor(trunk), arch.dropout_p, "mc", rng)
+        out_a = head_forward(params, arch, "head_angle", fused, "mc", rng)
+        out_s = head_forward(params, arch, "head_speed", fused, "mc", rng)
+        angles[s] = net.normalizer.denormalize(out_a.data[:, 0], "angle")
+        speeds[s] = net.normalizer.denormalize(out_s.data[:, 0], "speed")
     return angles, speeds
 
 

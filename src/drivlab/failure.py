@@ -20,7 +20,6 @@ from .core import Episode, Normalizer, Windows, _readonly, make_windows
 from .diffcore import ParameterStore, adam_step, cross_entropy_loss, softmax
 from .diffcore.checkpoint import load_checkpoint, save_checkpoint
 from .driver import (
-    PREDICT_BATCH,
     BackboneArch,
     DriverNet,
     TrainConfig,
@@ -29,6 +28,7 @@ from .driver import (
     _provenance_from_meta,
     _provenance_meta,
     backbone_forward,
+    forward_chunks,
     head_forward,
     init_backbone,
     predict_batch,
@@ -405,14 +405,11 @@ def predict_hazard_batch(net: HazardNet, windows: Windows) -> np.ndarray:
     """Softmax probability of the Hazardous class per window."""
     if not windows:
         return np.empty(0)
-    data = windows_to_arrays(windows, net.normalizer)
-    out = []
-    n = len(windows)
-    for start in range(0, n, PREDICT_BATCH):
-        sl = slice(start, start + PREDICT_BATCH)
-        logits = hazard_forward(net.params, net.arch, data["vis"][sl], data["spd"][sl], data["ang"][sl])
-        out.append(softmax(logits).data[:, 1])
-    return np.concatenate(out)
+    (probs,) = forward_chunks(
+        lambda vis, spd, ang: (softmax(hazard_forward(net.params, net.arch, vis, spd, ang)),),
+        windows_to_arrays(windows, net.normalizer),
+    )
+    return probs[:, 1]
 
 
 def save_hazard(path, net: HazardNet) -> None:

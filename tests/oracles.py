@@ -3,8 +3,9 @@
 These deliberately use naive algorithms (repeated max-scan selection,
 nested-loop silencing and counting, per-step scalar and slice/any labeling, a
 per-gate autodiff graph for the LSTM, per-step slicing of windows, a
-per-parameter Adam loop, the two-branch sigmoid) so equivalence tests never
-share a code path with the implementations they check. The graph ops that
+per-parameter Adam loop, the two-branch sigmoid, MC dropout through the whole
+driver per sample) so equivalence tests never share a code path with the
+implementations they check. The graph ops that
 only the references and the gradient checks use (``mul``, ``matmul``,
 ``tanh``, ``sigmoid``, ``narrow``, ``reshape``, ``tsum``) live here too.
 """
@@ -15,6 +16,7 @@ import numpy as np
 
 from drivlab.core import Normalizer
 from drivlab.diffcore import Tensor, add
+from drivlab.driver import driver_forward, windows_to_arrays
 from drivlab.diffcore.tensor import _accum, _out
 from drivlab.errors import ShapeError, ValidationError
 
@@ -247,6 +249,25 @@ def adam_loop(data, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         v[name] *= beta2
         v[name] += (1.0 - beta2) * np.square(g)
         param -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+
+
+def mc_predict_loop(net, windows, n_samples, rng, chunk=2048):
+    """``mc_predict_batch`` as every sample running the whole driver, trunk
+    included, in dropout mode over chunks of ``chunk`` rows."""
+    data = windows_to_arrays(windows, net.normalizer)
+    n = len(windows)
+    angles = np.empty((n_samples, n))
+    speeds = np.empty((n_samples, n))
+    for s in range(n_samples):
+        for start in range(0, n, chunk):
+            sl = slice(start, start + chunk)
+            out_a, out_s = driver_forward(
+                net.params, net.arch, data["vis"][sl], data["spd"][sl], data["ang"][sl],
+                mode="mc", rng=rng,
+            )
+            angles[s, sl] = net.normalizer.denormalize(out_a.data[:, 0], "angle")
+            speeds[s, sl] = net.normalizer.denormalize(out_s.data[:, 0], "speed")
+    return angles, speeds
 
 
 def lstm_cell(x, h, c, wx, wh, b):

@@ -279,8 +279,13 @@ class TestOpContracts:
                  np.inf, -np.inf, np.nan, -np.nan]
         x = np.concatenate([edges, np.random.default_rng(3).standard_normal(1000) * 40])
         with np.errstate(all="ignore"):
-            got, want = _sigmoid(x), two_branch_sigmoid(x)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            want = two_branch_sigmoid(x)
+            # allocating, into buffers, and in place over its input
+            out, work, inplace = np.empty_like(x), np.empty_like(x), x.copy()
+            buffered = _sigmoid(x, out=out, work=work)
+            for got in (_sigmoid(x), buffered, _sigmoid(inplace, out=inplace, work=work)):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert buffered is out
 
     def test_shared_subexpression_accumulates(self):
         x = Tensor(np.array([[3.0]]), requires_grad=True)
@@ -469,6 +474,18 @@ class TestCheckpoint:
         kind, meta, loaded = load_checkpoint(p1)
         save_checkpoint(p2, kind, meta, loaded)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_zero_dim_parameter_round_trips(self, tmp_path):
+        store = ParameterStore()
+        store.add("scale", np.array(0.25))
+        store.add("layer.b", np.array([1.5, -2.0]))
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(p1, "driver", {}, store)
+        _, _, loaded = load_checkpoint(p1)
+        save_checkpoint(p2, "driver", {}, loaded)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert loaded["scale"].data.shape == () and loaded["scale"].data == 0.25
+        assert np.array_equal(loaded["layer.b"].data, [1.5, -2.0])
 
     def test_reload_bit_exact(self, tmp_path):
         store = self._store()

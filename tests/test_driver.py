@@ -2,22 +2,27 @@ import numpy as np
 import pytest
 
 from drivlab import core
+from drivlab import driver as driver_mod
 from drivlab.driver import (
     BackboneArch,
     TrainConfig,
+    _eval_loss,
     constant_mean_mae,
     driver_forward,
     init_driver_params,
     load_driver,
+    mc_predict_batch,
     predict_batch,
     save_driver,
     train_driver,
     windows_to_arrays,
 )
 from drivlab.errors import NumericalError, ValidationError
+from drivlab.failure import predict_hazard_batch
 
 from conftest import all_windows, small_world, windows_of_rows
 from drivlab import simgen
+from oracles import mc_predict_loop
 
 
 def _constant_windows(n=40, angle=5.0, speed=50.0, d=16, k=4):
@@ -97,6 +102,56 @@ class TestPredictContracts:
         pred_angle, _ = predict_batch(net, windows[:100])
         truth = windows[:100].target_angle
         assert float(np.mean(np.abs(pred_angle - truth))) < 1.0
+
+
+class TestInferenceChunks:
+    """Inference runs in chunks of ``PREDICT_BATCH`` rows, and the MC-dropout
+    masks are drawn over all rows at once. BLAS gives a row the same bits
+    when chunks start at multiples of its row block and none has a single
+    row (one row is a matrix-vector product). Other chunk sizes move rows to
+    another kernel path, which reorders dot-product sums by a few ulps."""
+
+    @staticmethod
+    def _outputs(pipe, windows):
+        net = pipe["driver"]
+        return (
+            *predict_batch(net, windows),
+            predict_hazard_batch(pipe["hazard"], windows),
+            *mc_predict_batch(net, windows, 4, np.random.default_rng(5)),
+            np.array(_eval_loss(net, windows_to_arrays(windows, net.normalizer), 1.0)),
+        )
+
+    def test_results_do_not_depend_on_chunk_size(self, tiny_pipeline, monkeypatch):
+        windows = all_windows(tiny_pipeline["d3"])[:603]
+        assert len(windows) == 603  # two chunks at 512, one at 2048
+        want = self._outputs(tiny_pipeline, windows)
+        for chunk in (1, 7, 8, 64, 512, 2048):
+            monkeypatch.setattr(driver_mod, "PREDICT_BATCH", chunk)
+            got = self._outputs(tiny_pipeline, windows)
+            for g, w in zip(got, want):
+                if chunk % 8:
+                    np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-9)
+                else:
+                    assert np.array_equal(g.view(np.int64), w.view(np.int64)), chunk
+
+    @pytest.mark.parametrize("n", [1, 601, 2048])
+    def test_mc_matches_whole_driver_per_sample(self, tiny_pipeline, n):
+        # up to 2048 rows the reference draws its masks in the same order
+        net = tiny_pipeline["driver"]
+        windows = all_windows(tiny_pipeline["episodes"])[:n]
+        got = mc_predict_batch(net, windows, 3, np.random.default_rng(8))
+        want = mc_predict_loop(net, windows, 3, np.random.default_rng(8))
+        for g, w in zip(got, want):
+            assert g.shape == (3, n)
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+    def test_empty_windows_give_empty_results(self, tiny_pipeline):
+        one_step = core.Episode("e", 0, np.zeros((1, 16)), np.array([50.0]), np.array([0.0]), {})
+        empty = core.make_windows(one_step, k=1)
+        angles, speeds = mc_predict_batch(tiny_pipeline["driver"], empty, 3, np.random.default_rng(0))
+        assert angles.shape == speeds.shape == (3, 0)
+        assert all(a.shape == (0,) for a in predict_batch(tiny_pipeline["driver"], empty))
+        assert predict_hazard_batch(tiny_pipeline["hazard"], empty).shape == (0,)
 
 
 class TestTraining:
