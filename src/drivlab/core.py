@@ -7,6 +7,7 @@ are marked read-only so slices of windows can safely share their columns.
 
 from __future__ import annotations
 
+import itertools
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -299,8 +300,159 @@ def fit_normalizer(windows: Windows) -> Normalizer:
 
 
 # ---------------------------------------------------------------------------
-# Episode files and split manifests
+# Text tables: episode files, split manifests, label and score files
 # ---------------------------------------------------------------------------
+
+TABLE_BLOCK = 1536  # fields per numpy conversion; bounds the codec's working memory
+
+
+@dataclass(frozen=True)
+class Column:
+    """A table column of str, np.int64 or np.float64; numbers must be finite
+    and in [lo, hi]. ``width`` names the format-line key of a 2-D column's width."""
+
+    name: str
+    dtype: type
+    lo: float = -np.inf
+    hi: float = np.inf
+    width: str | None = None
+
+
+@dataclass(frozen=True)
+class TableSchema:
+    """A table file: the ``magic`` line with ``format_keys`` as key=value,
+    ``# key value`` lines, the column line if ``column_line``, then rows."""
+
+    magic: str
+    noun: str  # the kind of file, in messages
+    delimiter: str
+    columns: tuple[Column, ...]
+    column_line: bool
+    format_keys: tuple[str, ...] = ()
+
+    @property
+    def header(self) -> str:
+        return self.delimiter.join(c.name for c in self.columns)
+
+    def row_error(self, path, line: int, reason: str) -> ValidationError:
+        return ValidationError(f"{path}:{line}: malformed {self.noun} row: {reason}")
+
+
+def _parse(path, schema: TableSchema, spans, rows, lines) -> list[np.ndarray]:
+    """The columns of ``rows``, the field lists of ``lines``, each column
+    cut at its span; raises the ValidationError of the first bad row."""
+    try:
+        if any(len(row) != spans[-1][1] for row in rows):
+            raise ValueError(f"expected {spans[-1][1]} fields, got {len(rows[0])}")
+        fields = list(zip(*rows))
+        arrays = [np.array(fields[a:b], dtype=c.dtype).T for c, (a, b) in zip(schema.columns, spans)]
+    except (ValueError, OverflowError) as exc:
+        if len(rows) == 1:
+            reason = "integer out of range" if isinstance(exc, OverflowError) else str(exc)
+            raise schema.row_error(path, lines[0], reason) from None
+        for row, line in zip(rows, lines):  # find the first bad row
+            _parse(path, schema, spans, [row], [line])
+        raise
+    bad = []
+    for col, values in zip(schema.columns, arrays):
+        if col.dtype is not str:
+            ok = np.isfinite(values) & (values >= col.lo) & (values <= col.hi)
+            i = int(np.argmin(ok.all(axis=1)))
+            if not ok[i].all():
+                value = values[i][np.argmin(ok[i])]
+                bad.append((i, f"{col.name} {value} outside [{col.lo}, {col.hi}]"))
+    if bad:
+        i, reason = min(bad)
+        raise schema.row_error(path, lines[i], reason)
+    return [values if col.width else values[:, 0] for col, values in zip(schema.columns, arrays)]
+
+
+def read_table(path, schema: TableSchema) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """(meta, columns) of a ``schema`` file. ``meta`` holds the format-line
+    keys and every ``# key value`` line; ``columns`` one array per column
+    (2-D for a ``width`` column) and ``line``, each row's line number. Rows
+    are parsed in blocks into arrays sized from the file, so the parse needs
+    little more memory than its result."""
+    if not os.path.exists(path):
+        raise MissingArtifactError(f"missing artifact: {schema.noun} file {path}")
+    with open(path, "rb") as fh:
+        breaks = sum(b.count(b"\n") + b.count(b"\r") for b in iter(lambda: fh.read(1 << 16), b""))
+    size = os.path.getsize(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        tokens = header.split()
+        if tokens[:2] != schema.magic.split():
+            raise ArtifactVersionError(
+                f"{path}: unsupported {schema.noun} file {header!r} ({schema.magic})"
+            )
+        meta = dict(token.partition("=")[::2] for token in tokens[2:])
+        widths = [meta.get(c.width, "") if c.width else "1" for c in schema.columns]
+        # a row of more fields than the file has bytes cannot exist
+        valid = all(w.isdecimal() and 0 < int(w) <= size for w in widths)
+        if not valid or meta.keys() != set(schema.format_keys):
+            raise ValidationError(f"{path}:1: malformed {schema.noun} header {header!r}")
+        stops = np.cumsum([int(w) for w in widths]).tolist()
+        spans = list(zip([0, *stops], stops))
+        capacity = min(breaks + 1, (size + 1) // stops[-1])  # all rows but the last end in a break
+        out = {
+            c.name: np.zeros((capacity, b - a) if c.width else capacity, c.dtype)
+            for c, (a, b) in zip(schema.columns, spans)
+        }
+        out["line"] = np.zeros(capacity, dtype=np.int64)
+        column_line = schema.header if schema.column_line else None
+        n, lineno = 0, 1
+        while batch := list(itertools.islice(fh, max(1, TABLE_BLOCK // stops[-1]))):
+            rows, lines = [], []
+            for lineno, line in enumerate(batch, start=lineno + 1):
+                line = line.rstrip("\n")
+                if line.startswith("#"):
+                    key, _, value = line[1:].lstrip(" ").partition(" ")
+                    meta[key] = value
+                elif line and line != column_line:
+                    rows.append(line.split(schema.delimiter))
+                    lines.append(lineno)
+            if rows:
+                arrays = [*_parse(path, schema, spans, rows, lines), np.array(lines)]
+                for name, values in zip(out, arrays):
+                    if out[name].dtype.itemsize < values.dtype.itemsize:  # longer strings
+                        out[name] = out[name].astype(values.dtype)
+                    out[name][n : n + len(rows)] = values
+                n += len(rows)
+    return meta, {name: values[:n] for name, values in out.items()}
+
+
+def write_table(path, schema: TableSchema, meta: Mapping[str, str], columns: Mapping) -> None:
+    """Write ``columns``, one sequence or array per column, as a ``schema``
+    file; floats are written with repr, so they read back to the same bits."""
+    head = [" ".join([schema.magic, *(f"{k}={meta[k]}" for k in schema.format_keys)])]
+    head += [f"# {k} {v}" for k, v in meta.items() if k not in schema.format_keys]
+    head += [schema.header] if schema.column_line else []
+    arrays = [np.asarray(columns[c.name]) for c in schema.columns]
+    arrays = [a if a.ndim == 2 else a[:, None] for a in arrays]
+    step = max(1, TABLE_BLOCK // sum(a.shape[1] for a in arrays))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(line + "\n" for line in head))
+        for i in range(0, len(arrays[0]), step):
+            fields = [field for a in arrays for field in a[i : i + step].T]
+            # tolist() gives Python scalars, whose repr is the shortest round-trip form
+            text = [f.tolist() if f.dtype.kind == "U" else map(repr, f.tolist()) for f in fields]
+            fh.write("".join(schema.delimiter.join(row) + "\n" for row in zip(*text)))
+
+
+EPISODE_TABLE = TableSchema(
+    EPISODE_FORMAT, "episode", ",",
+    (
+        Column("episode_id", str),
+        Column("step_index", np.int64, 0),
+        Column("speed", np.float64, SPEED_MIN, SPEED_MAX),
+        Column("angle", np.float64, ANGLE_MIN, ANGLE_MAX),
+        Column("obs", np.float64, width="d"),
+    ),
+    column_line=False, format_keys=("d", "f"),
+)
+SPLIT_TABLE = TableSchema(
+    SPLIT_FORMAT, "split", "\t", (Column("episode_id", str), Column("split", str)), column_line=False
+)
 
 
 def write_episodes(path, episodes: Sequence[Episode], provenance: Mapping[str, str] | None = None) -> None:
@@ -308,121 +460,58 @@ def write_episodes(path, episodes: Sequence[Episode], provenance: Mapping[str, s
     if not episodes:
         raise ValidationError("no episodes to write")
     d = episodes[0].obs_dim
-    lines = [f"{EPISODE_FORMAT} d={d} f={SAMPLE_RATE_HZ}"]
-    for key, value in (provenance or {}).items():
-        lines.append(f"# {key} {value}")
-    for ep in episodes:
-        if ep.obs_dim != d:
-            raise ValidationError("episodes have inconsistent obs dims")
-        # tolist() yields Python floats, whose repr is the shortest round-trip form
-        rows = zip(ep.speed.tolist(), ep.angle.tolist(), ep.obs.tolist())
-        for t, (speed, angle, obs) in enumerate(rows):
-            lines.append(f"{ep.episode_id},{t},{speed!r},{angle!r},{','.join(map(repr, obs))}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    if any(ep.obs_dim != d for ep in episodes):
+        raise ValidationError("episodes have inconsistent obs dims")
+    columns = {c: np.concatenate([getattr(ep, c) for ep in episodes]) for c in ("speed", "angle", "obs")}
+    columns["episode_id"] = np.repeat([ep.episode_id for ep in episodes], [len(ep) for ep in episodes])
+    columns["step_index"] = np.concatenate([np.arange(len(ep)) for ep in episodes])
+    meta = {"d": str(d), "f": str(SAMPLE_RATE_HZ), **(provenance or {})}
+    write_table(path, EPISODE_TABLE, meta, columns)
 
 
 def read_episodes(path) -> list[Episode]:
-    if not os.path.exists(path):
-        raise MissingArtifactError(f"missing artifact: episode file {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        parts = header.split()
-        if not header.startswith("#drivlab-episodes"):
-            raise ValidationError(f"{path}: not an episode file")
-        if parts[0:2] != EPISODE_FORMAT.split():
-            raise ArtifactVersionError(
-                f"{path}: unsupported episode format {' '.join(parts[:2])!r}; "
-                f"regenerate with `drivlab gen` ({EPISODE_FORMAT})"
-            )
-        try:
-            d = int(dict(p.split("=") for p in parts[2:])["d"])
-        except (KeyError, ValueError):
-            raise ValidationError(f"{path}: malformed episode header {header!r}") from None
-
-        episodes: list[Episode] = []
-        seen: set[str] = set()
-        cur_id: str | None = None
-        values: list[list[float]] = []  # speed, angle, obs per row
-        linenos: list[int] = []
-
-        def flush() -> None:
-            if cur_id is None:
-                return
-            cols = np.array(values)
-            bad = _bad_step(cols[:, 2:], cols[:, 0], cols[:, 1])
-            if bad is not None:
-                raise ValidationError(f"{path}:{linenos[bad[0]]}: malformed episode row: {bad[1]}")
-            episodes.append(
-                Episode(cur_id, seed=0, obs=cols[:, 2:], speed=cols[:, 0], angle=cols[:, 1], meta={})
-            )
-
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(",")
-            if len(fields) != 4 + d:
-                raise ValidationError(f"{path}:{lineno}: expected {4 + d} fields, got {len(fields)}")
-            eid = fields[0]
-            if eid != cur_id:
-                flush()
-                if eid in seen:
-                    raise ValidationError(
-                        f"{path}:{lineno}: malformed episode row: episode {eid} reappears after another episode"
-                    )
-                seen.add(eid)
-                cur_id, values, linenos = eid, [], []
-            try:
-                step = int(fields[1])
-                row = [float(v) for v in fields[2:]]
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: malformed episode row: {exc}") from None
-            if step != len(values):
-                raise ValidationError(
-                    f"{path}:{lineno}: malformed episode row: step_index {step} is not the "
-                    f"row's position {len(values)} in episode {eid}"
-                )
-            values.append(row)
-            linenos.append(lineno)
-        flush()
-    if not episodes:
+    """The episodes of an episode file, whose rows hold each episode's steps
+    together and in order."""
+    _, cols = read_table(path, EPISODE_TABLE)
+    ids, step = cols["episode_id"], cols["step_index"]
+    if len(ids) == 0:
         raise ValidationError(f"{path}: no records")
-    return episodes
+    starts = np.flatnonzero(np.append(True, ids[1:] != ids[:-1]))
+    stops = np.append(starts[1:], len(ids))
+    position = np.arange(len(ids)) - np.repeat(starts, stops - starts)
+    _, first = np.unique(ids[starts], return_index=True)
+    errors = [
+        (i, f"episode {ids[i]} reappears after another episode") for i in np.delete(starts, first)[:1]
+    ]
+    errors += [
+        (i, f"step_index {step[i]} is not the row's position {position[i]} in episode {ids[i]}")
+        for i in np.flatnonzero(step != position)[:1]
+    ]
+    if errors:
+        i, reason = min(errors)
+        raise EPISODE_TABLE.row_error(path, cols["line"][i], reason)
+    return [
+        Episode(str(ids[a]), 0, cols["obs"][a:b], cols["speed"][a:b], cols["angle"][a:b], meta={})
+        for a, b in zip(starts.tolist(), stops.tolist())
+    ]
 
 
 def write_split_manifest(path, splits: SplitSet, provenance: Mapping[str, str] | None = None) -> None:
-    lines = [SPLIT_FORMAT]
-    for key, value in (provenance or {}).items():
-        lines.append(f"# {key} {value}")
-    for name in SPLIT_NAMES:
-        for eid in splits.ids_of(name):
-            lines.append(f"{eid}\t{name}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    names = [name for name in SPLIT_NAMES for _ in splits.ids_of(name)]
+    ids = splits.d1 + splits.d2 + splits.d3
+    write_table(path, SPLIT_TABLE, provenance or {}, {"episode_id": ids, "split": names})
 
 
-def read_split_manifest(path) -> SplitSet:
-    if not os.path.exists(path):
-        raise MissingArtifactError(f"missing artifact: split manifest {path}")
-    groups: dict[str, list[str]] = {name: [] for name in SPLIT_NAMES}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != SPLIT_FORMAT:
-            raise ArtifactVersionError(
-                f"{path}: unsupported split manifest header {header!r}; "
-                f"regenerate with `drivlab split` ({SPLIT_FORMAT})"
-            )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            try:
-                eid, name = line.split("\t")
-                groups[name].append(eid)
-            except (ValueError, KeyError):
-                raise ValidationError(f"{path}:{lineno}: malformed manifest line {line!r}") from None
-    return SplitSet(d1=tuple(groups["D1"]), d2=tuple(groups["D2"]), d3=tuple(groups["D3"]))
+def read_split_manifest(path) -> tuple[SplitSet, dict[str, str]]:
+    """The splits of a split manifest, and its provenance."""
+    meta, cols = read_table(path, SPLIT_TABLE)
+    names = cols["split"]
+    unknown = ~np.isin(names, SPLIT_NAMES)
+    if unknown.any():
+        i = int(np.argmax(unknown))
+        raise SPLIT_TABLE.row_error(path, cols["line"][i], f"unknown split {str(names[i])!r}")
+    ids = cols["episode_id"]
+    return SplitSet(*(tuple(ids[names == name].tolist()) for name in SPLIT_NAMES)), meta
 
 
 def episodes_by_id(episodes: Iterable[Episode]) -> dict[str, Episode]:

@@ -11,19 +11,23 @@ fraction of baseline failure steps silenced.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Episode, windows_at
+from .core import Column, Episode, TableSchema, read_table, windows_at, write_table
 from .driver import DriverNet, mc_predict_batch
-from .errors import ArtifactVersionError, MissingArtifactError, ValidationError
+from .errors import ValidationError
 from .failure import MAX_STEP, HazardNet, Labels, Thresholds, predict_hazard_batch
 
-SCORES_FORMAT = "#drivlab-scores v1"
-SCORES_HEADER = "episode_id,t,score"
+SCORE_TABLE = TableSchema(
+    "#drivlab-scores v1", "score", ",",
+    (Column("episode_id", str), Column("t", np.int64, 0), Column("score", np.float64)),
+    column_line=True,
+)
+SCORES_FORMAT = SCORE_TABLE.magic
+SCORES_HEADER = SCORE_TABLE.header
 
 # budget grid for the safety-gain table
 GAIN_BUDGETS = (0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40)
@@ -273,39 +277,13 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
 
 
 def write_scores_csv(path, trace: PolicyScoreTrace, provenance: Mapping[str, str] | None = None) -> None:
-    lines = [SCORES_FORMAT, f"# policy {trace.policy}"]
-    for key, value in (provenance or {}).items():
-        lines.append(f"# {key} {value}")
-    lines.append(SCORES_HEADER)
-    for eid, t, score in trace.entries:
-        lines.append(f"{eid},{t},{score!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    ids, t, scores = zip(*trace.entries) if trace.entries else ((), (), ())
+    meta = {"policy": trace.policy, **(provenance or {})}
+    write_table(path, SCORE_TABLE, meta, {"episode_id": ids, "t": t, "score": scores})
 
 
 def read_scores_csv(path) -> tuple[PolicyScoreTrace, dict[str, str]]:
-    if not os.path.exists(path):
-        raise MissingArtifactError(f"missing artifact: score file {path}")
-    entries = []
-    meta: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != SCORES_FORMAT:
-            raise ArtifactVersionError(
-                f"{path}: unsupported score file header {header!r} ({SCORES_FORMAT})"
-            )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if line.startswith("# "):
-                key, _, value = line[2:].partition(" ")
-                meta[key] = value
-                continue
-            if line == SCORES_HEADER or not line:
-                continue
-            try:
-                eid, t, score = line.split(",")
-                entries.append((eid, int(t), float(score)))
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: malformed score row {line!r}") from None
+    meta, cols = read_table(path, SCORE_TABLE)
     policy = meta.pop("policy", "unknown")
+    entries = zip(cols["episode_id"].tolist(), cols["t"].tolist(), cols["score"].tolist())
     return PolicyScoreTrace(policy=policy, entries=tuple(entries)), meta

@@ -10,13 +10,22 @@ lead time.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass, field as dataclass_field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Episode, Normalizer, Windows, _readonly, make_windows
+from .core import (
+    Column,
+    Episode,
+    Normalizer,
+    TableSchema,
+    Windows,
+    _readonly,
+    make_windows,
+    read_table,
+    write_table,
+)
 from .diffcore import ParameterStore, adam_step, cross_entropy_loss, softmax
 from .diffcore.checkpoint import load_checkpoint, save_checkpoint
 from .driver import (
@@ -35,20 +44,11 @@ from .driver import (
     windows_to_arrays,
 )
 from .diffcore.nn import init_linear
-from .errors import (
-    ArtifactVersionError,
-    MissingArtifactError,
-    NumericalError,
-    SplitLeakageError,
-    ValidationError,
-)
+from .errors import NumericalError, SplitLeakageError, ValidationError
 
 log = logging.getLogger("drivlab.failure")
 
 DEFAULT_HORIZON = 8  # steps; 2 s of lookahead at 4 Hz
-
-LABELS_FORMAT = "#drivlab-labels v1"
-LABELS_HEADER = "episode_id,t,g_a,g_s,g,g_horizon,pred_angle,pred_speed,true_angle,true_speed"
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,19 @@ MAX_STEP = 1 << 31  # labeled steps t lie in [0, MAX_STEP)
 _FLAGS = ("g_a", "g_s", "g", "g_horizon")
 _VALUES = ("pred_angle", "pred_speed", "true_angle", "true_speed")
 _COLUMNS = ("ep", "t", *_FLAGS, *_VALUES)  # label file order, after the episode id
+
+LABEL_TABLE = TableSchema(
+    "#drivlab-labels v1", "label", ",",
+    (
+        Column("episode_id", str),
+        Column("t", np.int64, 0),
+        *(Column(c, np.int64, 0, 1) for c in _FLAGS),
+        *(Column(c, np.float64) for c in _VALUES),
+    ),
+    column_line=True,
+)
+LABELS_FORMAT = LABEL_TABLE.magic
+LABELS_HEADER = LABEL_TABLE.header
 
 
 def _bad_row(cols: Mapping[str, np.ndarray], n_ids: int) -> tuple[int, str] | None:
@@ -247,57 +260,20 @@ def write_labels_csv(
         "dropped": str(ds.n_dropped),
         **{key: str(value) for key, value in (provenance or {}).items()},
     }
-    lines = [LABELS_FORMAT, *(f"# {key} {value}" for key, value in meta.items()), LABELS_HEADER]
-    rows, ids = ds.rows, ds.rows.episode_ids
-    # tolist() yields Python ints and floats, whose repr is the shortest round-trip form
-    columns = (getattr(rows, c).tolist() for c in _COLUMNS)
-    for e, t, g_a, g_s, g, g_h, p_a, p_s, t_a, t_s in zip(*columns):
-        lines.append(f"{ids[e]},{t},{g_a},{g_s},{g},{g_h},{p_a!r},{p_s!r},{t_a!r},{t_s!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = {c: getattr(ds.rows, c) for c in _COLUMNS[1:]}
+    columns["episode_id"] = np.array(ds.rows.episode_ids, dtype=str)[ds.rows.ep]
+    write_table(path, LABEL_TABLE, meta, columns)
     return meta
 
 
 def read_labels_csv(path) -> tuple[Labels, dict[str, str]]:
-    if not os.path.exists(path):
-        raise MissingArtifactError(f"missing artifact: label file {path}")
-    eids: list[str] = []
-    ints: list[tuple[int, ...]] = []  # t, g_a, g_s, g, g_horizon, line number
-    floats: list[tuple[float, ...]] = []
-    meta: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != LABELS_FORMAT:
-            raise ArtifactVersionError(
-                f"{path}: unsupported label file header {header!r}; re-run "
-                f"`drivlab label` ({LABELS_FORMAT})"
-            )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if line.startswith("# "):
-                key, _, value = line[2:].partition(" ")
-                meta[key] = value
-                continue
-            if line == LABELS_HEADER or not line:
-                continue
-            try:
-                eid, t, g_a, g_s, g, g_h, p_a, p_s, t_a, t_s = line.split(",")
-                ints.append((int(t), int(g_a), int(g_s), int(g), int(g_h), lineno))
-                floats.append((float(p_a), float(p_s), float(t_a), float(t_s)))
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: malformed label row {line!r}") from None
-            eids.append(eid)
-    try:
-        int_cols = np.array(ints, dtype=np.int64).reshape(-1, 6).T
-    except OverflowError:
-        lineno = next(row[-1] for row in ints if any(abs(v) >= 1 << 63 for v in row))
-        raise ValidationError(f"{path}:{lineno}: malformed label row: integer out of range") from None
-    episode_ids, ep = np.unique(np.array(eids, dtype=str), return_inverse=True)
-    cols = dict(zip(("t", *_FLAGS), int_cols), ep=ep.astype(np.int64))
-    cols.update(zip(_VALUES, np.array(floats, dtype=np.float64).reshape(-1, 4).T))
+    meta, cols = read_table(path, LABEL_TABLE)
+    episode_ids, ep = np.unique(cols.pop("episode_id"), return_inverse=True)
+    cols["ep"] = ep.astype(np.int64)
+    lines = cols.pop("line")
     bad = _bad_row(cols, len(episode_ids))
     if bad is not None:
-        raise ValidationError(f"{path}:{int_cols[5][bad[0]]}: malformed label row: {bad[1]}")
+        raise LABEL_TABLE.row_error(path, lines[bad[0]], bad[1])
     return Labels(episode_ids=tuple(episode_ids.tolist()), **cols), meta
 
 

@@ -121,10 +121,17 @@ def _keep(memo: dict, path, value) -> None:
 
 
 def _split_episodes(memo: dict, episodes, splits, split_name: str) -> list[core.Episode]:
-    """The split's episodes, sorted by id."""
-    ids = set(_memo(memo, splits, core.read_split_manifest).ids_of(split_name))
-    split = [ep for ep in _memo(memo, episodes, core.read_episodes) if ep.episode_id in ids]
-    return sorted(split, key=lambda e: e.episode_id)
+    """The split's episodes, sorted by id. The manifest must record the
+    digest of ``episodes`` and name only episodes in it."""
+    split_set, meta = _memo(memo, splits, core.read_split_manifest)
+    recorded = meta.get("episodes", "(not recorded)")
+    if recorded != _memo(memo, episodes, file_digest, "digest"):
+        raise ValidationError(f"{splits}: splits were made from episodes {recorded}, not from {episodes}")
+    by_id = {ep.episode_id: ep for ep in _memo(memo, episodes, core.read_episodes)}
+    unknown = [eid for eid in split_set.d1 + split_set.d2 + split_set.d3 if eid not in by_id]
+    if unknown:
+        raise ValidationError(f"{splits}: episode {unknown[0]} is not in {episodes}")
+    return [by_id[eid] for eid in sorted(split_set.ids_of(split_name))]
 
 
 def _driver_digest(driver, labels, meta: Mapping[str, str]) -> str:
@@ -171,11 +178,9 @@ def stage_split(cfg: PipelineConfig, episodes, splits_out, memo: dict) -> str:
     splits = core.split_dataset(
         _memo(memo, episodes, core.read_episodes), seed=derived_seed(cfg.seed, "split")
     )
-    core.write_split_manifest(
-        splits_out, splits,
-        provenance={"seed": str(cfg.seed), "episodes": file_digest(episodes)},
-    )
-    _keep(memo, splits_out, splits)
+    provenance = {"seed": str(cfg.seed), "episodes": _memo(memo, episodes, file_digest, "digest")}
+    core.write_split_manifest(splits_out, splits, provenance)
+    _keep(memo, splits_out, (splits, provenance))
     log.info("split: %d/%d/%d episodes", len(splits.d1), len(splits.d2), len(splits.d3))
     return splits_out
 
@@ -199,7 +204,7 @@ def stage_train_driver(
     net, _history = train_driver(train_windows, tc, val_windows=val_windows, trained_on="D1")
     net.provenance = {
         "pipeline_seed": str(cfg.seed),
-        "episodes": file_digest(episodes),
+        "episodes": _memo(memo, episodes, file_digest, "digest"),
         "splits": file_digest(splits),
     }
     save_driver(driver_out, net)

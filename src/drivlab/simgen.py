@@ -334,23 +334,3 @@ def generate_dataset(config: WorldConfig, n_episodes: int, base_seed: int) -> li
         cfg = replace(config, seed=base_seed + i)
         out.append(generate_episode(cfg, episode_id=f"ep{i:06d}"))
     return out
-
-
-def state_at(episode: Episode, t: int) -> WorldState:
-    """Rebuild the latent WorldState from the episode's difficulty trace."""
-    meta = episode.meta
-    try:
-        return WorldState(
-            curvature=float(meta["curvature"][t]),
-            dist_to_intersection=int(meta["dist_next"][t]),
-            in_zone=bool(meta["zone_mask"][t]),
-            zone_progress=float(meta["zone_progress"][t]),
-            branch_sign=int(meta["branch"][t]),
-            lead_gap=float(meta["lead_gap"][t]),
-            congestion=meta["congestion"],
-            visibility=meta["visibility"],
-        )
-    except (KeyError, IndexError):
-        raise ValidationError(
-            f"episode {episode.episode_id} has no difficulty trace (loaded from file?)"
-        ) from None

@@ -217,6 +217,8 @@ LABELS_D3 = (f"{LABELS_FORMAT}\n# split D3\n# t_angle 7.0\n# t_speed 3.0\n# m 8\
                  id="episodes-id-reappears"),
     pytest.param("episodes", f"{EPISODE_FORMAT} d=2 f=4\nep0000,0,10.0,0.0,0.1,0.2\n"
                  "# comment\nep0000,1,181.0,0.0,0.1,0.2\n", 4, id="episodes-speed-out-of-range"),
+    pytest.param("episodes", f"{EPISODE_FORMAT} d=-1 f=4\nep0,0,10.0\n", 1, id="episodes-negative-d"),
+    pytest.param("episodes", f"{EPISODE_FORMAT} d=-3 f=4\nep0\n", 1, id="episodes-negative-d-one-field"),
 ])
 def test_malformed_text_field_exit_code_2(tmp_path, kind, text, lineno, capsys):
     bad = tmp_path / f"{kind}.txt"
@@ -230,6 +232,26 @@ def test_malformed_text_field_exit_code_2(tmp_path, kind, text, lineno, capsys):
                 "--out", str(tmp_path / "e.json")]
     assert main([*argv, "--quiet"]) == 2
     assert f"{bad}:{lineno}: malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", ["unknown-id", "no-digest", "other-digest"])
+def test_split_manifest_provenance_exit_code_2(tmp_path, config_file, edit, capsys):
+    episodes, splits = tmp_path / "episodes.txt", tmp_path / "splits.tsv"
+    cfg = ["--config", str(config_file), "--quiet"]
+    assert main(["gen", *cfg, "--out", str(episodes)]) == 0
+    assert main(["split", *cfg, "--data", str(episodes), "--out", str(splits)]) == 0
+    lines = splits.read_text().splitlines(keepends=True)
+    digest_line = next(i for i, line in enumerate(lines) if line.startswith("# episodes "))
+    if edit == "unknown-id":
+        lines.append("ghost\tD1\n")
+    else:
+        lines[digest_line:digest_line + 1] = ["# episodes " + "0" * 64 + "\n"] if edit == "other-digest" else []
+    splits.write_text("".join(lines))
+    code = main(["train-driver", *cfg, "--data", str(episodes), "--split", str(splits),
+                 "--out", str(tmp_path / "driver.ckpt")])
+    assert code == 2
+    message = "episode ghost is not in" if edit == "unknown-id" else "splits were made from episodes"
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edit", ["other-driver", "no-driver"])

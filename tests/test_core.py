@@ -293,7 +293,8 @@ class TestSplitManifest:
         s = core.split_dataset(eps, seed=5)
         path = tmp_path / "splits.tsv"
         core.write_split_manifest(path, s, provenance={"seed": "5"})
-        loaded = core.read_split_manifest(path)
+        loaded, meta = core.read_split_manifest(path)
+        assert meta == {"seed": "5"}
         assert set(loaded.d1) == set(s.d1)
         assert set(loaded.d2) == set(s.d2)
         assert set(loaded.d3) == set(s.d3)

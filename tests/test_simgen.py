@@ -8,6 +8,21 @@ from drivlab.errors import ValidationError
 from conftest import small_world
 
 
+def state_at(episode, t):
+    """The latent WorldState at step t, from a generated episode's difficulty trace."""
+    meta = episode.meta
+    return simgen.WorldState(
+        curvature=float(meta["curvature"][t]),
+        dist_to_intersection=int(meta["dist_next"][t]),
+        in_zone=bool(meta["zone_mask"][t]),
+        zone_progress=float(meta["zone_progress"][t]),
+        branch_sign=int(meta["branch"][t]),
+        lead_gap=float(meta["lead_gap"][t]),
+        congestion=meta["congestion"],
+        visibility=meta["visibility"],
+    )
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical_files(self, tmp_path):
         for name in ("a.txt", "b.txt"):
@@ -101,7 +116,7 @@ class TestOracleAction:
         cfg = small_world(seed=17)
         ep = simgen.generate_episode(cfg)
         for t in range(0, len(ep), 7):
-            angle, speed = simgen.oracle_action(simgen.state_at(ep, t), cfg)
+            angle, speed = simgen.oracle_action(state_at(ep, t), cfg)
             assert angle == ep.angle[t]
             assert speed == ep.speed[t]
 

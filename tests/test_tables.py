@@ -1,0 +1,145 @@
+"""The text-table codec: exact round trips and fuzzed readers."""
+
+import string
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from drivlab import core
+from drivlab.errors import DrivlabError, exit_code_for
+from drivlab.evaluate import SCORE_TABLE, SCORES_FORMAT, SCORES_HEADER, read_scores_csv
+from drivlab.failure import LABEL_TABLE, LABELS_FORMAT, LABELS_HEADER, read_labels_csv
+
+SCHEMAS = (core.EPISODE_TABLE, core.SPLIT_TABLE, LABEL_TABLE, SCORE_TABLE)
+
+TEXT = string.ascii_letters + string.digits + " ._-"
+SPECIAL_FLOATS = (-0.0, 5e-324, -2.5e-308, 0.1 + 0.2, 1e16, 179.99999999999997, 1.7976931348623157e308)
+SPECIAL_INTS = (0, 1, 2, 2**31, 2**53 + 1, 2**63 - 1)
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables")
+
+
+def _cells(col: core.Column):
+    """Values inside ``col``'s domain, with the edge cases drawn often."""
+    if col.dtype is str:
+        return st.text(TEXT, max_size=8)
+    if col.dtype is np.int64:
+        hi = int(min(col.hi, 2**63 - 1))
+        return st.one_of(st.sampled_from([v for v in SPECIAL_INTS if v <= hi]), st.integers(0, hi))
+    bounds = {"min_value": None if np.isinf(col.lo) else col.lo, "max_value": None if np.isinf(col.hi) else col.hi}
+    special = [v for v in SPECIAL_FLOATS if col.lo <= v <= col.hi]
+    return st.one_of(st.sampled_from(special), st.floats(allow_nan=False, allow_infinity=False, **bounds))
+
+
+def _bits(a: np.ndarray):
+    return a.tolist() if a.dtype.kind == "U" else (a.dtype, a.shape, a.tobytes())
+
+
+@pytest.mark.parametrize("schema", SCHEMAS, ids=lambda s: s.noun)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_round_trip_is_bit_exact(table_dir, schema, data):
+    n = data.draw(st.integers(0, 12), label="rows")
+    width = data.draw(st.integers(1, 4), label="width")
+    meta = {key: str(width) if key == "d" else data.draw(st.text(string.digits, min_size=1))
+            for key in schema.format_keys}
+    provenance = st.dictionaries(st.text(string.ascii_letters, min_size=2, max_size=6), st.text(TEXT), max_size=3)
+    meta.update(data.draw(provenance, label="provenance"))
+    columns = {}
+    for col in schema.columns:
+        shape = (n, width) if col.width else (n,)
+        size = int(np.prod(shape))
+        cells = data.draw(st.lists(_cells(col), min_size=size, max_size=size), label=col.name)
+        columns[col.name] = np.array(cells, dtype=col.dtype).reshape(shape)
+    path = table_dir / f"{schema.noun}.txt"
+    core.write_table(path, schema, meta, columns)
+    written = path.read_bytes()
+    meta_back, back = core.read_table(path, schema)
+    assert meta_back == meta
+    for col in schema.columns:
+        assert _bits(back[col.name]) == _bits(columns[col.name]), col.name
+    first = 2 + len(meta) - len(schema.format_keys) + schema.column_line
+    assert back["line"].tolist() == list(range(first, first + n))
+    core.write_table(path, schema, meta_back, back)
+    assert path.read_bytes() == written
+
+
+VALID = {
+    "episode": (core.read_episodes, f"{core.EPISODE_FORMAT} d=2 f=4\n# seed 1\nep0,0,10.0,1.5,0.1,0.2\n"
+                "ep0,1,11.0,-2.0,0.3,0.4\nep1,0,0.0,0.0,0.5,0.6\n"),
+    "split": (core.read_split_manifest, f"{core.SPLIT_FORMAT}\n# seed 1\n# episodes 00ff\n"
+              "e0\tD1\ne1\tD2\ne2\tD3\ne3\tD1\n"),
+    "label": (read_labels_csv, f"{LABELS_FORMAT}\n# split D3\n# m 8\n{LABELS_HEADER}\n"
+              "ep0,2,0,0,0,1,0.5,20.0,0.4,21.0\nep0,3,1,0,1,1,0.5,20.0,9.4,21.0\nep1,0,0,1,1,1,0.0,1.0,0.0,9.0\n"),
+    "score": (read_scores_csv, f"{SCORES_FORMAT}\n# policy learned\n# split D3\n{SCORES_HEADER}\n"
+              "ep0,2,0.25\nep1,4,0.75\n"),
+}
+TOKENS = ("nan", "inf", "-inf", "x", "1e400", "99999999999999999999", "-1", "-3", "", "0", "1.5",
+          "v2", "D4", "#")
+
+
+EDIT = st.tuples(st.integers(0, 99), st.sampled_from(["drop", "duplicate", "replace", "truncate"]),
+                 st.integers(0, 99), st.sampled_from(TOKENS))
+
+
+def _edited(text: str, edit) -> str:
+    """``text`` with field j of line i dropped, duplicated or replaced by
+    ``token``, or with line i cut to j characters; i and j wrap around.
+    Line 0 is the format line, whose fields are space-separated; replacing
+    its ``key=value`` field replaces the value."""
+    i, op, j, token = edit
+    lines = text.split("\n")
+    i %= len(lines) - 1
+    delimiter = " " if i == 0 else "\t" if "\t" in lines[i] else ","
+    fields = lines[i].split(delimiter)
+    j %= len(fields)
+    if op == "drop":
+        del fields[j]
+    elif op == "duplicate":
+        fields.insert(j, fields[j])
+    elif op == "replace":
+        key, eq, _ = fields[j].rpartition("=") if i == 0 else ("", "", "")
+        fields[j] = key + eq + token
+    lines[i] = delimiter.join(fields)
+    if op == "truncate":
+        lines[i] = lines[i][: edit[2] % (len(lines[i]) + 1)]
+    return "\n".join(lines)
+
+
+def _read_rejects_cleanly(read, path, text: str) -> None:
+    path.write_text(text)
+    try:
+        read(path)
+    except DrivlabError as exc:
+        assert exit_code_for(exc) in (2, 3), text
+
+
+@pytest.mark.parametrize("kind", VALID)
+def test_every_single_edit_raises_only_drivlab_errors(table_dir, kind):
+    read, text = VALID[kind]
+    path = table_dir / f"edit_{kind}.txt"
+    _read_rejects_cleanly(read, path, text)
+    lines = text.split("\n")
+    edits = {
+        _edited(text, (i, op, j, token))
+        for i, line in enumerate(lines[:-1])
+        for j in range(len(line) + 1)
+        for op, token in [("drop", ""), ("duplicate", ""), ("truncate", ""), *(("replace", t) for t in TOKENS)]
+    }
+    for edited in sorted(edits):
+        _read_rejects_cleanly(read, path, edited)
+
+
+@pytest.mark.parametrize("kind", VALID)
+@given(edits=st.lists(EDIT, min_size=2, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_edited_file_raises_only_drivlab_errors(table_dir, kind, edits):
+    read, text = VALID[kind]
+    for edit in edits:
+        text = _edited(text, edit)
+    _read_rejects_cleanly(read, table_dir / f"fuzz_{kind}.txt", text)
