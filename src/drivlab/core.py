@@ -129,47 +129,48 @@ class Windows:
 
 
 def windows_at(
-    episodes: Mapping[str, Episode], positions: Sequence[tuple[str, int]], k: int
+    episodes: Mapping[str, Episode], episode_ids: Sequence[str], ep: np.ndarray, t: np.ndarray, k: int
 ) -> Windows:
-    """The windows ending at each (episode_id, t) position, in order.
+    """The windows ending at each position, in order: position i is step
+    ``t[i]`` of episode ``episode_ids[ep[i]]``.
 
     The only constructor of windows. Windows never span episodes: t must lie
-    in [k, len-1] of its episode.
+    in [k, len-1] of its episode. The windows keep only the ids they use.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    codes = {eid: i for i, eid in enumerate(dict.fromkeys(eid for eid, _ in positions))}
-    unknown = [eid for eid in codes if eid not in episodes]
+    ep, t = np.asarray(ep, dtype=np.int64), np.asarray(t, dtype=np.int64)
+    if ep.shape != t.shape or ep.ndim != 1 or ((ep < 0) | (ep >= len(episode_ids))).any():
+        raise ValidationError("positions need equal-length 1-D ep and t, with ep indexing episode_ids")
+    codes, ep = np.unique(ep, return_inverse=True)
+    ids = tuple(episode_ids[i] for i in codes.tolist())
+    unknown = [eid for eid in ids if eid not in episodes]
     if unknown:
         raise ValidationError(f"scene references unknown episode {unknown[0]}")
-    used = [episodes[eid] for eid in codes]
-    ep = np.array([codes[eid] for eid, _ in positions], dtype=np.int64)
-    t = np.array([t for _, t in positions], dtype=np.int64)
+    used = [episodes[eid] for eid in ids]
     lengths = np.array([len(e) for e in used], dtype=np.int64)
     bad = (t < k) | (t >= lengths[ep])
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValidationError(f"scene t={t[i]} out of window range for episode {positions[i][0]}")
+        raise ValidationError(f"scene t={t[i]} out of window range for episode {ids[ep[i]]}")
     empty = {"obs": np.empty((0, 0)), "speed": np.empty(0), "angle": np.empty(0)}
     obs, speed, angle = (
         _readonly(np.concatenate([getattr(e, c) for e in used] or [empty[c]])) for c in empty
     )
     starts = np.cumsum(lengths) - lengths
-    return Windows(obs, speed, angle, end=starts[ep] + t, ep=ep, t=t, episode_ids=tuple(codes), k=k)
-
-
-def window_positions(episodes: Iterable[Episode], k: int, stride: int = 1) -> list[tuple[str, int]]:
-    """(episode_id, t) for every t in [k, len-1] stepping by ``stride``, per
-    episode in the given order; an episode shorter than k+1 steps has none."""
-    if stride < 1:
-        raise ValidationError(f"stride must be >= 1, got {stride}")
-    return [(ep.episode_id, t) for ep in episodes for t in range(k, len(ep), stride)]
+    return Windows(obs, speed, angle, end=starts[ep] + t, ep=ep, t=t, episode_ids=ids, k=k)
 
 
 def make_windows(*episodes: Episode, k: int = DEFAULT_K, stride: int = 1) -> Windows:
     """The windows of ``episodes`` at every t in [k, len-1] stepping by
-    ``stride``, episode by episode in the given order."""
-    return windows_at(episodes_by_id(episodes), window_positions(episodes, k, stride), k)
+    ``stride``, episode by episode in the given order; an episode shorter
+    than k+1 steps has none."""
+    if stride < 1:
+        raise ValidationError(f"stride must be >= 1, got {stride}")
+    counts = np.array([len(range(k, len(e), stride)) for e in episodes], dtype=np.int64)
+    ep = np.repeat(np.arange(len(episodes)), counts)
+    t = k + stride * (np.arange(len(ep)) - np.repeat(np.cumsum(counts) - counts, counts))
+    return windows_at(episodes_by_id(episodes), [e.episode_id for e in episodes], ep, t, k)
 
 
 @dataclass(frozen=True)
@@ -472,7 +473,9 @@ def write_episodes(path, episodes: Sequence[Episode], provenance: Mapping[str, s
 def read_episodes(path) -> list[Episode]:
     """The episodes of an episode file, whose rows hold each episode's steps
     together and in order."""
-    _, cols = read_table(path, EPISODE_TABLE)
+    meta, cols = read_table(path, EPISODE_TABLE)
+    if meta["f"] != str(SAMPLE_RATE_HZ):
+        raise ValidationError(f"{path}:1: malformed episode header: f={meta['f']}, not {SAMPLE_RATE_HZ} Hz")
     ids, step = cols["episode_id"], cols["step_index"]
     if len(ids) == 0:
         raise ValidationError(f"{path}: no records")

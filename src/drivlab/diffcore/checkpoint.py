@@ -6,6 +6,7 @@ save is byte-identical and reloaded parameters are bit-exact.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -71,7 +72,9 @@ def load_checkpoint(path) -> tuple[str, dict[str, str], ParameterStore]:
                 values = np.array([float(v) for v in lines[i + 1].split(" ")])
             except ValueError:
                 raise ValidationError(f"{path}:{i + 1}: malformed param {name}") from None
-            if values.size != int(np.prod(shape)):
+            if any(d < 0 for d in shape):
+                raise ValidationError(f"{path}:{i + 1}: param {name} has a negative dimension in {shape}")
+            if values.size != math.prod(shape):
                 raise ValidationError(f"{path}: param {name} has {values.size} values, shape {shape}")
             if not np.all(np.isfinite(values)):
                 raise ValidationError(f"{path}: param {name} has non-finite values")

@@ -281,10 +281,13 @@ def train_driver(
 def forward_chunks(forward, data: Mapping[str, np.ndarray]) -> list[np.ndarray]:
     """Run ``forward(vis, spd, ang)``, which returns a tuple of tensors, over
     the rows of ``data`` in chunks of ``PREDICT_BATCH``; returns each output's
-    values over all rows. Only one chunk's graph is alive at a time."""
+    values over all rows. Only one chunk's graph is alive at a time. A
+    one-row remainder joins the chunk before it, so no chunk is a single row."""
+    n = data["vis"].shape[0]
+    stops = [*range(PREDICT_BATCH, n - 1, PREDICT_BATCH), n] if n else []
     parts = []
-    for start in range(0, data["vis"].shape[0], PREDICT_BATCH):
-        sl = slice(start, start + PREDICT_BATCH)
+    for start, stop in zip([0, *stops], stops):
+        sl = slice(start, stop)
         parts.append([out.data for out in forward(data["vis"][sl], data["spd"][sl], data["ang"][sl])])
     return [np.concatenate(column) for column in zip(*parts)]
 

@@ -11,12 +11,12 @@ fraction of baseline failure steps silenced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Column, Episode, TableSchema, read_table, windows_at, write_table
+from .core import Column, Episode, TableSchema, _readonly, read_table, windows_at, write_table
 from .driver import DriverNet, mc_predict_batch
 from .errors import ValidationError
 from .failure import MAX_STEP, HazardNet, Labels, Thresholds, predict_hazard_batch
@@ -41,21 +41,47 @@ def budget_count(budget: float, n: int) -> int:
     return math.ceil(budget * n - _CEIL_EPS)
 
 
+# Scenes as columns (episode_ids, ep, t): scene i is step t[i] of episode episode_ids[ep[i]]
+Scenes = tuple[Sequence[str], np.ndarray, np.ndarray]
+
+
 @dataclass(frozen=True)
 class PolicyScoreTrace:
-    """One score per scene for one policy, ordered by (episode_id, t)."""
+    """One score per scene for one policy, as read-only columns sorted by
+    (episode_id, t): scene i is step ``t[i]`` of episode
+    ``episode_ids[ep[i]]`` and scores ``score[i]``. The ids are sorted, so
+    (ep, t) order is (episode_id, t) order; repeated scenes keep their order."""
 
     policy: str
-    entries: tuple[tuple[str, int, float], ...]
+    episode_ids: tuple[str, ...]
+    ep: np.ndarray
+    t: np.ndarray
+    score: np.ndarray
 
     def __post_init__(self) -> None:
-        entries = tuple(sorted(self.entries, key=lambda e: (e[0], e[1])))
-        object.__setattr__(self, "entries", entries)
-        if not np.isfinite(np.array([e[2] for e in entries], dtype=np.float64)).all():
+        ids = tuple(self.episode_ids)
+        object.__setattr__(self, "episode_ids", ids)
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ValidationError(f"{self.policy}: trace episode ids must be sorted and unique")
+        ep, t = np.asarray(self.ep, dtype=np.int64), np.asarray(self.t, dtype=np.int64)
+        score = np.asarray(self.score, dtype=np.float64)
+        if ep.ndim != 1 or not ep.shape == t.shape == score.shape or ((ep < 0) | (ep >= len(ids))).any():
+            raise ValidationError(f"{self.policy}: trace needs equal-length 1-D columns, ep indexing the ids")
+        order = np.lexsort((t, ep))
+        for name, column in (("ep", ep), ("t", t), ("score", score)):
+            object.__setattr__(self, name, _readonly(column[order], column.dtype))
+        if not np.isfinite(self.score).all():
             raise ValidationError(f"{self.policy}: non-finite score in trace")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.t.shape[0]
+
+    def covers(self, scenes: Scenes) -> bool:
+        """Whether the trace scores exactly ``scenes``, given in (episode_id, t) order."""
+        ids, ep, t = scenes
+        return np.array_equal(self.t, t) and np.array_equal(
+            np.array(self.episode_ids, dtype=str)[self.ep], np.array(ids, dtype=str)[ep]
+        )
 
 
 @dataclass(frozen=True)
@@ -90,20 +116,21 @@ def scene_rows(rows: Labels, m: int) -> np.ndarray:
     return np.flatnonzero((np.arange(len(rows)) - first) % (m + 1) == 0)
 
 
-def build_scenes(rows: Labels, m: int) -> list[tuple[str, int]]:
+def build_scenes(rows: Labels, m: int) -> Scenes:
     """Scene anchors every m+1 labeled steps within each episode."""
-    return rows.positions(scene_rows(rows, m))
+    anchors = scene_rows(rows, m)
+    return rows.episode_ids, rows.ep[anchors], rows.t[anchors]
 
 
 _T_SPAN = 2 * MAX_STEP  # (ep, t) packs into the int64 key ep * _T_SPAN + t
 
 
-def _spans(rows: Labels, scenes: Sequence[tuple], m: int) -> tuple[np.ndarray, np.ndarray]:
+def _spans(rows: Labels, scenes: Scenes, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Row range [lo, hi) of the labeled steps in each scene's span [t, t+m],
     searched on the sorted (ep, t) key; empty for an episode without rows."""
+    ids, ep, t = scenes
     code = {eid: i for i, eid in enumerate(rows.episode_ids)}
-    ep = np.array([code.get(s[0], -1) for s in scenes], dtype=np.int64)
-    t = np.array([s[1] for s in scenes], dtype=np.int64)
+    ep = np.array([code.get(eid, -1) for eid in ids], dtype=np.int64)[ep]
     key = rows.ep * _T_SPAN + rows.t
     # clipping to [-1, _T_SPAN - 1] keeps each query between its episode's neighbours
     lo = np.searchsorted(key, ep * _T_SPAN + np.clip(t, -1, _T_SPAN - 1), side="left")
@@ -128,9 +155,9 @@ def simulate_takeover(
     if unit not in ("steps", "windows"):
         raise ValidationError(f"unit must be 'steps' or 'windows', got {unit!r}")
     k_sel = budget_count(budget, len(trace))
-    # entries are sorted by (episode_id, t), so a stable sort breaks score ties by them
-    ranked = np.argsort([-e[2] for e in trace.entries], kind="stable")
-    lo, hi = _spans(rows, [trace.entries[i] for i in ranked[:k_sel].tolist()], m)
+    # the trace is sorted by (episode_id, t), so a stable sort breaks score ties by them
+    top = np.argsort(-trace.score, kind="stable")[:k_sel]
+    lo, hi = _spans(rows, (trace.episode_ids, trace.ep[top], trace.t[top]), m)
     n = len(rows)
     silenced = np.cumsum(np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1))[:n] > 0
     fail = rows.g if unit == "steps" else rows.g_horizon
@@ -166,20 +193,16 @@ def reduction_curve(
 # ---------------------------------------------------------------------------
 
 
-def score_learned(
-    net: HazardNet, episodes: Mapping[str, Episode], scenes: Sequence[tuple[str, int]]
-) -> PolicyScoreTrace:
+def score_learned(net: HazardNet, episodes: Mapping[str, Episode], scenes: Scenes) -> PolicyScoreTrace:
     """Score = predicted probability of the Hazardous class."""
-    windows = windows_at(episodes, scenes, net.arch.k)
-    probs = predict_hazard_batch(net, windows)
-    entries = tuple((eid, t, float(p)) for (eid, t), p in zip(scenes, probs))
-    return PolicyScoreTrace(policy="learned", entries=entries)
+    probs = predict_hazard_batch(net, windows_at(episodes, *scenes, net.arch.k))
+    return PolicyScoreTrace("learned", *scenes, probs)
 
 
 def score_uncertainty(
     net: DriverNet,
     episodes: Mapping[str, Episode],
-    scenes: Sequence[tuple[str, int]],
+    scenes: Scenes,
     n_samples: int = 20,
     seed: int = 0,
 ) -> PolicyScoreTrace:
@@ -187,7 +210,7 @@ def score_uncertainty(
     speed predictions over stochastic forward passes, each scaled by its
     population std over the evaluation set before summing (keeps the score
     non-negative while making the two channels commensurate)."""
-    windows = windows_at(episodes, scenes, net.arch.k)
+    windows = windows_at(episodes, *scenes, net.arch.k)
     rng = np.random.default_rng(seed)
     angles, speeds = mc_predict_batch(net, windows, n_samples=n_samples, rng=rng)
     var_a = angles.var(axis=0)
@@ -195,19 +218,18 @@ def score_uncertainty(
     std_a = float(np.std(var_a))
     std_s = float(np.std(var_s))
     score = var_a / (std_a if std_a > 0 else 1.0) + var_s / (std_s if std_s > 0 else 1.0)
-    entries = tuple((eid, t, float(s)) for (eid, t), s in zip(scenes, score))
-    return PolicyScoreTrace(policy="uncertainty", entries=entries)
+    return PolicyScoreTrace("uncertainty", *scenes, score)
 
 
-def score_interval(scenes: Sequence[tuple[str, int]], budget: float) -> PolicyScoreTrace:
+def score_interval(scenes: Scenes, budget: float) -> PolicyScoreTrace:
     """No learning: mark evenly spaced scenes within each episode, exactly
     the budget count overall. Marked scenes score 1, the rest 0. Scenes are
     distinct (episode_id, t) pairs."""
-    ordered = sorted(scenes)
-    k_sel = budget_count(budget, len(ordered))
-    _, first, sizes = np.unique([eid for eid, _ in ordered], return_index=True, return_counts=True)
+    trace = PolicyScoreTrace("interval", *scenes, np.zeros(len(scenes[2])))
+    k_sel = budget_count(budget, len(trace))
+    _, first, sizes = np.unique(trace.ep, return_index=True, return_counts=True)
     # largest-remainder apportionment of k_sel by scene count, ties by episode id
-    exact = k_sel * sizes / len(ordered)
+    exact = k_sel * sizes / len(trace)
     quotas = np.floor(exact + _CEIL_EPS).astype(np.int64)
     # the floors fall short by less than the number of positive remainders,
     # and an episode with one still has room, so no second pass is needed
@@ -216,15 +238,14 @@ def score_interval(scenes: Sequence[tuple[str, int]], budget: float) -> PolicySc
     quotas[has_room[: max(k_sel - int(quotas.sum()), 0)]] += 1
     ep = np.repeat(np.arange(len(sizes)), quotas)
     j = np.arange(len(ep)) - (np.cumsum(quotas) - quotas)[ep]
-    marked = np.zeros(len(ordered))
+    marked = np.zeros(len(trace))
     marked[first[ep] + np.floor((j + 0.5) * sizes[ep] / quotas[ep]).astype(np.int64)] = 1.0
-    entries = tuple((eid, t, score) for (eid, t), score in zip(ordered, marked.tolist()))
-    return PolicyScoreTrace(policy="interval", entries=entries)
+    return replace(trace, score=marked)
 
 
 def interval_curve(
     rows: Labels,
-    scenes: Sequence[tuple[str, int]],
+    scenes: Scenes,
     budgets: Sequence[float],
     m: int,
     thresholds: Thresholds | None = None,
@@ -236,15 +257,13 @@ def interval_curve(
     return TakeoverResult(policy="interval", points=points, thresholds=thresholds)
 
 
-def score_oracle(rows: Labels, scenes: Sequence[tuple[str, int]], m: int) -> PolicyScoreTrace:
+def score_oracle(rows: Labels, scenes: Scenes, m: int) -> PolicyScoreTrace:
     """True-label oracle: score = number of failing steps inside the scene's
     span. On non-overlapping scenes, ranking by this count is the optimal
     selection for every budget."""
     lo, hi = _spans(rows, scenes, m)
     failing = np.concatenate([[0], np.cumsum(rows.g)])
-    counts = (failing[hi] - failing[lo]).tolist()
-    entries = tuple((eid, t, float(c)) for (eid, t), c in zip(scenes, counts))
-    return PolicyScoreTrace(policy="oracle", entries=entries)
+    return PolicyScoreTrace("oracle", *scenes, failing[hi] - failing[lo])
 
 
 def safety_gain(ours: TakeoverResult, base: TakeoverResult, budget: float) -> float | None:
@@ -277,13 +296,13 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
 
 
 def write_scores_csv(path, trace: PolicyScoreTrace, provenance: Mapping[str, str] | None = None) -> None:
-    ids, t, scores = zip(*trace.entries) if trace.entries else ((), (), ())
     meta = {"policy": trace.policy, **(provenance or {})}
-    write_table(path, SCORE_TABLE, meta, {"episode_id": ids, "t": t, "score": scores})
+    ids = np.array(trace.episode_ids, dtype=str)[trace.ep]
+    write_table(path, SCORE_TABLE, meta, {"episode_id": ids, "t": trace.t, "score": trace.score})
 
 
 def read_scores_csv(path) -> tuple[PolicyScoreTrace, dict[str, str]]:
     meta, cols = read_table(path, SCORE_TABLE)
     policy = meta.pop("policy", "unknown")
-    entries = zip(cols["episode_id"].tolist(), cols["t"].tolist(), cols["score"].tolist())
-    return PolicyScoreTrace(policy=policy, entries=tuple(entries)), meta
+    ids, ep = np.unique(cols["episode_id"], return_inverse=True)
+    return PolicyScoreTrace(policy, tuple(ids.tolist()), ep, cols["t"], cols["score"]), meta

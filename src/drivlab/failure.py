@@ -156,11 +156,6 @@ class Labels:
     def __len__(self) -> int:
         return self.ep.shape[0]
 
-    def positions(self, rows=slice(None)) -> list[tuple[str, int]]:
-        """(episode_id, t) of the given rows, all of them by default."""
-        ids = self.episode_ids
-        return [(ids[e], t) for e, t in zip(self.ep[rows].tolist(), self.t[rows].tolist())]
-
 
 @dataclass
 class FailureDataset:

@@ -21,8 +21,6 @@ import logging
 import os
 from typing import Mapping
 
-import numpy as np
-
 from . import core, simgen
 from .config import PipelineConfig, parse_budgets
 from .driver import (
@@ -263,7 +261,7 @@ def stage_train_failure(
         raise ValidationError("hazard training labels derive from the driver's split")
     driver_digest = _driver_digest(driver, labels, meta)
     by_id = core.episodes_by_id(_split_episodes(memo, episodes, splits, split))
-    windows = core.windows_at(by_id, rows.positions(), cfg.k)
+    windows = core.windows_at(by_id, rows.episode_ids, rows.ep, rows.t, cfg.k)
     tc = TrainConfig(
         lr=cfg.hazard_lr,
         epochs=cfg.hazard_epochs,
@@ -296,6 +294,9 @@ def _checkpoint_scores(cfg, memo, labels, meta, scenes, hazard, driver, episodes
         raise ValidationError("hazard net was trained on the evaluation split")
     driver_net = _memo(memo, driver, load_driver)
     driver_digest = _driver_digest(driver, labels, meta)
+    recorded = driver_net.provenance.get("episodes", "(not recorded)")
+    if recorded != _memo(memo, episodes, file_digest, "digest"):
+        raise ValidationError(f"{driver}: the driver was trained on episodes {recorded}, not on {episodes}")
     by_id = core.episodes_by_id(_memo(memo, episodes, core.read_episodes))
     provenance = {"split": split, "seed": str(cfg.seed), "driver": driver_digest}
 
@@ -306,12 +307,13 @@ def _checkpoint_scores(cfg, memo, labels, meta, scenes, hazard, driver, episodes
         )
         return trace, provenance
 
+    ids, ep, t = scenes
     return {
         "learned": (
             score_learned(hazard_net, by_id, scenes),
             {**provenance, "hazard": file_digest(hazard)},
         ),
-        "uncertainty": _memo(memo, driver, uncertainty, "uncertainty", tuple(scenes)),
+        "uncertainty": _memo(memo, driver, uncertainty, "uncertainty", ids, ep.tobytes(), t.tobytes()),
     }
 
 
@@ -349,7 +351,7 @@ def stage_eval(
                 f"{policy} scores come from driver {trace_meta.get('driver', '(not recorded)')}, "
                 f"labels from driver {meta.get('driver', '(not recorded)')}"
             )
-        if [(eid, t) for eid, t, _ in trace.entries] != scenes:
+        if not trace.covers(scenes):
             raise ValidationError(f"{policy} scores do not cover exactly the scenes of {labels}")
     for policy, path in (scores_out or {}).items():
         write_scores_csv(path, *traces[policy])
@@ -372,17 +374,16 @@ def stage_eval(
     scene_labels = rows.g_horizon[scene_rows(rows, m)]
     learned_auc = None
     if "learned" in traces:
-        learned_scores = np.array([s for _, _, s in traces["learned"][0].entries])
-        learned_auc = auc(learned_scores, scene_labels)
+        learned_auc = auc(traces["learned"][0].score, scene_labels)
     report = {
         "format": "drivlab-eval v1",
         "thresholds": {"t_angle": th.t_angle, "t_speed": th.t_speed, "name": th_name},
         "m": m,
         "count_unit": unit,
         "n_rows": len(rows),
-        "n_scenes": len(scenes),
+        "n_scenes": len(scene_labels),
         "hazard_fraction_windows": float(rows.g_horizon.mean()) if len(rows) else 0.0,
-        "hazard_fraction_scenes": float(scene_labels.mean()) if len(scenes) else 0.0,
+        "hazard_fraction_scenes": float(scene_labels.mean()) if len(scene_labels) else 0.0,
         "auc_learned": learned_auc,
         "curves": {
             name: [{"budget": b, "reduction": r} for b, r in res.points]

@@ -18,6 +18,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, fields, replace
+from typing import Mapping
+
 import numpy as np
 
 from .core import ANGLE_MAX, ANGLE_MIN, SPEED_MAX, SPEED_MIN, Episode
@@ -39,6 +41,8 @@ APPROACH_WINDOW = 8  # steps over which the oracle slows before a zone
 ZONE_SPEED_FACTOR = 0.45
 ZONE_CURVATURE_DAMP = 0.05  # roads straighten through intersections
 TURN_PEAK_DEG = 40.0
+# sin(pi * progress) per zone step, from math.sin: np.sin need not give its bits
+_TURN_SIN = np.array([math.sin(math.pi * (i / ZONE_LENGTH)) for i in range(ZONE_LENGTH)])
 BRANCH_PROBS = (0.3, 0.4, 0.3)  # left, straight, right
 
 FOLLOW_GAP_M = 25.0  # below this the oracle tracks the lead vehicle
@@ -105,66 +109,38 @@ class WorldConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class WorldState:
-    """Latent state at one step; ``branch_sign`` is hidden from observations."""
-
-    curvature: float  # 1/m
-    dist_to_intersection: int  # steps until the next zone starts (0 inside)
-    in_zone: bool
-    zone_progress: float  # [0, 1) inside a zone, 0 outside
-    branch_sign: int  # +1 left, 0 straight, -1 right; 0 outside zones
-    lead_gap: float  # m
-    congestion: float
-    visibility: float
-
-    def __post_init__(self) -> None:
-        if self.dist_to_intersection < 0:
-            raise ValidationError("dist_to_intersection must be >= 0")
-        if self.lead_gap < 0:
-            raise ValidationError("lead_gap must be >= 0")
-
-
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
     key = (seed & _MASK64) | (stream_id << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def oracle_action(state: WorldState, config: WorldConfig) -> tuple[float, float]:
-    """Deterministic control law standing in for the human driver.
+def oracle_action(latent: Mapping[str, object], config: WorldConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic control law standing in for the human driver: the
+    (angle, speed) columns of the hidden-state columns ``latent`` (``meta``).
 
     Angle tracks road curvature (damped through intersections) plus a
     sinusoidal turn ramp of +-TURN_PEAK_DEG for turning branches. Speed is
     the base speed scaled down by congestion, poor visibility, intersection
     approach/passage, and a short lead gap.
     """
-    if state.in_zone:
-        curv = state.curvature * ZONE_CURVATURE_DAMP
-        turn = state.branch_sign * TURN_PEAK_DEG * math.sin(math.pi * state.zone_progress)
-    else:
-        curv = state.curvature
-        turn = 0.0
-    angle = float(np.clip(config.steer_gain * curv + turn, ANGLE_MIN, ANGLE_MAX))
+    in_zone, dist = latent["zone_mask"], latent["dist_next"]
+    curv = np.where(in_zone, latent["curvature"] * ZONE_CURVATURE_DAMP, latent["curvature"])
+    ramp = _TURN_SIN[np.rint(latent["zone_progress"] * ZONE_LENGTH).astype(np.int64)]
+    turn = np.where(in_zone, latent["branch"] * TURN_PEAK_DEG * ramp, 0.0)
+    angle = np.clip(config.steer_gain * curv + turn, ANGLE_MIN, ANGLE_MAX)
 
-    if state.in_zone:
-        zone_factor = ZONE_SPEED_FACTOR
-    elif state.dist_to_intersection < APPROACH_WINDOW:
-        zone_factor = ZONE_SPEED_FACTOR + (1.0 - ZONE_SPEED_FACTOR) * (
-            state.dist_to_intersection / APPROACH_WINDOW
-        )
-    else:
-        zone_factor = 1.0
-    gap_factor = min(state.lead_gap / FOLLOW_GAP_M, 1.0)
-    vis_factor = 0.6 + 0.4 * state.visibility
+    approach = ZONE_SPEED_FACTOR + (1.0 - ZONE_SPEED_FACTOR) * (dist / APPROACH_WINDOW)
+    zone_factor = np.where(in_zone, ZONE_SPEED_FACTOR, np.where(dist < APPROACH_WINDOW, approach, 1.0))
+    gap_factor = np.minimum(latent["lead_gap"] / FOLLOW_GAP_M, 1.0)
+    vis_factor = 0.6 + 0.4 * latent["visibility"]
     speed = (
         config.base_speed
-        * (1.0 - 0.5 * state.congestion)
+        * (1.0 - 0.5 * latent["congestion"])
         * vis_factor
         * zone_factor
         * gap_factor
     )
-    speed = float(np.clip(speed, SPEED_MIN, SPEED_MAX))
-    return angle, speed
+    return angle, np.clip(speed, SPEED_MIN, SPEED_MAX)
 
 
 def _curvature_path(config: WorldConfig, n: int) -> np.ndarray:
@@ -203,7 +179,6 @@ def _zone_schedule(
     in_zone = np.zeros(n, dtype=bool)
     branch = np.zeros(n, dtype=np.int64)
     progress = np.zeros(n)
-    starts = []
     pending = 0
     zone_left = 0
     zone_pos = 0
@@ -214,7 +189,6 @@ def _zone_schedule(
             pending -= 1
             zone_left = ZONE_LENGTH
             zone_pos = 0  # progress restarts even for back-to-back zones
-            starts.append(t)
             sign = int(rng_branches.choice((1, 0, -1), p=BRANCH_PROBS))
             branch[t : t + ZONE_LENGTH] = sign
         if zone_left > 0:
@@ -223,16 +197,11 @@ def _zone_schedule(
             zone_pos += 1
             zone_left -= 1
 
-    starts_set = set(starts)
-    dist = np.full(n, n, dtype=np.int64)
-    next_start: int | None = None
-    for t in range(n - 1, -1, -1):
-        if t in starts_set:
-            next_start = t
-        if in_zone[t]:
-            dist[t] = 0
-        elif next_start is not None:
-            dist[t] = next_start - t
+    # a zone starts where its progress is 0; no zone ahead leaves the distance at n
+    steps = np.arange(n)
+    starts = np.flatnonzero(in_zone & (progress == 0.0))
+    ahead = np.append(starts, n)[np.searchsorted(starts, steps)]
+    dist = np.where(in_zone, 0, np.where(ahead < n, ahead - steps, n))
     return in_zone, branch, dist, progress, int(arrivals.sum())
 
 
@@ -294,33 +263,19 @@ def generate_episode(config: WorldConfig, episode_id: str | None = None) -> Epis
     )
     obs[:, N_SIGNAL_CHANNELS:] = eps[:, N_SIGNAL_CHANNELS:]  # pure noise channels
 
-    angles = np.empty(n)
-    speeds = np.empty(n)
-    for t in range(n):
-        state = WorldState(
-            curvature=float(curvature[t]),
-            dist_to_intersection=int(dist[t]),
-            in_zone=bool(in_zone[t]),
-            zone_progress=float(zone_progress[t]),
-            branch_sign=int(branch[t]),
-            lead_gap=float(gap[t]),
-            congestion=congestion,
-            visibility=visibility,
-        )
-        angles[t], speeds[t] = oracle_action(state, config)
-
     meta = {
         "config_digest": config.digest(),
         "congestion": congestion,
         "visibility": visibility,
         "n_intersections": n_arrivals,
-        "curvature": _frozen(curvature[:n]),
+        "curvature": _frozen(curvature[:n]),  # 1/m
         "zone_mask": _frozen(in_zone),
-        "branch": _frozen(branch),
-        "dist_next": _frozen(dist),
-        "zone_progress": _frozen(zone_progress),
-        "lead_gap": _frozen(gap),
+        "branch": _frozen(branch),  # +1 left, 0 straight, -1 right; 0 outside zones
+        "dist_next": _frozen(dist),  # steps to the next zone start: 0 inside, n with none ahead
+        "zone_progress": _frozen(zone_progress),  # [0, 1) inside a zone, 0 outside
+        "lead_gap": _frozen(gap),  # m
     }
+    angles, speeds = oracle_action(meta, config)
     eid = episode_id if episode_id is not None else f"ep{config.seed:010d}"
     return Episode(eid, seed=config.seed, obs=obs, speed=speeds, angle=angles, meta=meta)
 

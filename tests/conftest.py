@@ -3,6 +3,7 @@ import pytest
 
 from drivlab import core, simgen
 from drivlab.driver import TrainConfig, train_driver
+from drivlab.evaluate import PolicyScoreTrace
 from drivlab.failure import CANONICAL_THRESHOLDS, Labels, build_failure_dataset, train_failure
 
 
@@ -22,7 +23,31 @@ def windows_of_rows(frames, speeds, angles):
     ``speeds`` and ``angles`` (n, k+1), the last row holding the targets."""
     n, steps, _ = np.shape(frames)
     eps = {f"w{i}": core.Episode(f"w{i}", 0, frames[i], speeds[i], angles[i], {}) for i in range(n)}
-    return core.windows_at(eps, [(eid, steps - 1) for eid in eps], steps - 1)
+    return core.windows_at(eps, list(eps), np.arange(n), np.full(n, steps - 1), steps - 1)
+
+
+def scenes_of(pairs):
+    """Position columns (episode_ids, ep, t) of (episode_id, t) pairs, in the
+    given order, with the ids sorted."""
+    ids = sorted({eid for eid, _ in pairs})
+    code = {eid: i for i, eid in enumerate(ids)}
+    return (tuple(ids), np.array([code[eid] for eid, _ in pairs], dtype=np.int64),
+            np.array([t for _, t in pairs], dtype=np.int64))
+
+
+def positions(ids, ep, t):
+    """(episode_id, t) pairs of position columns."""
+    return [(ids[e], step) for e, step in zip(ep.tolist(), t.tolist())]
+
+
+def row_positions(rows, mask=slice(None)):
+    """(episode_id, t) of the label rows selected by ``mask``, all by default."""
+    return positions(rows.episode_ids, rows.ep[mask], rows.t[mask])
+
+
+def trace_of(policy, entries):
+    """A score trace of (episode_id, t, score) tuples in any order."""
+    return PolicyScoreTrace(policy, *scenes_of([e[:2] for e in entries]), [e[2] for e in entries])
 
 
 def labels_of(rows):

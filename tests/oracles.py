@@ -4,17 +4,20 @@ These deliberately use naive algorithms (repeated max-scan selection,
 nested-loop silencing and counting, per-step scalar and slice/any labeling, a
 per-gate autodiff graph for the LSTM, per-step slicing of windows, a
 per-parameter Adam loop, the two-branch sigmoid, MC dropout through the whole
-driver per sample) so equivalence tests never share a code path with the
-implementations they check. The graph ops that
+driver per sample, the human oracle on one ``WorldState`` per step, a
+backward loop for zone distances) so equivalence tests never share a code
+path with the implementations they check. The graph ops that
 only the references and the gradient checks use (``mul``, ``matmul``,
 ``tanh``, ``sigmoid``, ``narrow``, ``reshape``, ``tsum``) live here too.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from drivlab.core import Normalizer
+from drivlab import simgen
+from drivlab.core import ANGLE_MAX, ANGLE_MIN, SPEED_MAX, SPEED_MIN, Normalizer
 from drivlab.diffcore import Tensor, add
 from drivlab.driver import driver_forward, windows_to_arrays
 from drivlab.diffcore.tensor import _accum, _out
@@ -44,10 +47,16 @@ def label_horizon(g_seq, t, m):
     return 1 if any(g_seq[t : t + m + 1]) else 0
 
 
+def trace_entries(trace):
+    """(episode_id, t, score) of each scene of a score trace, in trace order."""
+    ids = [trace.episode_ids[e] for e in trace.ep.tolist()]
+    return tuple(zip(ids, trace.t.tolist(), trace.score.tolist()))
+
+
 def brute_force_takeover(rows, trace, budget, m, unit="steps"):
-    n = len(trace.entries)
+    n = len(trace)
     k = math.ceil(budget * n - 1e-9)
-    remaining = list(trace.entries)
+    remaining = list(trace_entries(trace))
     selected = []
     for _ in range(k):
         best = None
@@ -341,3 +350,83 @@ def sliced_normalizer(windows, floor):
         obs_mean=np.mean(frames, axis=0),
         obs_std=np.maximum(np.std(frames, axis=0), floor),
     )
+
+
+@dataclass(frozen=True)
+class WorldState:
+    """Latent state at one step; ``branch_sign`` is hidden from observations."""
+
+    curvature: float  # 1/m
+    dist_to_intersection: int  # steps until the next zone starts (0 inside)
+    in_zone: bool
+    zone_progress: float  # [0, 1) inside a zone, 0 outside
+    branch_sign: int  # +1 left, 0 straight, -1 right; 0 outside zones
+    lead_gap: float  # m
+    congestion: float
+    visibility: float
+
+
+def oracle_action(state, config):
+    """``simgen.oracle_action`` on one step, in Python floats."""
+    if state.in_zone:
+        curv = state.curvature * simgen.ZONE_CURVATURE_DAMP
+        turn = state.branch_sign * simgen.TURN_PEAK_DEG * math.sin(math.pi * state.zone_progress)
+    else:
+        curv = state.curvature
+        turn = 0.0
+    angle = float(np.clip(config.steer_gain * curv + turn, ANGLE_MIN, ANGLE_MAX))
+
+    if state.in_zone:
+        zone_factor = simgen.ZONE_SPEED_FACTOR
+    elif state.dist_to_intersection < simgen.APPROACH_WINDOW:
+        zone_factor = simgen.ZONE_SPEED_FACTOR + (1.0 - simgen.ZONE_SPEED_FACTOR) * (
+            state.dist_to_intersection / simgen.APPROACH_WINDOW
+        )
+    else:
+        zone_factor = 1.0
+    gap_factor = min(state.lead_gap / simgen.FOLLOW_GAP_M, 1.0)
+    vis_factor = 0.6 + 0.4 * state.visibility
+    speed = (
+        config.base_speed
+        * (1.0 - 0.5 * state.congestion)
+        * vis_factor
+        * zone_factor
+        * gap_factor
+    )
+    return angle, float(np.clip(speed, SPEED_MIN, SPEED_MAX))
+
+
+def zone_schedule(config, n):
+    """``simgen._zone_schedule`` with the zone starts kept in a list and the
+    distance to the next start filled by a backward loop."""
+    p = config.intersection_rate / 100.0
+    arrivals = simgen._stream(config.seed, simgen._STREAM_ARRIVALS).random(n) < p
+    rng_branches = simgen._stream(config.seed, simgen._STREAM_BRANCHES)
+    in_zone = np.zeros(n, dtype=bool)
+    branch = np.zeros(n, dtype=np.int64)
+    progress = np.zeros(n)
+    starts = []
+    pending = zone_left = zone_pos = 0
+    for t in range(n):
+        if arrivals[t]:
+            pending += 1
+        if zone_left == 0 and pending > 0:
+            pending -= 1
+            zone_left, zone_pos = simgen.ZONE_LENGTH, 0
+            starts.append(t)
+            branch[t : t + simgen.ZONE_LENGTH] = int(rng_branches.choice((1, 0, -1), p=simgen.BRANCH_PROBS))
+        if zone_left > 0:
+            in_zone[t] = True
+            progress[t] = zone_pos / simgen.ZONE_LENGTH
+            zone_pos += 1
+            zone_left -= 1
+    dist = np.full(n, n, dtype=np.int64)
+    next_start = None
+    for t in range(n - 1, -1, -1):
+        if t in starts:
+            next_start = t
+        if in_zone[t]:
+            dist[t] = 0
+        elif next_start is not None:
+            dist[t] = next_start - t
+    return in_zone, branch, dist, progress, int(arrivals.sum())

@@ -31,7 +31,7 @@ from drivlab.failure import (
     step_failures,
 )
 from drivlab.pipeline import ART_DRIVER_METRICS, art_eval, art_labels, run_all, run_stage
-from conftest import labels_of
+from conftest import labels_of, row_positions, trace_of
 from oracles import brute_force_horizon, brute_force_takeover, label_horizon, label_step, lstm_cell
 
 
@@ -252,8 +252,8 @@ def test_c3_threshold_nesting(tiny_pipeline):
     step_sets, horizon_sets, fractions = {}, {}, {}
     for name in ("tight", "middle", "loose"):
         ds = build_failure_dataset(net, d3, split="D3", th=CANONICAL_THRESHOLDS[name], m=8)
-        step_sets[name] = set(ds.rows.positions(ds.rows.g == 1))
-        horizon_sets[name] = set(ds.rows.positions(ds.rows.g_horizon == 1))
+        step_sets[name] = set(row_positions(ds.rows, ds.rows.g == 1))
+        horizon_sets[name] = set(row_positions(ds.rows, ds.rows.g_horizon == 1))
         fractions[name] = ds.hazard_fraction
     assert step_sets["loose"] <= step_sets["middle"] <= step_sets["tight"]
     assert horizon_sets["loose"] <= horizon_sets["middle"] <= horizon_sets["tight"]
@@ -266,8 +266,9 @@ def test_c3_threshold_nesting(tiny_pipeline):
 
 def test_c4_takeover_simulator_oracle_equivalence():
     rng = np.random.default_rng(404)
+    ghosts = np.random.default_rng(405)  # scenes of an episode without rows, on their own stream
     n_cases = 10_000
-    checked_curves = 0
+    checked_curves = with_ghosts = 0
     for case in range(n_cases):
         n_eps = int(rng.integers(1, 4))
         rows, entries = [], []
@@ -283,7 +284,11 @@ def test_c4_takeover_simulator_oracle_equivalence():
                 entries.append((f"e{e}", int(rng.integers(0, n_rows)), float(rng.choice([0.0, 0.5, 0.5, 1.0]))))
         if total_scenes > 20:
             continue
-        trace = evaluate.PolicyScoreTrace(policy="fuzz", entries=tuple(entries))
+        n_ghosts = int(ghosts.integers(0, 3))
+        entries += [("ghost", int(ghosts.integers(0, 8)), float(ghosts.choice([0.0, 0.5, 1.0])))
+                    for _ in range(n_ghosts)]
+        with_ghosts += n_ghosts > 0
+        trace = trace_of("fuzz", entries)
         rows = labels_of(rows)
         m = int(rng.integers(0, 4))
         budget = float(rng.uniform(0.05, 1.0))
@@ -295,7 +300,8 @@ def test_c4_takeover_simulator_oracle_equivalence():
             values = [r for _, r in curve.points]
             assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
             checked_curves += 1
-    _ok("C4", f"{n_cases} fuzzed instances match brute force exactly; {checked_curves} curves monotone")
+    _ok("C4", f"{n_cases} fuzzed instances match brute force exactly ({with_ghosts} with scenes of an "
+              f"episode without rows, repeated positions allowed); {checked_curves} curves monotone")
 
 
 def test_c5_driving_model_competence(full_run):

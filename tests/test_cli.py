@@ -6,6 +6,7 @@ from drivlab.cli import main
 from drivlab.core import EPISODE_FORMAT
 from drivlab.evaluate import SCORES_FORMAT, SCORES_HEADER
 from drivlab.failure import LABELS_FORMAT, LABELS_HEADER
+from drivlab.pipeline import file_digest
 
 SMALL_CONFIG = """
 # small world for CLI tests
@@ -219,6 +220,8 @@ LABELS_D3 = (f"{LABELS_FORMAT}\n# split D3\n# t_angle 7.0\n# t_speed 3.0\n# m 8\
                  "# comment\nep0000,1,181.0,0.0,0.1,0.2\n", 4, id="episodes-speed-out-of-range"),
     pytest.param("episodes", f"{EPISODE_FORMAT} d=-1 f=4\nep0,0,10.0\n", 1, id="episodes-negative-d"),
     pytest.param("episodes", f"{EPISODE_FORMAT} d=-3 f=4\nep0\n", 1, id="episodes-negative-d-one-field"),
+    pytest.param("episodes", f"{EPISODE_FORMAT} d=2 f=10\nep0000,0,10.0,0.0,0.1,0.2\n", 1,
+                 id="episodes-other-rate"),
 ])
 def test_malformed_text_field_exit_code_2(tmp_path, kind, text, lineno, capsys):
     bad = tmp_path / f"{kind}.txt"
@@ -272,6 +275,29 @@ def test_labels_from_another_driver_exit_code_2(tmp_path, config_file, edit, cap
     assert main(["eval", *common, "--labels", str(out / "labels_D3_middle.csv"),
                  "--hazard", str(out / "hazard_middle.ckpt"), "--out", str(tmp_path / "e.json")]) == 2
     assert capsys.readouterr().err.count("labels were made by driver") == 2
+
+
+@pytest.mark.parametrize("edit", ["other-seed", "no-digest"])
+def test_eval_episodes_from_another_run_exit_code_2(tmp_path, config_file, edit, capsys):
+    out = tmp_path / "run"
+    assert main(["run-all", "--config", str(config_file), "--out-dir", str(out), "--quiet"]) == 0
+    episodes, driver = out / "episodes.txt", out / "driver.ckpt"
+    if edit == "other-seed":
+        other = tmp_path / "other.txt"
+        other.write_text(SMALL_CONFIG.replace("seed = 5", "seed = 6"))
+        episodes = tmp_path / "episodes.txt"
+        assert main(["gen", "--config", str(other), "--out", str(episodes), "--quiet"]) == 0
+    else:
+        driver = tmp_path / "driver.ckpt"
+        driver.write_text("".join(line for line in (out / "driver.ckpt").open() if "prov_episodes" not in line))
+        labels = out / "labels_D3_middle.csv"  # made by the edited driver
+        labels.write_text(labels.read_text().replace(file_digest(out / "driver.ckpt"), file_digest(driver)))
+    code = main(["eval", "--config", str(config_file), "--labels", str(out / "labels_D3_middle.csv"),
+                 "--hazard", str(out / "hazard_middle.ckpt"), "--driver", str(driver),
+                 "--data", str(episodes), "--out", str(tmp_path / "e.json"), "--quiet"])
+    assert code == 2
+    recorded = "(not recorded)" if edit == "no-digest" else file_digest(out / "episodes.txt")
+    assert f"the driver was trained on episodes {recorded}, not on {episodes}" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

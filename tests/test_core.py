@@ -152,9 +152,10 @@ class TestMakeWindows:
 
     def test_windows_at_spans_episodes_and_slices_share_columns(self):
         a, b = _episode(7, eid="a"), _episode(6, eid="b")
-        ws = core.windows_at({"a": a, "b": b, "unused": _episode(9, eid="u")},
-                             [("b", 5), ("a", 4), ("b", 4)], k=4)
-        assert ws.episode_ids == ("b", "a")
+        episodes = {"a": a, "b": b, "unused": _episode(9, eid="u")}
+        ws = core.windows_at(episodes, ("b", "unused", "a"), [0, 2, 0], [5, 4, 4], k=4)
+        assert ws.episode_ids == ("b", "a")  # only the ids the windows use
+        assert ws.ep.tolist() == [0, 1, 0] and ws.t.tolist() == [5, 4, 4]
         assert ws.obs.shape == (13, 3)  # only the referenced episodes' rows
         arrays = windows_to_arrays(ws, _IDENTITY)
         assert np.array_equal(arrays["vis"][1], a.obs[0:5])
@@ -162,10 +163,13 @@ class TestMakeWindows:
         part = ws[1:]
         assert len(part) == 2 and part.obs is ws.obs
         assert np.array_equal(windows_to_arrays(part, _IDENTITY)["vis"], arrays["vis"][1:])
-        with pytest.raises(ValidationError, match="unknown episode"):
-            core.windows_at({"a": a}, [("z", 4)], k=4)
+        with pytest.raises(ValidationError, match="unknown episode z"):
+            core.windows_at({"a": a}, ("a", "z"), [1], [4], k=4)
         with pytest.raises(ValidationError, match="out of window range"):
-            core.windows_at({"a": a}, [("a", 4), ("a", 3)], k=4)
+            core.windows_at({"a": a}, ("a",), [0, 0], [4, 3], k=4)
+        for ep, t in (([1], [4]), ([-1], [4]), ([0, 0], [4])):
+            with pytest.raises(ValidationError, match="ep indexing episode_ids"):
+                core.windows_at({"a": a}, ("a",), ep, t, k=4)
 
 
 class TestSplitDataset:

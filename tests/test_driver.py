@@ -134,6 +134,14 @@ class TestInferenceChunks:
                 else:
                     assert np.array_equal(g.view(np.int64), w.view(np.int64)), chunk
 
+    def test_one_row_remainder_joins_the_chunk_before_it(self, tiny_pipeline, monkeypatch):
+        windows = all_windows(tiny_pipeline["d3"])[:513]
+        assert len(windows) == 513  # 512 + 1: no chunk may be the last row alone
+        got = self._outputs(tiny_pipeline, windows)
+        monkeypatch.setattr(driver_mod, "PREDICT_BATCH", 2048)
+        for g, w in zip(got, self._outputs(tiny_pipeline, windows)):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
     @pytest.mark.parametrize("n", [1, 601, 2048])
     def test_mc_matches_whole_driver_per_sample(self, tiny_pipeline, n):
         # up to 2048 rows the reference draws its masks in the same order

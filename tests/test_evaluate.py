@@ -20,18 +20,17 @@ from drivlab.evaluate import (
     simulate_takeover,
 )
 
-from conftest import labels_of
-from oracles import brute_force_oracle, brute_force_takeover, interval_entries, pairwise_auc
+from conftest import labels_of, positions, scenes_of, trace_of as _trace
+from oracles import brute_force_oracle, brute_force_takeover, interval_entries, pairwise_auc, trace_entries
 
 
 def _row(eid, t, g, gh=None):
     return (eid, t, g) if gh is None else (eid, t, g, gh)
 
 
-def _trace(policy, entries):
-    return PolicyScoreTrace(policy=policy, entries=tuple(entries))
-
-
+def _first(scenes, n):
+    ids, ep, t = scenes
+    return ids, ep[:n], t[:n]
 
 
 class TestBudgetCount:
@@ -151,30 +150,52 @@ class TestAgainstReference:
         out = simulate_takeover(rows, trace, budget, m, unit)
         assert out.reduction == brute_force_takeover(rows, trace, budget, m, unit)
         assert out.no_failures == (not (rows.g if unit == "steps" else rows.g_horizon).any())
-        positions = [(eid, t) for eid, t, _ in scenes]
-        counts = brute_force_oracle(rows, positions, m)
-        expected = sorted((eid, t, s) for (eid, t), s in zip(positions, counts))
-        assert score_oracle(rows, positions, m).entries == tuple(expected)
+        pairs = [(eid, t) for eid, t, _ in scenes]
+        counts = brute_force_oracle(rows, pairs, m)
+        expected = sorted((eid, t, s) for (eid, t), s in zip(pairs, counts))
+        assert trace_entries(score_oracle(rows, scenes_of(pairs), m)) == tuple(expected)
+
+
+class TestPolicyScoreTrace:
+    def test_sorted_read_only_columns_keep_repeated_scenes_in_order(self):
+        trace = _trace("x", [("b", 2, 0.1), ("a", 5, 0.2), ("b", 1, 0.3), ("b", 2, 0.4)])
+        assert trace_entries(trace) == (("a", 5, 0.2), ("b", 1, 0.3), ("b", 2, 0.1), ("b", 2, 0.4))
+        for column in (trace.ep, trace.t, trace.score):
+            assert not column.flags.writeable
+
+    def test_covers_exactly_its_scenes(self):
+        trace = _trace("x", [("b", 2, 0.1), ("a", 5, 0.2)])
+        assert trace.covers((("a", "b", "c"), np.array([0, 1]), np.array([5, 2])))
+        assert not trace.covers((("a", "b"), np.array([0, 1]), np.array([5, 3])))
+        assert not trace.covers((("a", "c"), np.array([0, 1]), np.array([5, 2])))
+        assert not trace.covers((("a",), np.array([0]), np.array([5])))
+
+    @pytest.mark.parametrize("ids, ep, match", [
+        (("b", "a"), [0, 1], "sorted and unique"),
+        (("a", "a"), [0, 1], "sorted and unique"),
+        (("a", "b"), [0, 2], "ep indexing the ids"),
+        (("a", "b"), [0, -1], "ep indexing the ids"),
+        (("a", "b"), [0], "equal-length"),
+    ])
+    def test_rejects_bad_columns(self, ids, ep, match):
+        with pytest.raises(ValidationError, match=match):
+            PolicyScoreTrace("x", ids, ep, [1, 2], [0.5, 0.5])
 
 
 class TestIntervalPolicy:
     def test_half_budget_every_other(self):
-        scenes = [("e", t) for t in range(10)]
-        trace = score_interval(scenes, 0.5)
-        marked = [t for (_, t, s) in trace.entries if s == 1.0]
-        assert marked == [1, 3, 5, 7, 9]
+        trace = score_interval(scenes_of([("e", t) for t in range(10)]), 0.5)
+        assert trace.t[trace.score == 1.0].tolist() == [1, 3, 5, 7, 9]
 
     def test_full_budget_marks_all(self):
-        scenes = [("e", t) for t in range(10)]
-        trace = score_interval(scenes, 1.0)
-        assert all(s == 1.0 for (_, _, s) in trace.entries)
+        trace = score_interval(scenes_of([("e", t) for t in range(10)]), 1.0)
+        assert np.all(trace.score == 1.0)
 
     def test_exact_count_across_episodes(self):
         scenes = [(f"e{i}", t) for i in range(3) for t in range(7)]
         for budget in (0.1, 0.33, 0.5, 0.77):
-            trace = score_interval(scenes, budget)
-            n_marked = sum(1 for (_, _, s) in trace.entries if s == 1.0)
-            assert n_marked == budget_count(budget, len(scenes))
+            trace = score_interval(scenes_of(scenes), budget)
+            assert int(trace.score.sum()) == budget_count(budget, len(scenes))
 
     @given(
         scenes=st.sets(st.tuples(st.sampled_from("abcd"), st.integers(0, 40)), min_size=1, max_size=60),
@@ -182,14 +203,14 @@ class TestIntervalPolicy:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_quota_loop_reference(self, scenes, budget):
-        assert score_interval(list(scenes), budget).entries == interval_entries(list(scenes), budget)
+        trace = score_interval(scenes_of(list(scenes)), budget)
+        assert trace_entries(trace) == interval_entries(list(scenes), budget)
 
     def test_uniform_random_labels_reduce_by_budget(self):
         # Monte-Carlo oracle: expected reduction equals the budget
         rng = np.random.default_rng(0)
         n, budget = 200, 0.3
-        scenes = [("e", t) for t in range(n)]
-        trace = score_interval(scenes, budget)
+        trace = score_interval(scenes_of([("e", t) for t in range(n)]), budget)
         base = np.zeros(n, dtype=int)
         base[: n // 2] = 1
         reductions = []
@@ -204,7 +225,7 @@ class TestUncertaintyPolicy:
     def test_requires_dropout(self, tiny_pipeline):
         net = tiny_pipeline["driver"]
         ds = tiny_pipeline["eval_labels"]
-        scenes = build_scenes(ds.rows, ds.m)[:5]
+        scenes = _first(build_scenes(ds.rows, ds.m), 5)
         eps = core.episodes_by_id(tiny_pipeline["d3"])
         from dataclasses import replace
 
@@ -215,7 +236,7 @@ class TestUncertaintyPolicy:
     def test_minimum_two_samples(self, tiny_pipeline):
         net = tiny_pipeline["driver"]
         ds = tiny_pipeline["eval_labels"]
-        scenes = build_scenes(ds.rows, ds.m)[:5]
+        scenes = _first(build_scenes(ds.rows, ds.m), 5)
         eps = core.episodes_by_id(tiny_pipeline["d3"])
         with pytest.raises(ValidationError, match="at least 2"):
             score_uncertainty(net, eps, scenes, n_samples=1)
@@ -223,11 +244,10 @@ class TestUncertaintyPolicy:
     def test_scores_finite_nonnegative(self, tiny_pipeline):
         net = tiny_pipeline["driver"]
         ds = tiny_pipeline["eval_labels"]
-        scenes = build_scenes(ds.rows, ds.m)[:40]
+        scenes = _first(build_scenes(ds.rows, ds.m), 40)
         eps = core.episodes_by_id(tiny_pipeline["d3"])
         trace = score_uncertainty(net, eps, scenes, n_samples=8, seed=3)
-        scores = np.array([s for _, _, s in trace.entries])
-        assert np.all(np.isfinite(scores)) and np.all(scores >= 0.0)
+        assert np.all(np.isfinite(trace.score)) and np.all(trace.score >= 0.0)
 
     def test_duplicate_windows_near_identical_scores(self, tiny_pipeline):
         # independent mc estimates of the same window must agree within
@@ -248,19 +268,18 @@ class TestUncertaintyPolicy:
 
     def test_learned_scoring_rerun_identical(self, tiny_pipeline):
         ds = tiny_pipeline["eval_labels"]
-        scenes = build_scenes(ds.rows, ds.m)[:30]
+        scenes = _first(build_scenes(ds.rows, ds.m), 30)
         eps = core.episodes_by_id(tiny_pipeline["d3"])
         t1 = evaluate.score_learned(tiny_pipeline["hazard"], eps, scenes)
         t2 = evaluate.score_learned(tiny_pipeline["hazard"], eps, scenes)
-        assert t1.entries == t2.entries
+        assert trace_entries(t1) == trace_entries(t2)
 
 
 class TestOraclePolicy:
     def test_score_is_failing_step_count(self):
         rows = labels_of([_row("e", t, 1 if t < 3 else 0) for t in range(9)])
-        scenes = [("e", 0), ("e", 3), ("e", 6)]
-        trace = score_oracle(rows, scenes, m=2)
-        assert [s for _, _, s in trace.entries] == [3.0, 0.0, 0.0]
+        trace = score_oracle(rows, scenes_of([("e", 0), ("e", 3), ("e", 6)]), m=2)
+        assert trace.score.tolist() == [3.0, 0.0, 0.0]
 
     def test_upper_bounds_other_policies_on_pipeline_run(self, tiny_pipeline):
         ds = tiny_pipeline["eval_labels"]
@@ -280,13 +299,11 @@ class TestOraclePolicy:
 class TestScenes:
     def test_non_overlapping_tiles(self):
         rows = labels_of([_row("e", t, 0) for t in range(4, 30)])
-        scenes = build_scenes(rows, m=8)
-        assert scenes == [("e", 4), ("e", 13), ("e", 22)]
+        assert positions(*build_scenes(rows, m=8)) == [("e", 4), ("e", 13), ("e", 22)]
 
     def test_per_episode(self):
         rows = labels_of([_row(e, t, 0) for e in ("a", "b") for t in range(4, 10)])
-        scenes = build_scenes(rows, m=2)
-        assert scenes == [("a", 4), ("a", 7), ("b", 4), ("b", 7)]
+        assert positions(*build_scenes(rows, m=2)) == [("a", 4), ("a", 7), ("b", 4), ("b", 7)]
 
 
 class TestSafetyGain:
@@ -349,7 +366,7 @@ class TestScoresCsv:
         loaded, meta = evaluate.read_scores_csv(path)
         assert loaded.policy == "learned"
         assert meta["split"] == "D3"
-        assert loaded.entries == trace.entries  # sorted order preserved
+        assert trace_entries(loaded) == trace_entries(trace) == (("e0", 9, 0.75), ("e1", 4, 0.25))
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "scores.csv"

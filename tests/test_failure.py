@@ -21,7 +21,7 @@ from drivlab.failure import (
     write_labels_csv,
 )
 
-from conftest import all_windows, labels_of, windows_of_rows
+from conftest import all_windows, labels_of, row_positions, windows_of_rows
 from oracles import brute_force_horizon, label_horizon, label_step, sgn
 
 
@@ -257,7 +257,7 @@ class TestBuildFailureDataset:
             for j, (t, flags) in enumerate(seq[: len(seq) - ds.m])
         ]
         rows = ds.rows
-        eids, ts = zip(*rows.positions())
+        eids, ts = zip(*row_positions(rows))
         got = list(zip(eids, ts, rows.g_a.tolist(), rows.g_s.tolist(), rows.g.tolist(),
                        rows.g_horizon.tolist()))
         assert got == expected
@@ -271,8 +271,8 @@ class TestThresholdNesting:
         for name in ("tight", "middle", "loose"):
             ds = build_failure_dataset(net, d3, split="D3", th=CANONICAL_THRESHOLDS[name])
             sets[name] = {
-                "step": set(ds.rows.positions(ds.rows.g == 1)),
-                "horizon": set(ds.rows.positions(ds.rows.g_horizon == 1)),
+                "step": set(row_positions(ds.rows, ds.rows.g == 1)),
+                "horizon": set(row_positions(ds.rows, ds.rows.g_horizon == 1)),
             }
         for kind in ("step", "horizon"):
             assert sets["loose"][kind] <= sets["middle"][kind] <= sets["tight"][kind]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -6,12 +8,16 @@ from drivlab import core, simgen
 from drivlab.errors import ValidationError
 
 from conftest import small_world
+from oracles import WorldState, oracle_action, zone_schedule
+
+# high curvature, dense intersections, full congestion, no visibility
+EXTREME = dict(curvature_sigma=0.05, curvature_jump_prob=0.2, congestion_level=1.0, visibility=0.0)
 
 
 def state_at(episode, t):
     """The latent WorldState at step t, from a generated episode's difficulty trace."""
     meta = episode.meta
-    return simgen.WorldState(
+    return WorldState(
         curvature=float(meta["curvature"][t]),
         dist_to_intersection=int(meta["dist_next"][t]),
         in_zone=bool(meta["zone_mask"][t]),
@@ -93,32 +99,42 @@ class TestIntersectionProcess:
 
 
 class TestOracleAction:
-    def _state(self, **kw):
+    @staticmethod
+    def _latent(**kw):
+        """Latent-state columns of one straight, empty, clear step, with ``kw`` replaced."""
         base = dict(
-            curvature=0.0, dist_to_intersection=50, in_zone=False, zone_progress=0.0,
-            branch_sign=0, lead_gap=50.0, congestion=0.0, visibility=1.0,
+            curvature=np.zeros(1), dist_next=np.array([50]), zone_mask=np.zeros(1, dtype=bool),
+            zone_progress=np.zeros(1), branch=np.zeros(1, dtype=np.int64), lead_gap=np.array([50.0]),
+            congestion=0.0, visibility=1.0,
         )
-        base.update(kw)
-        return simgen.WorldState(**base)
+        return {**base, **kw}
 
     def test_straight_road_zero_angle(self):
-        angle, _ = simgen.oracle_action(self._state(), simgen.WorldConfig())
-        assert angle == 0.0
+        angle, _ = simgen.oracle_action(self._latent(), simgen.WorldConfig())
+        assert angle.tolist() == [0.0]
 
     def test_speed_monotone_to_zero_with_gap(self):
         cfg = simgen.WorldConfig()
         gaps = np.linspace(60.0, 0.0, 25)
-        speeds = [simgen.oracle_action(self._state(lead_gap=g), cfg)[1] for g in gaps]
-        assert all(a >= b for a, b in zip(speeds, speeds[1:]))
+        _, speeds = simgen.oracle_action(self._latent(lead_gap=gaps), cfg)
+        assert np.all(speeds[:-1] >= speeds[1:])
         assert speeds[-1] == 0.0
 
     def test_matches_generated_records(self):
-        cfg = small_world(seed=17)
-        ep = simgen.generate_episode(cfg)
-        for t in range(0, len(ep), 7):
-            angle, speed = simgen.oracle_action(state_at(ep, t), cfg)
-            assert angle == ep.angle[t]
-            assert speed == ep.speed[t]
+        # every step, bit for bit, against the scalar oracle on one WorldState
+        # per step and the zone schedule with a backward distance loop
+        worlds = ({}, {**EXTREME, "intersection_rate": 20.0}, {**EXTREME, "intersection_rate": 100.0})
+        for world, seed in itertools.product(worlds, range(8)):
+            cfg = simgen.WorldConfig(seed=seed, **world)
+            ep = simgen.generate_episode(cfg)
+            reference = zone_schedule(cfg, len(ep))
+            names = ("zone_mask", "branch", "dist_next", "zone_progress")
+            for name, want in zip(names, reference):
+                assert ep.meta[name].dtype == want.dtype and np.array_equal(ep.meta[name], want), name
+            assert ep.meta["n_intersections"] == reference[-1]
+            angle, speed = np.array([oracle_action(state_at(ep, t), cfg) for t in range(len(ep))]).T
+            assert np.array_equal(ep.angle.view(np.int64), angle.view(np.int64))
+            assert np.array_equal(ep.speed.view(np.int64), speed.view(np.int64))
 
     def test_ranges_always_legal(self):
         # Episode construction enforces the ranges; cover an extreme config
@@ -198,8 +214,12 @@ class TestConfigValidation:
             simgen.WorldConfig(intersection_rate=-1.0).validate()
 
     def test_state_invariants(self):
-        with pytest.raises(ValidationError):
-            simgen.WorldState(
-                curvature=0.0, dist_to_intersection=-1, in_zone=False, zone_progress=0.0,
-                branch_sign=0, lead_gap=1.0, congestion=0.0, visibility=1.0,
-            )
+        # distances and gaps never go negative; with no zone ahead the distance is the length
+        for world in ({}, {**EXTREME, "intersection_rate": 60.0}, {"intersection_rate": 0.0}):
+            for seed in range(5):
+                ep = simgen.generate_episode(small_world(seed=seed, **world))
+                dist, mask = ep.meta["dist_next"], ep.meta["zone_mask"]
+                assert dist.min() >= 0 and ep.meta["lead_gap"].min() >= 0
+                last_start = np.flatnonzero(mask & (ep.meta["zone_progress"] == 0))[-1:]
+                after = slice(last_start[0] + 1 if len(last_start) else 0, None)
+                assert np.all(dist[after][~mask[after]] == len(ep))

@@ -1,4 +1,4 @@
-"""The text-table codec: exact round trips and fuzzed readers."""
+"""The text-table codec: exact round trips and fuzzed readers, checkpoints included."""
 
 import string
 
@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drivlab import core
-from drivlab.errors import DrivlabError, exit_code_for
+from drivlab.diffcore.checkpoint import CHECKPOINT_FORMAT, load_checkpoint
+from drivlab.errors import DrivlabError, ValidationError, exit_code_for
 from drivlab.evaluate import SCORE_TABLE, SCORES_FORMAT, SCORES_HEADER, read_scores_csv
 from drivlab.failure import LABEL_TABLE, LABELS_FORMAT, LABELS_HEADER, read_labels_csv
 
@@ -87,15 +88,16 @@ EDIT = st.tuples(st.integers(0, 99), st.sampled_from(["drop", "duplicate", "repl
                  st.integers(0, 99), st.sampled_from(TOKENS))
 
 
-def _edited(text: str, edit) -> str:
+def _edited(text: str, edit, delimiter: str | None = None) -> str:
     """``text`` with field j of line i dropped, duplicated or replaced by
     ``token``, or with line i cut to j characters; i and j wrap around.
-    Line 0 is the format line, whose fields are space-separated; replacing
-    its ``key=value`` field replaces the value."""
+    Fields are split at ``delimiter``; by default line 0 is the format line,
+    whose fields are space-separated, and the others split at tabs or commas.
+    Replacing a ``key=value`` field of line 0 replaces the value."""
     i, op, j, token = edit
     lines = text.split("\n")
     i %= len(lines) - 1
-    delimiter = " " if i == 0 else "\t" if "\t" in lines[i] else ","
+    delimiter = delimiter or (" " if i == 0 else "\t" if "\t" in lines[i] else ",")
     fields = lines[i].split(delimiter)
     j %= len(fields)
     if op == "drop":
@@ -119,19 +121,23 @@ def _read_rejects_cleanly(read, path, text: str) -> None:
         assert exit_code_for(exc) in (2, 3), text
 
 
+def _single_edits(text: str, delimiter: str | None = None) -> list[str]:
+    """Every text one edit away from ``text``."""
+    lines = text.split("\n")
+    return sorted({
+        _edited(text, (i, op, j, token), delimiter)
+        for i, line in enumerate(lines[:-1])
+        for j in range(len(line) + 1)
+        for op, token in [("drop", ""), ("duplicate", ""), ("truncate", ""), *(("replace", t) for t in TOKENS)]
+    })
+
+
 @pytest.mark.parametrize("kind", VALID)
 def test_every_single_edit_raises_only_drivlab_errors(table_dir, kind):
     read, text = VALID[kind]
     path = table_dir / f"edit_{kind}.txt"
     _read_rejects_cleanly(read, path, text)
-    lines = text.split("\n")
-    edits = {
-        _edited(text, (i, op, j, token))
-        for i, line in enumerate(lines[:-1])
-        for j in range(len(line) + 1)
-        for op, token in [("drop", ""), ("duplicate", ""), ("truncate", ""), *(("replace", t) for t in TOKENS)]
-    }
-    for edited in sorted(edits):
+    for edited in _single_edits(text):
         _read_rejects_cleanly(read, path, edited)
 
 
@@ -143,3 +149,35 @@ def test_edited_file_raises_only_drivlab_errors(table_dir, kind, edits):
     for edit in edits:
         text = _edited(text, edit)
     _read_rejects_cleanly(read, table_dir / f"fuzz_{kind}.txt", text)
+
+
+CHECKPOINT = (f"{CHECKPOINT_FORMAT}\nkind driver\nmeta k 4\nmeta prov_episodes 00ff\nparam w 2 3\n"
+              "0.5 -1.25 3.0 0.001 2.0 -0.0\nparam b 3\n0.1 0.2 0.3\nparam s\n7.5\nend\n")
+
+
+def test_every_single_checkpoint_edit_loads_or_raises_drivlab_errors(table_dir):
+    path = table_dir / "edit.ckpt"
+    path.write_text(CHECKPOINT)
+    kind, meta, store = load_checkpoint(path)
+    assert (kind, meta) == ("driver", {"k": "4", "prov_episodes": "00ff"})
+    assert [(name, p.data.shape) for name, p in store.items()] == [("w", (2, 3)), ("b", (3,)), ("s", ())]
+    for edited in _single_edits(CHECKPOINT, delimiter=" "):
+        _read_rejects_cleanly(load_checkpoint, path, edited)
+
+
+@given(edits=st.lists(EDIT, min_size=2, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_edited_checkpoint_loads_or_raises_drivlab_errors(table_dir, edits):
+    text = CHECKPOINT
+    for edit in edits:
+        text = _edited(text, edit, delimiter=" ")
+    _read_rejects_cleanly(load_checkpoint, table_dir / "fuzz.ckpt", text)
+
+
+@pytest.mark.parametrize("dims", ["-2 -3", "-1 -6", "3 -2 -1"])
+def test_checkpoint_negative_dims_rejected(table_dir, dims):
+    # the dims multiply to the value count, so only the sign check catches them
+    path = table_dir / "negative.ckpt"
+    path.write_text(CHECKPOINT.replace("param w 2 3", f"param w {dims}"))
+    with pytest.raises(ValidationError, match="negative dimension"):
+        load_checkpoint(path)
