@@ -9,9 +9,9 @@ from .tensor import (
     dropout,
     l2_loss,
     lstm_seq,
+    no_grad,
     relu,
     scale,
-    softmax,
 )
 from .optim import ParameterStore, adam_step
 from .nn import glorot_uniform, init_linear, init_lstm, linear
@@ -20,7 +20,7 @@ from .checkpoint import CHECKPOINT_FORMAT, load_checkpoint, save_checkpoint
 
 __all__ = [
     "Tensor", "add", "concat", "cross_entropy_loss", "dropout", "l2_loss",
-    "lstm_seq", "relu", "scale", "softmax",
+    "lstm_seq", "no_grad", "relu", "scale",
     "ParameterStore", "adam_step",
     "glorot_uniform", "init_linear", "init_lstm", "linear",
     "GradCheckReport", "grad_check",

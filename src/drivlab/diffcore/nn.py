@@ -32,8 +32,6 @@ def linear(store: ParameterStore, name: str, x: Tensor) -> Tensor:
     w, b = store[f"{name}.w"], store[f"{name}.b"]
     if x.data.ndim != 2 or w.data.shape != (x.data.shape[1], b.data.shape[0]):
         raise ShapeError(f"linear {name}: {x.data.shape} @ {w.data.shape} + {b.data.shape}")
-    out = _out(x.data @ w.data + b.data, (x, w, b))
-
     def backward(out):
         if x.requires_grad:
             _accum(x, out.grad @ w.data.T)
@@ -41,8 +39,7 @@ def linear(store: ParameterStore, name: str, x: Tensor) -> Tensor:
             _accum(w, x.data.T @ out.grad)
         _accum(b, out.grad.sum(axis=0))
 
-    out._backward = backward
-    return out
+    return _out(x.data @ w.data + b.data, (x, w, b), backward)
 
 
 def init_lstm(

@@ -8,9 +8,17 @@ A node's ``_backward`` takes the node itself as its argument instead of
 capturing it, so a graph references only its inputs: it holds no reference
 cycle and is freed as soon as its output is dropped, without waiting for the
 cyclic garbage collector.
+
+``backward()`` consumes the graph: each node that has a backward drops it,
+its parents and its gradient as soon as the backward has run, so the tape is
+gone when ``backward()`` returns. Leaves (parameters and input tensors) keep
+their gradients. Inside ``no_grad()`` ops record nothing, so inference frees
+each intermediate as soon as the next op has read it.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -19,7 +27,25 @@ from ..errors import NumericalError, ShapeError, ValidationError
 DROPOUT_MODES = ("train", "eval", "mc")
 
 
+_recording = True  # False inside no_grad()
+
+
+@contextmanager
+def no_grad():
+    """Context in which ops record no graph: outputs get no parents and no
+    backward. The previous state comes back on exit, also after an error."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 class Tensor:
+    """A float64 buffer and, for an op's output, its parents and backward.
+    ``_parents`` is None once ``backward()`` has consumed the node."""
+
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, _parents: tuple = ()):
@@ -49,15 +75,20 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:
+                raise ValidationError("backward() through a graph that an earlier backward() consumed")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            # popped, so each node is freed once its backward has run
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node)
+                node._backward = node._parents = node.grad = None
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -70,8 +101,14 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _out(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
-    return Tensor(data, requires_grad=any(p.requires_grad for p in parents), _parents=parents)
+def _out(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """An op's output node; it records ``parents`` and ``backward`` (called
+    with the node) only outside ``no_grad()``."""
+    if not _recording:
+        return Tensor(data)
+    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents), _parents=parents)
+    out._backward = backward
+    return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -79,35 +116,28 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     bias = b.data.ndim == 1 and a.data.ndim == 2 and a.data.shape[1] == b.data.shape[0]
     if a.data.shape != b.data.shape and not bias:
         raise ShapeError(f"add: {a.data.shape} + {b.data.shape}")
-    out = _out(a.data + b.data, (a, b))
 
     def backward(out):
         _accum(a, out.grad)
         _accum(b, out.grad.sum(axis=0) if bias else out.grad)
 
-    out._backward = backward
-    return out
+    return _out(a.data + b.data, (a, b), backward)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
-    out = _out(a.data * s, (a,))
 
     def backward(out):
         _accum(a, out.grad * s)
 
-    out._backward = backward
-    return out
+    return _out(a.data * s, (a,), backward)
 
 
 def relu(x: Tensor) -> Tensor:
-    out = _out(np.maximum(x.data, 0.0), (x,))
-
     def backward(out):
         _accum(x, out.grad * (x.data > 0.0))
 
-    out._backward = backward
-    return out
+    return _out(np.maximum(x.data, 0.0), (x,), backward)
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
@@ -133,7 +163,6 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
     other = 1 - axis
     if len({t.data.shape[other] for t in tensors}) != 1:
         raise ShapeError(f"concat: mismatched shapes {[t.data.shape for t in tensors]}")
-    out = _out(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
     offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
     def backward(out):
@@ -141,8 +170,7 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
             g = out.grad[lo:hi] if axis == 0 else out.grad[:, lo:hi]
             _accum(t, g)
 
-    out._backward = backward
-    return out
+    return _out(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
 
 
 def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:
@@ -158,28 +186,11 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = No
     if rng is None:
         raise ValidationError("dropout in train/mc mode needs an rng")
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    out = _out(x.data * mask, (x,))
 
     def backward(out):
         _accum(x, out.grad * mask)
 
-    out._backward = backward
-    return out
-
-
-def softmax(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"softmax: need a 2-D tensor, got {x.data.shape}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    out = _out(e / e.sum(axis=1, keepdims=True), (x,))
-
-    def backward(out):
-        dot = (out.grad * out.data).sum(axis=1, keepdims=True)
-        _accum(x, out.data * (out.grad - dot))
-
-    out._backward = backward
-    return out
+    return _out(x.data * mask, (x,), backward)
 
 
 def l2_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -192,13 +203,11 @@ def l2_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     value = np.array((diff * diff).mean())
     if not np.isfinite(value):
         raise NumericalError("non-finite loss")
-    out = _out(value, (pred,))
 
     def backward(out):
         _accum(pred, out.grad * 2.0 * diff / diff.size)
 
-    out._backward = backward
-    return out
+    return _out(value, (pred,), backward)
 
 
 def cross_entropy_loss(
@@ -230,15 +239,13 @@ def cross_entropy_loss(
     value = np.array(-(w * logp[np.arange(n), labels]).sum() / wsum)
     if not np.isfinite(value):
         raise NumericalError("non-finite loss")
-    out = _out(value, (logits,))
 
     def backward(out):
         probs = np.exp(logp)
         probs[np.arange(n), labels] -= 1.0
         _accum(logits, out.grad * probs * (w / wsum)[:, None])
 
-    out._backward = backward
-    return out
+    return _out(value, (logits,), backward)
 
 
 def lstm_seq(x: Tensor, steps: int, wx, wh, b) -> Tensor:
@@ -297,26 +304,39 @@ def lstm_seq(x: Tensor, steps: int, wx, wh, b) -> Tensor:
         cs[:, t + 1] += ig
         np.tanh(cs[:, t + 1], out=tcs[:, t])
         np.multiply(act[:, :, 3], tcs[:, t], out=hs[:, t + 1])
-    out = _out(hs[:, steps].transpose(1, 0, 2).reshape(batch, tracks * hidden), (x, *wx, *wh, *b))
 
     def backward(out):
         i, f, g, o = (acts[:, :, :, k] for k in range(4))
-        # local derivatives of every step at once: dh -> dc, dh -> output
-        # gate, and dc -> input, forget and cell gates (pre-activation)
-        d_cell = o * (1.0 - tcs * tcs)
-        d_out = tcs * o * (1.0 - o)
-        d_ifg = np.stack([g * i * (1.0 - i), cs[:, :steps] * f * (1.0 - f), i * (1.0 - g * g)], axis=3)
+        # local derivatives of every step at once, in gate layout: dc -> the
+        # input, forget and cell gates and dh -> the output gate (pre-
+        # activation). The loop scales them in place into d_gates. ``scratch``
+        # holds one factor at a time, then dh -> dc. Each product keeps the
+        # operand order of the unbuffered expression, so the bits match it
         d_gates = np.empty((tracks, steps, batch, 4, hidden))
+        d_i, d_f, d_g, d_o = (d_gates[:, :, :, k] for k in range(4))
+        scratch = np.empty((tracks, steps, batch, hidden))
+        np.multiply(g, i, out=d_i)
+        d_i *= np.subtract(1.0, i, out=scratch)  # (g * i) * (1 - i)
+        np.multiply(cs[:, :steps], f, out=d_f)
+        d_f *= np.subtract(1.0, f, out=scratch)
+        np.multiply(g, g, out=scratch)
+        np.multiply(i, np.subtract(1.0, scratch, out=scratch), out=d_g)
+        np.multiply(tcs, o, out=d_o)
+        d_o *= np.subtract(1.0, o, out=scratch)
+        d_cell = np.multiply(tcs, tcs, out=scratch)
+        np.multiply(o, np.subtract(1.0, d_cell, out=d_cell), out=d_cell)
         dh = out.grad.reshape(batch, tracks, hidden).transpose(1, 0, 2)
         dc = np.zeros((tracks, batch, hidden))
+        dc_step = np.empty_like(dc)
+        dh_buf = np.empty_like(dc)
         wh_t = whs.transpose(0, 2, 1)
         for t in reversed(range(steps)):
-            dc = dc + dh * d_cell[:, t]
-            d_gates[:, t, :, :3] = dc[:, :, None] * d_ifg[:, t]
-            d_gates[:, t, :, 3] = dh * d_out[:, t]
-            dc = dc * f[:, t]
+            dc += np.multiply(dh, d_cell[:, t], out=dc_step)
+            d_gates[:, t, :, :3] *= dc[:, :, None]
+            d_o[:, t] *= dh
+            dc *= f[:, t]
             if t:
-                dh = d_gates[:, t].reshape(tracks, batch, g4) @ wh_t
+                dh = np.matmul(d_gates[:, t].reshape(tracks, batch, g4), wh_t, out=dh_buf)
         d_gates = d_gates.reshape(tracks, steps * batch, g4)
         for k in range(tracks):
             if wh[k].requires_grad:
@@ -327,5 +347,5 @@ def lstm_seq(x: Tensor, steps: int, wx, wh, b) -> Tensor:
         if x.requires_grad:
             _accum(x, (d_gates @ wxs.transpose(0, 2, 1)).reshape(x.data.shape))
 
-    out._backward = backward
-    return out
+    final = hs[:, steps].transpose(1, 0, 2).reshape(batch, tracks * hidden)
+    return _out(final, (x, *wx, *wh, *b), backward)

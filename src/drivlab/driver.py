@@ -10,7 +10,7 @@ clipped to the legal CAN ranges.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -38,6 +38,7 @@ from .diffcore import (
     l2_loss,
     linear,
     lstm_seq,
+    no_grad,
     relu,
     scale,
 )
@@ -46,9 +47,10 @@ from .errors import NumericalError, ValidationError
 
 log = logging.getLogger("drivlab.driver")
 
-# Rows per inference forward. Each chunk's autodiff tape is freed before the
-# next chunk runs, so this bounds inference memory. 512 is a multiple of the
-# BLAS kernels' row blocks, so a row gets the bits of one whole-split forward.
+# Rows per inference forward. Inference records no autodiff tape, so each
+# intermediate is freed once the next op has read it, and the chunk size
+# bounds the largest of them. 512 is a multiple of the BLAS kernels' row
+# blocks, so a row gets the bits of one whole-split forward.
 PREDICT_BATCH = 512
 
 
@@ -82,17 +84,9 @@ class BackboneArch:
         }
 
     @classmethod
-    def from_meta(cls, meta: dict[str, str]) -> "BackboneArch":
-        return cls(
-            obs_dim=int(meta["obs_dim"]),
-            k=int(meta["k"]),
-            enc_hidden=int(meta["enc_hidden"]),
-            enc_out=int(meta["enc_out"]),
-            vis_hidden=int(meta["vis_hidden"]),
-            sig_hidden=int(meta["sig_hidden"]),
-            head_hidden=int(meta["head_hidden"]),
-            dropout_p=float(meta["dropout_p"]),
-        )
+    def from_meta(cls, meta: Mapping[str, str]) -> "BackboneArch":
+        # each field is parsed with the type of its default: int, or float for dropout_p
+        return cls(**{f.name: meta_field(meta, f.name, type(f.default)) for f in fields(cls)})
 
 
 @dataclass
@@ -280,15 +274,16 @@ def train_driver(
 
 def forward_chunks(forward, data: Mapping[str, np.ndarray]) -> list[np.ndarray]:
     """Run ``forward(vis, spd, ang)``, which returns a tuple of tensors, over
-    the rows of ``data`` in chunks of ``PREDICT_BATCH``; returns each output's
-    values over all rows. Only one chunk's graph is alive at a time. A
-    one-row remainder joins the chunk before it, so no chunk is a single row."""
+    the rows of ``data`` in chunks of ``PREDICT_BATCH`` under ``no_grad``;
+    returns each output's values over all rows. A one-row remainder joins the
+    chunk before it, so no chunk is a single row."""
     n = data["vis"].shape[0]
     stops = [*range(PREDICT_BATCH, n - 1, PREDICT_BATCH), n] if n else []
     parts = []
-    for start, stop in zip([0, *stops], stops):
-        sl = slice(start, stop)
-        parts.append([out.data for out in forward(data["vis"][sl], data["spd"][sl], data["ang"][sl])])
+    with no_grad():
+        for start, stop in zip([0, *stops], stops):
+            sl = slice(start, stop)
+            parts.append([out.data for out in forward(data["vis"][sl], data["spd"][sl], data["ang"][sl])])
     return [np.concatenate(column) for column in zip(*parts)]
 
 
@@ -341,12 +336,13 @@ def mc_predict_batch(
         lambda vis, spd, ang: (backbone_forward(params, arch, vis, spd, ang, "eval"),),
         windows_to_arrays(windows, net.normalizer),
     )
-    for s in range(n_samples):
-        fused = dropout(Tensor(trunk), arch.dropout_p, "mc", rng)
-        out_a = head_forward(params, arch, "head_angle", fused, "mc", rng)
-        out_s = head_forward(params, arch, "head_speed", fused, "mc", rng)
-        angles[s] = net.normalizer.denormalize(out_a.data[:, 0], "angle")
-        speeds[s] = net.normalizer.denormalize(out_s.data[:, 0], "speed")
+    with no_grad():
+        for s in range(n_samples):
+            fused = dropout(Tensor(trunk), arch.dropout_p, "mc", rng)
+            out_a = head_forward(params, arch, "head_angle", fused, "mc", rng)
+            out_s = head_forward(params, arch, "head_speed", fused, "mc", rng)
+            angles[s] = net.normalizer.denormalize(out_a.data[:, 0], "angle")
+            speeds[s] = net.normalizer.denormalize(out_s.data[:, 0], "speed")
     return angles, speeds
 
 
@@ -387,14 +383,29 @@ def _normalizer_meta(norm: Normalizer) -> dict[str, str]:
     }
 
 
-def _normalizer_from_meta(meta: dict[str, str]) -> Normalizer:
+def meta_field(meta: Mapping[str, str], key: str, parse=str):
+    """``parse(meta[key])`` for checkpoint metadata; a missing key or a value
+    that ``parse`` rejects raises ValidationError naming the key."""
+    if key not in meta:
+        raise ValidationError(f"missing meta key {key!r}")
+    try:
+        return parse(meta[key])
+    except ValueError:
+        raise ValidationError(f"meta {key}: cannot read {meta[key]!r}") from None
+
+
+def _floats(text: str) -> np.ndarray:
+    return np.array([float(v) for v in text.split(",")])
+
+
+def _normalizer_from_meta(meta: Mapping[str, str]) -> Normalizer:
     return Normalizer(
-        mean_speed=float(meta["norm_mean_speed"]),
-        std_speed=float(meta["norm_std_speed"]),
-        mean_angle=float(meta["norm_mean_angle"]),
-        std_angle=float(meta["norm_std_angle"]),
-        obs_mean=np.array([float(v) for v in meta["norm_obs_mean"].split(",")]),
-        obs_std=np.array([float(v) for v in meta["norm_obs_std"].split(",")]),
+        mean_speed=meta_field(meta, "norm_mean_speed", float),
+        std_speed=meta_field(meta, "norm_std_speed", float),
+        mean_angle=meta_field(meta, "norm_mean_angle", float),
+        std_angle=meta_field(meta, "norm_std_angle", float),
+        obs_mean=meta_field(meta, "norm_obs_mean", _floats),
+        obs_std=meta_field(meta, "norm_obs_std", _floats),
     )
 
 
@@ -419,11 +430,14 @@ def load_driver(path) -> DriverNet:
     kind, meta, store = load_checkpoint(path)
     if kind != "driver":
         raise ValidationError(f"{path}: expected a driver checkpoint, found kind {kind!r}")
-    return DriverNet(
-        arch=BackboneArch.from_meta(meta),
-        params=store,
-        normalizer=_normalizer_from_meta(meta),
-        trained_on=meta["trained_on"],
-        seed=int(meta["seed"]),
-        provenance=_provenance_from_meta(meta),
-    )
+    try:
+        return DriverNet(
+            arch=BackboneArch.from_meta(meta),
+            params=store,
+            normalizer=_normalizer_from_meta(meta),
+            trained_on=meta_field(meta, "trained_on"),
+            seed=meta_field(meta, "seed", int),
+            provenance=_provenance_from_meta(meta),
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

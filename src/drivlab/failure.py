@@ -26,7 +26,7 @@ from .core import (
     read_table,
     write_table,
 )
-from .diffcore import ParameterStore, adam_step, cross_entropy_loss, softmax
+from .diffcore import ParameterStore, adam_step, cross_entropy_loss
 from .diffcore.checkpoint import load_checkpoint, save_checkpoint
 from .driver import (
     BackboneArch,
@@ -40,6 +40,7 @@ from .driver import (
     forward_chunks,
     head_forward,
     init_backbone,
+    meta_field,
     predict_batch,
     windows_to_arrays,
 )
@@ -372,15 +373,23 @@ def train_failure(
     return net, history
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of 2-D ``logits``; each row is computed on its own, so
+    a row's bits do not depend on the rows around it."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def predict_hazard_batch(net: HazardNet, windows: Windows) -> np.ndarray:
     """Softmax probability of the Hazardous class per window."""
     if not windows:
         return np.empty(0)
-    (probs,) = forward_chunks(
-        lambda vis, spd, ang: (softmax(hazard_forward(net.params, net.arch, vis, spd, ang)),),
+    (logits,) = forward_chunks(
+        lambda vis, spd, ang: (hazard_forward(net.params, net.arch, vis, spd, ang),),
         windows_to_arrays(windows, net.normalizer),
     )
-    return probs[:, 1]
+    return softmax(logits)[:, 1]
 
 
 def save_hazard(path, net: HazardNet) -> None:
@@ -399,13 +408,16 @@ def load_hazard(path) -> HazardNet:
     kind, meta, store = load_checkpoint(path)
     if kind != "hazard":
         raise ValidationError(f"{path}: expected a hazard checkpoint, found kind {kind!r}")
-    return HazardNet(
-        arch=BackboneArch.from_meta(meta),
-        params=store,
-        normalizer=_normalizer_from_meta(meta),
-        trained_on=meta["trained_on"],
-        thresholds=Thresholds(float(meta["t_angle"]), float(meta["t_speed"])),
-        m=int(meta["m"]),
-        seed=int(meta["seed"]),
-        provenance=_provenance_from_meta(meta),
-    )
+    try:
+        return HazardNet(
+            arch=BackboneArch.from_meta(meta),
+            params=store,
+            normalizer=_normalizer_from_meta(meta),
+            trained_on=meta_field(meta, "trained_on"),
+            thresholds=Thresholds(meta_field(meta, "t_angle", float), meta_field(meta, "t_speed", float)),
+            m=meta_field(meta, "m", int),
+            seed=meta_field(meta, "seed", int),
+            provenance=_provenance_from_meta(meta),
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

@@ -5,10 +5,11 @@ nested-loop silencing and counting, per-step scalar and slice/any labeling, a
 per-gate autodiff graph for the LSTM, per-step slicing of windows, a
 per-parameter Adam loop, the two-branch sigmoid, MC dropout through the whole
 driver per sample, the human oracle on one ``WorldState`` per step, a
-backward loop for zone distances) so equivalence tests never share a code
-path with the implementations they check. The graph ops that
-only the references and the gradient checks use (``mul``, ``matmul``,
-``tanh``, ``sigmoid``, ``narrow``, ``reshape``, ``tsum``) live here too.
+backward loop for zone distances, a backward sweep that keeps its graph) so
+equivalence tests never share a code path with the implementations they
+check. The graph ops that only the references and the gradient checks use
+(``mul``, ``matmul``, ``tanh``, ``sigmoid``, ``softmax``, ``narrow``,
+``reshape``, ``tsum``) live here too.
 """
 
 import math
@@ -150,20 +151,17 @@ def brute_force_horizon(g_seq, t, m):
 def mul(a, b):
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: {a.data.shape} * {b.data.shape}")
-    out = _out(a.data * b.data, (a, b))
 
     def backward(out):
         _accum(a, out.grad * b.data)
         _accum(b, out.grad * a.data)
 
-    out._backward = backward
-    return out
+    return _out(a.data * b.data, (a, b), backward)
 
 
 def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
-    out = _out(a.data @ b.data, (a, b))
 
     def backward(out):
         if a.requires_grad:
@@ -171,18 +169,14 @@ def matmul(a, b):
         if b.requires_grad:
             _accum(b, a.data.T @ out.grad)
 
-    out._backward = backward
-    return out
+    return _out(a.data @ b.data, (a, b), backward)
 
 
 def tanh(x):
-    out = _out(np.tanh(x.data), (x,))
-
     def backward(out):
         _accum(x, out.grad * (1.0 - out.data * out.data))
 
-    out._backward = backward
-    return out
+    return _out(np.tanh(x.data), (x,), backward)
 
 
 def two_branch_sigmoid(x):
@@ -193,13 +187,24 @@ def two_branch_sigmoid(x):
 
 
 def sigmoid(x):
-    out = _out(two_branch_sigmoid(x.data), (x,))
-
     def backward(out):
         _accum(x, out.grad * out.data * (1.0 - out.data))
 
-    out._backward = backward
-    return out
+    return _out(two_branch_sigmoid(x.data), (x,), backward)
+
+
+def softmax(x):
+    """Row-wise softmax as a graph node; ``failure.softmax`` is its forward."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"softmax: need a 2-D tensor, got {x.data.shape}")
+    z = x.data - x.data.max(axis=1, keepdims=True)
+    e = np.exp(z)
+
+    def backward(out):
+        dot = (out.grad * out.data).sum(axis=1, keepdims=True)
+        _accum(x, out.data * (out.grad - dot))
+
+    return _out(e / e.sum(axis=1, keepdims=True), (x,), backward)
 
 
 def narrow(x, axis, start, stop):
@@ -208,7 +213,6 @@ def narrow(x, axis, start, stop):
     if not (0 <= start < stop <= x.data.shape[axis]):
         raise ShapeError(f"narrow: [{start}, {stop}) out of bounds for axis {axis} of {x.data.shape}")
     data = x.data[start:stop] if axis == 0 else x.data[:, start:stop]
-    out = _out(data.copy(), (x,))
 
     def backward(out):
         if x.grad is None:
@@ -218,30 +222,53 @@ def narrow(x, axis, start, stop):
         else:
             x.grad[:, start:stop] += out.grad
 
-    out._backward = backward if x.requires_grad else None
-    return out
+    return _out(data.copy(), (x,), backward if x.requires_grad else None)
 
 
 def reshape(x, shape):
     if int(np.prod(shape)) != x.data.size:
         raise ShapeError(f"reshape: {x.data.shape} -> {shape}")
-    out = _out(x.data.reshape(shape), (x,))
 
     def backward(out):
         _accum(x, out.grad.reshape(x.data.shape))
 
-    out._backward = backward
-    return out
+    return _out(x.data.reshape(shape), (x,), backward)
 
 
 def tsum(x):
-    out = _out(np.array(x.data.sum()), (x,))
-
     def backward(out):
         _accum(x, np.broadcast_to(out.grad, x.data.shape).copy())
 
-    out._backward = backward
-    return out
+    return _out(np.array(x.data.sum()), (x,), backward)
+
+
+def graph_nodes(root):
+    """Every node that ``Tensor.backward`` visits from ``root``, in its
+    topological order (inputs first)."""
+    topo, seen = [], set()
+    stack = [(root, False)]
+    while stack:
+        node, post = stack.pop()
+        if post:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+    return topo
+
+
+def retained_backward(root):
+    """``Tensor.backward`` as it was before it consumed its graph: the same
+    order and accumulation, with every node left in place."""
+    root.grad = np.ones_like(root.data)
+    for node in reversed(graph_nodes(root)):
+        if node._backward is not None:
+            node._backward(node)
 
 
 def adam_loop(data, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -328,3 +328,28 @@ def test_score_file_provenance_exit_code_2(tmp_path, small_run, case, capsys):
     assert code == 2
     message = "holds uncertainty scores" if case == "swapped-policy" else "learned scores come from driver"
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["bad-k", "no-std", "hazard-bad-m"])
+def test_malformed_checkpoint_meta_exit_code_2(tmp_path, small_run, case, capsys):
+    name = "hazard_middle.ckpt" if case.startswith("hazard") else "driver.ckpt"
+    lines = (small_run / name).read_text().splitlines(keepends=True)
+    if case == "no-std":
+        lines = [line for line in lines if not line.startswith("meta norm_std_speed ")]
+        message = "missing meta key 'norm_std_speed'"
+    else:
+        key = "m" if case == "hazard-bad-m" else "k"
+        lines = [f"meta {key} x\n" if line.startswith(f"meta {key} ") else line for line in lines]
+        message = f"meta {key}: cannot read 'x'"
+    edited = tmp_path / name
+    edited.write_text("".join(lines))
+    config, data = str(small_run.parent / "config.txt"), str(small_run / "episodes.txt")
+    if name == "driver.ckpt":
+        code = main(["label", "--config", config, "--data", data, "--split", str(small_run / "splits.tsv"),
+                     "--driver", str(edited), "--on", "D2", "--out-dir", str(tmp_path), "--quiet"])
+    else:
+        code = main(["eval", "--config", config, "--labels", str(small_run / "labels_D3_middle.csv"),
+                     "--hazard", str(edited), "--driver", str(small_run / "driver.ckpt"), "--data", data,
+                     "--out", str(tmp_path / "e.json"), "--quiet"])
+    assert code == 2
+    assert f"{edited}: {message}" in capsys.readouterr().err

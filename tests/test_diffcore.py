@@ -15,9 +15,9 @@ from drivlab.diffcore import (
     l2_loss,
     linear,
     lstm_seq,
+    no_grad,
     relu,
     scale,
-    softmax,
 )
 from drivlab.diffcore.checkpoint import load_checkpoint, save_checkpoint
 from drivlab.errors import (
@@ -28,15 +28,20 @@ from drivlab.errors import (
     ValidationError,
 )
 from drivlab.diffcore.tensor import _sigmoid
+from drivlab.driver import BackboneArch, driver_forward, init_driver_params
+from drivlab.failure import softmax as np_softmax
 from oracles import (
     adam_loop,
+    graph_nodes,
     lstm_cell,
     lstm_chain,
     matmul,
     mul,
     narrow,
     reshape,
+    retained_backward,
     sigmoid,
+    softmax,
     tanh,
     tsum,
     two_branch_sigmoid,
@@ -294,8 +299,11 @@ class TestOpContracts:
         assert x.grad[0, 0] == 2.0
 
     def test_softmax_rows_sum_to_one(self):
-        p = softmax(Tensor(RNG.standard_normal((10, 2)) * 5))
+        x = RNG.standard_normal((10, 2)) * 5
+        p = softmax(Tensor(x))
         assert np.all(np.abs(p.data.sum(axis=1) - 1.0) <= 1e-12)
+        # the hazard scores' numpy softmax is the node's forward, bit for bit
+        assert np.array_equal(np_softmax(x), p.data)
 
     def test_shape_errors_name_op_and_shapes(self):
         with pytest.raises(ShapeError, match=r"matmul: \(2, 3\) @ \(2, 3\)"):
@@ -313,6 +321,98 @@ class TestOpContracts:
     def test_backward_requires_scalar(self):
         with pytest.raises(ValidationError, match="scalar"):
             Tensor(np.zeros((2, 2)), requires_grad=True).backward()
+
+
+def _small_driver():
+    """(parameters, arch, (vis, spd, ang)) of a width-8 driver and a batch of
+    six windows, the same on every call."""
+    arch = BackboneArch(obs_dim=16, k=4, enc_hidden=8, enc_out=8, vis_hidden=8,
+                        sig_hidden=4, head_hidden=8, dropout_p=0.2)
+    rng = np.random.default_rng(2)
+    inputs = (rng.standard_normal((6, 5, 16)), rng.standard_normal((6, 4)), rng.standard_normal((6, 4)))
+    return init_driver_params(arch, np.random.default_rng(1)), arch, inputs
+
+
+def _step_graph():
+    """A training-step-shaped graph over fresh leaves: both driver heads in
+    train mode, and an LSTM over an input tensor that requires a gradient.
+    Returns (loss, leaves)."""
+    store, arch, inputs = _small_driver()
+    out_a, out_s = driver_forward(store, arch, *inputs, mode="train", rng=np.random.default_rng(3))
+    x = Tensor(np.random.default_rng(5).standard_normal((4 * 6, 8)), requires_grad=True)
+    h = lstm_seq(x, 4, store["vis.wx"], store["vis.wh"], store["vis.b"])
+    loss = add(add(l2_loss(out_a, np.full((6, 1), 0.3)), scale(l2_loss(out_s, np.zeros((6, 1))), 0.5)),
+               l2_loss(h, np.full((6, 8), 0.1)))
+    return loss, [t for _, t in store.items()] + [x]
+
+
+class TestSpentGraph:
+    """backward() consumes its graph: each node with a backward lets go of
+    it, of its parents and of its gradient once it has run, so a training
+    step's tape is freed when backward() returns. Leaves keep their grads."""
+
+    def test_backward_releases_every_non_leaf_node(self):
+        loss, leaves = _step_graph()
+        inner = [n for n in graph_nodes(loss) if n._backward is not None]
+        assert len(inner) >= 15
+        loss.backward()
+        assert all(n._parents is None and n._backward is None and n.grad is None for n in inner)
+        assert all(t.grad is not None for t in leaves)
+
+    def test_leaf_gradients_match_a_retained_sweep_bit_for_bit(self):
+        loss, leaves = _step_graph()
+        loss.backward()
+        ref_loss, ref_leaves = _step_graph()
+        retained_backward(ref_loss)
+        for got, want in zip(leaves, ref_leaves):
+            assert np.array_equal(got.grad.view(np.int64), want.grad.view(np.int64))
+
+    def test_second_backward_raises(self):
+        loss, leaves = _step_graph()
+        loss.backward()
+        grads = [t.grad.copy() for t in leaves]
+        with pytest.raises(ValidationError, match="consumed"):
+            loss.backward()
+        # a new loss over a consumed subgraph is refused before any gradient moves
+        a = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+        h = relu(a)
+        tsum(h).backward()
+        with pytest.raises(ValidationError, match="consumed"):
+            tsum(scale(h, 2.0)).backward()
+        assert np.array_equal(a.grad, [[1.0, 0.0]])
+        assert all(np.array_equal(t.grad, g) for t, g in zip(leaves, grads))
+
+
+class TestNoGrad:
+    @staticmethod
+    def _outputs(store, arch, inputs):
+        out_a, out_s = driver_forward(store, arch, *inputs, mode="train", rng=np.random.default_rng(4))
+        logits = concat([out_a, out_s], axis=1)
+        loss = add(l2_loss(out_a, np.zeros((6, 1))), scale(l2_loss(out_s, np.ones((6, 1))), 0.5))
+        return [out_a, out_s, loss, cross_entropy_loss(logits, np.array([0, 1, 1, 0, 1, 0]))]
+
+    def test_outputs_match_a_recorded_forward_and_record_nothing(self):
+        driver = _small_driver()
+        recorded = self._outputs(*driver)
+        with no_grad():
+            got = self._outputs(*driver)
+        for g, want in zip(got, recorded):
+            assert want._parents and want.requires_grad
+            assert g._parents == () and g._backward is None and not g.requires_grad
+            assert np.array_equal(g.data.view(np.int64), want.data.view(np.int64))
+
+    def test_state_restored_on_exit_also_after_an_error(self):
+        a = Tensor(np.array([[1.0]]), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                pass
+            assert relu(a)._parents == ()  # the inner exit restores "off"
+        assert relu(a)._parents == (a,)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside")
+        out = relu(a)
+        assert out._parents == (a,) and out.requires_grad
 
 
 class TestDropout:

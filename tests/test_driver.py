@@ -1,12 +1,22 @@
+import os
+import platform
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import drivlab
 from drivlab import core
 from drivlab import driver as driver_mod
+from drivlab.diffcore import adam_step, add, l2_loss, scale
 from drivlab.driver import (
     BackboneArch,
     TrainConfig,
     _eval_loss,
+    _predict_normalized,
     constant_mean_mae,
     driver_forward,
     init_driver_params,
@@ -160,6 +170,86 @@ class TestInferenceChunks:
         assert angles.shape == speeds.shape == (3, 0)
         assert all(a.shape == (0,) for a in predict_batch(tiny_pipeline["driver"], empty))
         assert predict_hazard_batch(tiny_pipeline["hazard"], empty).shape == (0,)
+
+
+MIB = float(1 << 20)
+
+
+class TestMemory:
+    """A training step's tape is freed by backward(), inference records none,
+    and the allocator reuses freed blocks instead of mapping them afresh."""
+
+    @staticmethod
+    def _traced(fn, base):
+        """(peak and end of ``fn()``'s traced memory above ``base``, in MiB;
+        its result)."""
+        tracemalloc.reset_peak()
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+        return (peak - base) / MIB, (current - base) / MIB, result
+
+    def test_batch_512_training_step(self, small_windows_module):
+        windows = small_windows_module
+        assert len(windows) >= 512
+        arch = BackboneArch(obs_dim=windows.obs.shape[1], k=windows.k)
+        params = init_driver_params(arch, np.random.default_rng(0))
+        data = windows_to_arrays(windows, core.fit_normalizer(windows))
+        batch = {key: value[:512] for key, value in data.items()}
+        rng = np.random.default_rng(1)
+
+        def step():
+            out_a, out_s = driver_forward(
+                params, arch, batch["vis"], batch["spd"], batch["ang"], mode="train", rng=rng
+            )
+            loss = add(l2_loss(out_a, batch["tgt_a"]), scale(l2_loss(out_s, batch["tgt_s"]), 1.0))
+            loss.backward()
+            adam_step(params, 1e-3)
+            return loss
+
+        # as in the training loop, each step's loss stays bound into the next step
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            first_peak, first_left, loss = self._traced(step, base)
+            second_peak, second_left, loss = self._traced(step, base)
+        finally:
+            tracemalloc.stop()
+        assert first_peak <= 18.0 and first_left < 0.1
+        # the second step may add only the first one's bound scalar loss
+        assert second_peak <= first_peak + 0.01 and second_left < 0.1
+
+    def test_inference_over_2048_rows(self, trained, small_windows_module):
+        net, _ = trained
+        data = windows_to_arrays(small_windows_module, net.normalizer)
+        data = {key: np.concatenate([value] * 3)[:2048] for key, value in data.items()}
+        assert data["vis"].shape[0] == 2048
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            peak, _, _ = self._traced(lambda: _predict_normalized(net, data), base)
+        finally:
+            tracemalloc.stop()
+        assert peak < 10.0
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+    def test_freed_blocks_are_reused(self):
+        # 50 blocks of 4 MiB (1024 pages), each a page larger than the last, in
+        # a fresh process: glibc's default threshold follows the last freed
+        # block, so each would be mapped and faulted in afresh
+        code = (
+            "import resource, numpy as np, drivlab\n"
+            "assert drivlab._malloc_tuned\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for i in range(50):\n"
+            "    block = np.empty((1 << 19) + 512 * i)\n"
+            "    block.fill(1.0)\n"
+            "    del block\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(drivlab.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) < 2 * 1024
 
 
 class TestTraining:
