@@ -4,19 +4,20 @@ Every command parses its arguments and makes one call into ``pipeline``, so
 the stage commands write the same bytes as ``run-all``. Every value the
 config file sets is set only there.
 
-Exit codes: 0 success, 2 validation error, 3 missing artifact, 4 numerical
-failure during training.
+Exit codes: 0 success, 2 validation error or unusable path, 3 missing
+artifact, 4 numerical failure during training.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
 from . import pipeline
 from .config import PipelineConfig
-from .errors import DrivlabError, ValidationError, exit_code_for
+from .errors import EXIT_VALIDATION, DrivlabError, ValidationError, exit_code_for
 
 log = logging.getLogger("drivlab")
 
@@ -34,6 +35,14 @@ def _score_files(specs: list[str] | None) -> dict[str, str]:
         policy, _, path = spec.partition("=")
         files[policy] = path
     return files
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Fail before any stage work when an output directory is missing."""
+    dirs = [os.path.dirname(p) or "." for p in (vars(args).get("out"), vars(args).get("metrics")) if p]
+    for path in dirs + ([args.out_dir] if args.command == "label" else []):
+        if not os.path.isdir(path):
+            raise ValidationError(f"{path}: no directory to write into")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,10 +132,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+        _check_outputs(args)
         args.run(cfg, args)
     except DrivlabError as exc:
         print(f"drivlab: error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    except OSError as exc:  # a path the operating system refuses
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"drivlab: error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     return 0
 
 

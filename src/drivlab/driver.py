@@ -71,23 +71,6 @@ class BackboneArch:
     def fused_dim(self) -> int:
         return self.vis_hidden + 2 * self.sig_hidden
 
-    def meta(self) -> dict[str, str]:
-        return {
-            "obs_dim": str(self.obs_dim),
-            "k": str(self.k),
-            "enc_hidden": str(self.enc_hidden),
-            "enc_out": str(self.enc_out),
-            "vis_hidden": str(self.vis_hidden),
-            "sig_hidden": str(self.sig_hidden),
-            "head_hidden": str(self.head_hidden),
-            "dropout_p": repr(float(self.dropout_p)),
-        }
-
-    @classmethod
-    def from_meta(cls, meta: Mapping[str, str]) -> "BackboneArch":
-        # each field is parsed with the type of its default: int, or float for dropout_p
-        return cls(**{f.name: meta_field(meta, f.name, type(f.default)) for f in fields(cls)})
-
 
 @dataclass
 class TrainConfig:
@@ -121,21 +104,22 @@ class DriverNet:
     provenance: dict[str, str] = field(default_factory=dict)
 
 
-def init_backbone(store: ParameterStore, arch: BackboneArch, rng: np.random.Generator) -> None:
+def init_backbone(arch: BackboneArch, rng: np.random.Generator, heads: Mapping[str, int]) -> ParameterStore:
+    """The trunk's parameters, then a two-layer head per ``heads`` entry (prefix -> outputs)."""
+    store = ParameterStore()
     init_linear(store, "enc1", arch.obs_dim, arch.enc_hidden, rng)
     init_linear(store, "enc2", arch.enc_hidden, arch.enc_out, rng)
     init_lstm(store, "vis", arch.enc_out, arch.vis_hidden, rng)
     init_lstm(store, "spd", 1, arch.sig_hidden, rng)
     init_lstm(store, "ang", 1, arch.sig_hidden, rng)
+    for prefix, n_out in heads.items():
+        init_linear(store, f"{prefix}1", arch.fused_dim, arch.head_hidden, rng)
+        init_linear(store, f"{prefix}2", arch.head_hidden, n_out, rng)
+    return store
 
 
 def init_driver_params(arch: BackboneArch, rng: np.random.Generator) -> ParameterStore:
-    store = ParameterStore()
-    init_backbone(store, arch, rng)
-    for prefix in ("head_angle", "head_speed"):
-        init_linear(store, f"{prefix}1", arch.fused_dim, arch.head_hidden, rng)
-        init_linear(store, f"{prefix}2", arch.head_hidden, 1, rng)
-    return store
+    return init_backbone(arch, rng, {"head_angle": 1, "head_speed": 1})
 
 
 def _tracks(store: ParameterStore, names: tuple[str, ...], x: Tensor, steps: int) -> Tensor:
@@ -212,30 +196,22 @@ def windows_to_arrays(windows: Windows, normalizer: Normalizer) -> dict[str, np.
             "tgt_a": angle[end], "tgt_s": speed[end]}
 
 
-def train_driver(
-    windows: Windows,
-    cfg: TrainConfig,
-    val_windows: Windows | None = None,
-    trained_on: str = "D1",
-) -> tuple[DriverNet, list[dict[str, float]]]:
-    """Minimize l2(angle) + lam * l2(speed) over normalized targets with Adam.
+def fit(name: str, windows: Windows, normalizer: Normalizer, cfg: TrainConfig, init, forward, loss,
+        validate=None) -> tuple[BackboneArch, ParameterStore, list[dict[str, float]]]:
+    """Train the parameters ``init(arch, rng)`` creates with Adam over
+    shuffled batches; returns (arch, params, per-epoch history).
 
-    Deterministic for a fixed cfg.seed: init, shuffling and dropout all draw
-    from seed-derived streams. Returns the trained bundle plus per-epoch
-    train (and optional validation) losses.
+    A batch's loss is ``loss(forward(params, arch, vis, spd, ang, mode, rng),
+    data, idx)``: ``data`` holds the normalized arrays of all windows and
+    ``idx`` the batch's rows. ``validate(arch, params)`` adds a per-epoch
+    ``val_loss``. Deterministic for a fixed cfg.seed: init, shuffling and
+    dropout all draw from seed-derived streams.
     """
-    if not windows:
-        raise ValidationError("empty training set")
-    normalizer = fit_normalizer(windows)
     arch = BackboneArch(obs_dim=windows.obs.shape[1], k=windows.k, dropout_p=cfg.dropout_p)
-    init_rng, shuffle_rng, drop_rng = (
-        np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
-    )
-    params = init_driver_params(arch, init_rng)
-    net = DriverNet(arch=arch, params=params, normalizer=normalizer, trained_on=trained_on, seed=cfg.seed)
-
+    streams = np.random.SeedSequence(cfg.seed).spawn(3)
+    init_rng, shuffle_rng, drop_rng = (np.random.default_rng(s) for s in streams)
+    params = init(arch, init_rng)
     data = windows_to_arrays(windows, normalizer)
-    val_data = windows_to_arrays(val_windows, normalizer) if val_windows else None
     n = len(windows)
     history: list[dict[str, float]] = []
     for epoch in range(cfg.epochs):
@@ -244,32 +220,47 @@ def train_driver(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             try:
-                out_a, out_s = driver_forward(
-                    params, arch, data["vis"][idx], data["spd"][idx], data["ang"][idx],
-                    mode="train", rng=drop_rng,
-                )
-                loss = l2_loss(out_a, data["tgt_a"][idx])
-                if cfg.lam > 0:
-                    loss = add(loss, scale(l2_loss(out_s, data["tgt_s"][idx]), cfg.lam))
+                out = forward(params, arch, data["vis"][idx], data["spd"][idx], data["ang"][idx],
+                              mode="train", rng=drop_rng)
+                batch_loss = loss(out, data, idx)
             except NumericalError as exc:
-                raise NumericalError(
-                    f"{exc} (lr={cfg.lr}, epoch={epoch}, batch={batches})"
-                ) from exc
-            loss.backward()
+                raise NumericalError(f"{exc} (lr={cfg.lr}, epoch={epoch}, batch={batches})") from exc
+            batch_loss.backward()
             adam_step(params, cfg.lr)
-            total += float(loss.data)
+            total += float(batch_loss.data)
             batches += 1
         entry = {"epoch": float(epoch), "train_loss": total / batches}
-        if val_data is not None:
-            entry["val_loss"] = _eval_loss(net, val_data, cfg.lam)
+        if validate is not None:
+            entry["val_loss"] = validate(arch, params)
         history.append(entry)
-        log.info(
-            "driver epoch %d: train_loss=%.6f%s",
-            epoch,
-            entry["train_loss"],
-            f" val_loss={entry['val_loss']:.6f}" if "val_loss" in entry else "",
-        )
-    return net, history
+        log.info("%s epoch %d: %s", name, epoch,
+                 " ".join(f"{key}={value:.6f}" for key, value in entry.items() if key != "epoch"))
+    return arch, params, history
+
+
+def train_driver(
+    windows: Windows,
+    cfg: TrainConfig,
+    val_windows: Windows | None = None,
+    trained_on: str = "D1",
+) -> tuple[DriverNet, list[dict[str, float]]]:
+    """Minimize l2(angle) + lam * l2(speed) over normalized targets with Adam;
+    returns the trained bundle plus per-epoch train (and optional validation) losses."""
+    if not windows:
+        raise ValidationError("empty training set")
+    normalizer = fit_normalizer(windows)
+
+    def loss(out, data, idx):
+        value = l2_loss(out[0], data["tgt_a"][idx])
+        return add(value, scale(l2_loss(out[1], data["tgt_s"][idx]), cfg.lam)) if cfg.lam > 0 else value
+
+    def validate(arch, params):
+        return _eval_loss(DriverNet(arch, params, normalizer, trained_on, cfg.seed), val_data, cfg.lam)
+
+    val_data = windows_to_arrays(val_windows, normalizer) if val_windows else None
+    arch, params, history = fit("driver", windows, normalizer, cfg, init_driver_params, driver_forward,
+                                loss, validate if val_data else None)
+    return DriverNet(arch, params, normalizer, trained_on, cfg.seed), history
 
 
 def forward_chunks(forward, data: Mapping[str, np.ndarray]) -> list[np.ndarray]:
@@ -372,15 +363,23 @@ def constant_mean_mae(normalizer: Normalizer, windows: Windows) -> tuple[float, 
 # ---------------------------------------------------------------------------
 
 
-def _normalizer_meta(norm: Normalizer) -> dict[str, str]:
-    return {
-        "norm_mean_speed": repr(norm.mean_speed),
-        "norm_std_speed": repr(norm.std_speed),
-        "norm_mean_angle": repr(norm.mean_angle),
-        "norm_std_angle": repr(norm.std_angle),
-        "norm_obs_mean": ",".join(repr(float(v)) for v in norm.obs_mean),
-        "norm_obs_std": ",".join(repr(float(v)) for v in norm.obs_std),
-    }
+# field annotation -> (format, parse) of a checkpoint meta value
+_META_CODECS = {
+    "int": (str, int),
+    "float": (lambda v: repr(float(v)), float),
+    "np.ndarray": (lambda v: ",".join(repr(float(x)) for x in v),
+                   lambda text: np.array([float(x) for x in text.split(",")])),
+}
+
+
+def _fields_meta(obj, prefix: str = "") -> dict[str, str]:
+    """Checkpoint meta of dataclass ``obj``: a ``prefix + field`` key per field, in field order."""
+    return {prefix + f.name: _META_CODECS[f.type][0](getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _fields_from_meta(cls, meta: Mapping[str, str], prefix: str = "") -> dict[str, object]:
+    """The fields of dataclass ``cls`` parsed from the keys ``_fields_meta`` writes."""
+    return {f.name: meta_field(meta, prefix + f.name, _META_CODECS[f.type][1]) for f in fields(cls)}
 
 
 def meta_field(meta: Mapping[str, str], key: str, parse=str):
@@ -394,50 +393,54 @@ def meta_field(meta: Mapping[str, str], key: str, parse=str):
         raise ValidationError(f"meta {key}: cannot read {meta[key]!r}") from None
 
 
-def _floats(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")])
+def save_net(path, kind: str, net, extra: Mapping[str, str]) -> None:
+    """Write a driver or hazard net: arch, training split and seed, ``extra``, normalizer, provenance."""
+    meta = {**_fields_meta(net.arch), "trained_on": net.trained_on, "seed": str(net.seed), **extra,
+            **_fields_meta(net.normalizer, "norm_"),
+            **{f"prov_{k}": str(v) for k, v in sorted(net.provenance.items())}}
+    save_checkpoint(path, kind, meta, net.params)
 
 
-def _normalizer_from_meta(meta: Mapping[str, str]) -> Normalizer:
-    return Normalizer(
-        mean_speed=meta_field(meta, "norm_mean_speed", float),
-        std_speed=meta_field(meta, "norm_std_speed", float),
-        mean_angle=meta_field(meta, "norm_mean_angle", float),
-        std_angle=meta_field(meta, "norm_std_angle", float),
-        obs_mean=meta_field(meta, "norm_obs_mean", _floats),
-        obs_std=meta_field(meta, "norm_obs_std", _floats),
-    )
+def _check_agrees(arch: BackboneArch, normalizer: Normalizer, params: ParameterStore, init) -> None:
+    """The normalizer and the parameters must have the shapes ``arch`` gives
+    them; the parameters are compared by name and shape with ``init(arch)``'s."""
+    for key in ("obs_mean", "obs_std"):
+        size = getattr(normalizer, key).size
+        if size != arch.obs_dim:
+            raise ValidationError(f"meta norm_{key}: {size} values, obs_dim is {arch.obs_dim}")
+    stored = [(name, p.data.shape) for name, p in params.items()]
+    # a width beyond every stored dimension cannot match: reject it before init allocates it
+    widest = max((d for _, shape in stored for d in shape), default=0)
+    for f in fields(arch):
+        if f.type == "int" and f.name != "k" and not 1 <= getattr(arch, f.name) <= widest:
+            raise ValidationError(f"meta {f.name}: {getattr(arch, f.name)} is no dimension of the parameters")
+    expected = [(name, p.data.shape) for name, p in init(arch, np.random.default_rng(0)).items()]
+    if stored != expected:
+        got, want = next((g, w) for g, w in zip([*stored, None], [*expected, None]) if g != w)
+        raise ValidationError(f"parameter {got or '(none)'} where the arch gives {want or '(none)'}")
 
 
-def _provenance_meta(provenance: Mapping[str, str]) -> dict[str, str]:
-    return {f"prov_{k}": str(v) for k, v in sorted(provenance.items())}
-
-
-def _provenance_from_meta(meta: Mapping[str, str]) -> dict[str, str]:
-    return {k[len("prov_"):]: v for k, v in meta.items() if k.startswith("prov_")}
+def load_net(path, kind: str, init, build):
+    """Read a ``kind`` checkpoint that ``save_net`` wrote; its parameters must
+    be those ``init(arch, rng)`` creates. ``build(meta, **net)`` makes the
+    net from the common fields. Every error names ``path``."""
+    found, meta, params = load_checkpoint(path)
+    if found != kind:
+        raise ValidationError(f"{path}: expected a {kind} checkpoint, found kind {found!r}")
+    try:
+        arch = BackboneArch(**_fields_from_meta(BackboneArch, meta))
+        normalizer = Normalizer(**_fields_from_meta(Normalizer, meta, "norm_"))
+        _check_agrees(arch, normalizer, params, init)
+        provenance = {k[len("prov_"):]: v for k, v in meta.items() if k.startswith("prov_")}
+        return build(meta, arch=arch, params=params, normalizer=normalizer, provenance=provenance,
+                     trained_on=meta_field(meta, "trained_on"), seed=meta_field(meta, "seed", int))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def save_driver(path, net: DriverNet) -> None:
-    meta = dict(net.arch.meta())
-    meta["trained_on"] = net.trained_on
-    meta["seed"] = str(net.seed)
-    meta.update(_normalizer_meta(net.normalizer))
-    meta.update(_provenance_meta(net.provenance))
-    save_checkpoint(path, "driver", meta, net.params)
+    save_net(path, "driver", net, {})
 
 
 def load_driver(path) -> DriverNet:
-    kind, meta, store = load_checkpoint(path)
-    if kind != "driver":
-        raise ValidationError(f"{path}: expected a driver checkpoint, found kind {kind!r}")
-    try:
-        return DriverNet(
-            arch=BackboneArch.from_meta(meta),
-            params=store,
-            normalizer=_normalizer_from_meta(meta),
-            trained_on=meta_field(meta, "trained_on"),
-            seed=meta_field(meta, "seed", int),
-            provenance=_provenance_from_meta(meta),
-        )
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    return load_net(path, "driver", init_driver_params, lambda meta, **net: DriverNet(**net))

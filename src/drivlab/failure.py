@@ -26,26 +26,23 @@ from .core import (
     read_table,
     write_table,
 )
-from .diffcore import ParameterStore, adam_step, cross_entropy_loss
-from .diffcore.checkpoint import load_checkpoint, save_checkpoint
+from .diffcore import ParameterStore, cross_entropy_loss
 from .driver import (
     BackboneArch,
     DriverNet,
     TrainConfig,
-    _normalizer_from_meta,
-    _normalizer_meta,
-    _provenance_from_meta,
-    _provenance_meta,
     backbone_forward,
+    fit,
     forward_chunks,
     head_forward,
     init_backbone,
+    load_net,
     meta_field,
     predict_batch,
+    save_net,
     windows_to_arrays,
 )
-from .diffcore.nn import init_linear
-from .errors import NumericalError, SplitLeakageError, ValidationError
+from .errors import SplitLeakageError, ValidationError
 
 log = logging.getLogger("drivlab.failure")
 
@@ -70,6 +67,20 @@ CANONICAL_THRESHOLDS: Mapping[str, Thresholds] = {
     "middle": Thresholds(7.0, 3.0),
     "loose": Thresholds(10.0, 5.0),
 }
+
+
+def horizon_meta(th: Thresholds, m: int) -> dict[str, str]:
+    """The ``t_angle``, ``t_speed`` and ``m`` metadata of label files and hazard checkpoints."""
+    return {"t_angle": repr(th.t_angle), "t_speed": repr(th.t_speed), "m": str(m)}
+
+
+def horizon_from_meta(meta: Mapping[str, str]) -> tuple[Thresholds, int]:
+    """(thresholds, m) from ``horizon_meta``'s keys; raises ValidationError naming a bad key."""
+    th = Thresholds(meta_field(meta, "t_angle", float), meta_field(meta, "t_speed", float))
+    m = meta_field(meta, "m", int)
+    if m < 0:
+        raise ValidationError(f"meta m: horizon must be >= 0, got {m}")
+    return th, m
 
 
 MAX_STEP = 1 << 31  # labeled steps t lie in [0, MAX_STEP)
@@ -250,9 +261,7 @@ def write_labels_csv(
     """Write the label file; returns its metadata as ``read_labels_csv`` reads it back."""
     meta = {
         "split": ds.split,
-        "t_angle": repr(ds.thresholds.t_angle),
-        "t_speed": repr(ds.thresholds.t_speed),
-        "m": str(ds.m),
+        **horizon_meta(ds.thresholds, ds.m),
         "dropped": str(ds.n_dropped),
         **{key: str(value) for key, value in (provenance or {}).items()},
     }
@@ -294,11 +303,7 @@ class HazardNet:
 
 
 def init_hazard_params(arch: BackboneArch, rng: np.random.Generator) -> ParameterStore:
-    store = ParameterStore()
-    init_backbone(store, arch, rng)
-    init_linear(store, "cls1", arch.fused_dim, arch.head_hidden, rng)
-    init_linear(store, "cls2", arch.head_hidden, 2, rng)
-    return store
+    return init_backbone(arch, rng, {"cls": 2})
 
 
 def hazard_forward(
@@ -337,35 +342,10 @@ def train_failure(
             f"degenerate label distribution: class counts {counts.tolist()}"
         )
     class_weights = counts.sum() / (2.0 * counts)
-    arch = BackboneArch(obs_dim=windows.obs.shape[1], k=windows.k, dropout_p=cfg.dropout_p)
-    init_rng, shuffle_rng, drop_rng = (
-        np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
+    arch, params, history = fit(
+        "hazard", windows, normalizer, cfg, init_hazard_params, hazard_forward,
+        lambda logits, _data, idx: cross_entropy_loss(logits, labels[idx], class_weights),
     )
-    params = init_hazard_params(arch, init_rng)
-    data = windows_to_arrays(windows, normalizer)
-    n = len(windows)
-    history: list[dict[str, float]] = []
-    for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        total, batches = 0.0, 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            try:
-                logits = hazard_forward(
-                    params, arch, data["vis"][idx], data["spd"][idx], data["ang"][idx],
-                    mode="train", rng=drop_rng,
-                )
-                loss = cross_entropy_loss(logits, labels[idx], class_weights)
-            except NumericalError as exc:
-                raise NumericalError(
-                    f"{exc} (lr={cfg.lr}, epoch={epoch}, batch={batches})"
-                ) from exc
-            loss.backward()
-            adam_step(params, cfg.lr)
-            total += float(loss.data)
-            batches += 1
-        history.append({"epoch": float(epoch), "train_loss": total / batches})
-        log.info("hazard epoch %d: train_loss=%.6f", epoch, total / batches)
     net = HazardNet(
         arch=arch, params=params, normalizer=normalizer, trained_on=trained_on,
         thresholds=thresholds, m=m, seed=cfg.seed,
@@ -393,31 +373,12 @@ def predict_hazard_batch(net: HazardNet, windows: Windows) -> np.ndarray:
 
 
 def save_hazard(path, net: HazardNet) -> None:
-    meta = dict(net.arch.meta())
-    meta["trained_on"] = net.trained_on
-    meta["seed"] = str(net.seed)
-    meta["t_angle"] = repr(net.thresholds.t_angle)
-    meta["t_speed"] = repr(net.thresholds.t_speed)
-    meta["m"] = str(net.m)
-    meta.update(_normalizer_meta(net.normalizer))
-    meta.update(_provenance_meta(net.provenance))
-    save_checkpoint(path, "hazard", meta, net.params)
+    save_net(path, "hazard", net, horizon_meta(net.thresholds, net.m))
 
 
 def load_hazard(path) -> HazardNet:
-    kind, meta, store = load_checkpoint(path)
-    if kind != "hazard":
-        raise ValidationError(f"{path}: expected a hazard checkpoint, found kind {kind!r}")
-    try:
-        return HazardNet(
-            arch=BackboneArch.from_meta(meta),
-            params=store,
-            normalizer=_normalizer_from_meta(meta),
-            trained_on=meta_field(meta, "trained_on"),
-            thresholds=Thresholds(meta_field(meta, "t_angle", float), meta_field(meta, "t_speed", float)),
-            m=meta_field(meta, "m", int),
-            seed=meta_field(meta, "seed", int),
-            provenance=_provenance_from_meta(meta),
-        )
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    def build(meta, **net):
+        th, m = horizon_from_meta(meta)
+        return HazardNet(thresholds=th, m=m, **net)
+
+    return load_net(path, "hazard", init_hazard_params, build)

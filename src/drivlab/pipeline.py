@@ -28,6 +28,7 @@ from .driver import (
     constant_mean_mae,
     eval_mae,
     load_driver,
+    meta_field,
     save_driver,
     train_driver,
 )
@@ -36,6 +37,7 @@ from .failure import (
     CANONICAL_THRESHOLDS,
     Thresholds,
     build_failure_dataset,
+    horizon_from_meta,
     load_hazard,
     read_labels_csv,
     save_hazard,
@@ -145,11 +147,8 @@ def _driver_digest(driver, labels, meta: Mapping[str, str]) -> str:
 def _label_header(path, meta: Mapping[str, str]) -> tuple[str, str, Thresholds, int]:
     """(split, threshold name, thresholds, m) from a label file's metadata."""
     try:
-        th = Thresholds(float(meta["t_angle"]), float(meta["t_speed"]))
-        split, m = meta["split"], int(meta["m"])
-        if m < 0:
-            raise ValueError(m)
-    except (KeyError, ValueError):
+        split, (th, m) = meta_field(meta, "split"), horizon_from_meta(meta)
+    except ValidationError:
         raise ValidationError(f"{path}: label file lacks a valid split, t_angle, t_speed or m") from None
     names = [name for name, canon in CANONICAL_THRESHOLDS.items() if canon == th]
     if not names:
@@ -283,15 +282,18 @@ def stage_train_failure(
     return hazard_out
 
 
-def _checkpoint_scores(cfg, memo, labels, meta, scenes, hazard, driver, episodes):
+def _checkpoint_scores(cfg, memo, labels, meta, horizon, scenes, hazard, driver, episodes):
     """Learned and dropout-uncertainty scores for the scenes of ``labels``,
-    each with the provenance its score file records. The uncertainty scores
-    depend on the driver and the scenes only, so thresholds sharing a memo
-    share them."""
+    whose (thresholds, m) is ``horizon``, each with the provenance its score
+    file records. The uncertainty scores depend on the driver and the scenes
+    only, so thresholds sharing a memo share them."""
     split = meta["split"]
     hazard_net = _memo(memo, hazard, load_hazard)
     if hazard_net.trained_on == split:
         raise ValidationError("hazard net was trained on the evaluation split")
+    if (hazard_net.thresholds, hazard_net.m) != horizon:
+        raise ValidationError(f"{hazard}: the hazard net was trained at {hazard_net.thresholds}, "
+                              f"m={hazard_net.m}; {labels} is at {horizon[0]}, m={horizon[1]}")
     driver_net = _memo(memo, driver, load_driver)
     driver_digest = _driver_digest(driver, labels, meta)
     recorded = driver_net.provenance.get("episodes", "(not recorded)")
@@ -336,7 +338,7 @@ def stage_eval(
     if scores:
         traces = {policy: _memo(memo, path, read_scores_csv) for policy, path in scores.items()}
     elif hazard and driver and episodes:
-        traces = _checkpoint_scores(cfg, memo, labels, meta, scenes, hazard, driver, episodes)
+        traces = _checkpoint_scores(cfg, memo, labels, meta, (th, m), scenes, hazard, driver, episodes)
     else:
         raise ValidationError("eval needs --scores files or --hazard/--driver/--data")
     for policy, (trace, trace_meta) in traces.items():

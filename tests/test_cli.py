@@ -330,19 +330,39 @@ def test_score_file_provenance_exit_code_2(tmp_path, small_run, case, capsys):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["bad-k", "no-std", "hazard-bad-m"])
+def _set_meta(key, value):
+    return lambda lines: [f"meta {key} {value}\n" if line.startswith(f"meta {key} ") else line for line in lines]
+
+
+def _short_obs_mean(lines):
+    """``lines`` with the first of the norm_obs_mean values dropped."""
+    return ["meta norm_obs_mean " + line.split(",", 1)[1] if line.startswith("meta norm_obs_mean ") else line
+            for line in lines]
+
+
+CHECKPOINT_EDITS = {  # case -> (file, edit of its lines, message after the file name)
+    "bad-k": ("driver.ckpt", _set_meta("k", "x"), "meta k: cannot read 'x'"),
+    "no-std": ("driver.ckpt", lambda lines: [line for line in lines if not line.startswith("meta norm_std_speed ")],
+               "missing meta key 'norm_std_speed'"),
+    "hazard-bad-m": ("hazard_middle.ckpt", _set_meta("m", "x"), "meta m: cannot read 'x'"),
+    "hazard-other-m": ("hazard_middle.ckpt", _set_meta("m", "4"),
+                       "the hazard net was trained at Thresholds(t_angle=7.0, t_speed=3.0), m=4;"),
+    "hazard-other-threshold": ("hazard_middle.ckpt", _set_meta("t_angle", "10.0"),
+                               "the hazard net was trained at Thresholds(t_angle=10.0, t_speed=3.0), m=8;"),
+    "hazard-negative-m": ("hazard_middle.ckpt", _set_meta("m", "-3"), "meta m: horizon must be >= 0, got -3"),
+    "short-obs-mean": ("driver.ckpt", _short_obs_mean, "meta norm_obs_mean: 15 values, obs_dim is 16"),
+    "other-width": ("driver.ckpt", _set_meta("enc_hidden", "63"),
+                    "parameter ('enc1.w', (16, 64)) where the arch gives ('enc1.w', (16, 63))"),
+    "extra-param": ("driver.ckpt", lambda lines: [*lines[:-1], "param extra.w 2\n", "0.5 -0.5\n", lines[-1]],
+                    "parameter ('extra.w', (2,)) where the arch gives (none)"),
+}
+
+
+@pytest.mark.parametrize("case", CHECKPOINT_EDITS)
 def test_malformed_checkpoint_meta_exit_code_2(tmp_path, small_run, case, capsys):
-    name = "hazard_middle.ckpt" if case.startswith("hazard") else "driver.ckpt"
-    lines = (small_run / name).read_text().splitlines(keepends=True)
-    if case == "no-std":
-        lines = [line for line in lines if not line.startswith("meta norm_std_speed ")]
-        message = "missing meta key 'norm_std_speed'"
-    else:
-        key = "m" if case == "hazard-bad-m" else "k"
-        lines = [f"meta {key} x\n" if line.startswith(f"meta {key} ") else line for line in lines]
-        message = f"meta {key}: cannot read 'x'"
+    name, edit, message = CHECKPOINT_EDITS[case]
     edited = tmp_path / name
-    edited.write_text("".join(lines))
+    edited.write_text("".join(edit((small_run / name).read_text().splitlines(keepends=True))))
     config, data = str(small_run.parent / "config.txt"), str(small_run / "episodes.txt")
     if name == "driver.ckpt":
         code = main(["label", "--config", config, "--data", data, "--split", str(small_run / "splits.tsv"),
@@ -353,3 +373,22 @@ def test_malformed_checkpoint_meta_exit_code_2(tmp_path, small_run, case, capsys
                      "--out", str(tmp_path / "e.json"), "--quiet"])
     assert code == 2
     assert f"{edited}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen", "train-driver", "label", "split", "run-all"])
+def test_unusable_path_exit_code_2(tmp_path, small_run, command, capsys):
+    """An output in a missing directory, or a directory where a file is
+    expected, fails before any stage work and names the path."""
+    missing, a_file = tmp_path / "nodir", tmp_path / "file.txt"
+    a_file.write_text("")
+    inputs = ["--data", str(small_run / "episodes.txt"), "--split", str(small_run / "splits.tsv")]
+    argv, path = {
+        "gen": (["--out", str(missing / "e.txt")], missing),
+        "train-driver": ([*inputs, "--out", str(missing / "d.ckpt")], missing),
+        "label": ([*inputs, "--driver", str(small_run / "driver.ckpt"), "--out-dir", str(missing)], missing),
+        "split": (["--data", str(tmp_path), "--out", str(tmp_path / "s.tsv")], tmp_path),
+        "run-all": (["--out-dir", str(a_file)], a_file),
+    }[command]
+    code = main([command, "--config", str(small_run.parent / "config.txt"), *argv, "--quiet"])
+    assert code == 2
+    assert f"drivlab: error: {path}:" in capsys.readouterr().err

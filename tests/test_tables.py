@@ -1,5 +1,6 @@
 """The text-table codec: exact round trips and fuzzed readers, checkpoints included."""
 
+import dataclasses
 import string
 
 import numpy as np
@@ -7,11 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drivlab import core
+from drivlab import core, simgen
 from drivlab.diffcore.checkpoint import CHECKPOINT_FORMAT, load_checkpoint
+from drivlab.driver import BackboneArch, DriverNet, init_driver_params, load_driver, predict_batch, save_driver
 from drivlab.errors import DrivlabError, ValidationError, exit_code_for
 from drivlab.evaluate import SCORE_TABLE, SCORES_FORMAT, SCORES_HEADER, read_scores_csv
-from drivlab.failure import LABEL_TABLE, LABELS_FORMAT, LABELS_HEADER, read_labels_csv
+from drivlab.failure import (
+    CANONICAL_THRESHOLDS,
+    LABEL_TABLE,
+    LABELS_FORMAT,
+    LABELS_HEADER,
+    HazardNet,
+    init_hazard_params,
+    load_hazard,
+    predict_hazard_batch,
+    read_labels_csv,
+    save_hazard,
+)
 
 SCHEMAS = (core.EPISODE_TABLE, core.SPLIT_TABLE, LABEL_TABLE, SCORE_TABLE)
 
@@ -121,12 +134,13 @@ def _read_rejects_cleanly(read, path, text: str) -> None:
         assert exit_code_for(exc) in (2, 3), text
 
 
-def _single_edits(text: str, delimiter: str | None = None) -> list[str]:
-    """Every text one edit away from ``text``."""
+def _single_edits(text: str, delimiter: str | None = None, prefix: str = "") -> list[str]:
+    """Every text one edit away from ``text`` in a line starting with ``prefix``."""
     lines = text.split("\n")
     return sorted({
         _edited(text, (i, op, j, token), delimiter)
         for i, line in enumerate(lines[:-1])
+        if line.startswith(prefix)
         for j in range(len(line) + 1)
         for op, token in [("drop", ""), ("duplicate", ""), ("truncate", ""), *(("replace", t) for t in TOKENS)]
     })
@@ -172,6 +186,38 @@ def test_edited_checkpoint_loads_or_raises_drivlab_errors(table_dir, edits):
     for edit in edits:
         text = _edited(text, edit, delimiter=" ")
     _read_rejects_cleanly(load_checkpoint, table_dir / "fuzz.ckpt", text)
+
+
+@pytest.fixture(scope="module")
+def small_nets(table_dir):
+    """A driver and a hazard checkpoint as the pipeline saves them, of an arch
+    small enough that every edit of their meta lines loads in a millisecond,
+    plus windows to predict on. obs_dim 3 keeps a normalizer that lost one
+    value from broadcasting against the observations."""
+    episodes = simgen.generate_dataset(simgen.WorldConfig(episode_length=20), 2, base_seed=0)
+    windows = core.make_windows(*(dataclasses.replace(ep, obs=ep.obs[:, :3]) for ep in episodes), k=2)
+    arch = BackboneArch(obs_dim=3, k=2, enc_hidden=4, enc_out=3, vis_hidden=2, sig_hidden=2, head_hidden=3)
+    rng = np.random.default_rng(0)
+    common = dict(arch=arch, normalizer=core.fit_normalizer(windows), seed=7, provenance={"episodes": "00ff"})
+    save_driver(table_dir / "driver.ckpt", DriverNet(params=init_driver_params(arch, rng), trained_on="D1", **common))
+    save_hazard(table_dir / "hazard_middle.ckpt", HazardNet(
+        params=init_hazard_params(arch, rng), trained_on="D2", thresholds=CANONICAL_THRESHOLDS["middle"], m=8, **common
+    ))
+    return {
+        "driver": (table_dir / "driver.ckpt", load_driver, predict_batch),
+        "hazard": (table_dir / "hazard_middle.ckpt", load_hazard, predict_hazard_batch),
+    }, windows[:5]
+
+
+@pytest.mark.parametrize("kind", ["driver", "hazard"])
+def test_every_meta_edit_of_a_saved_net_predicts_or_raises_drivlab_errors(table_dir, small_nets, kind):
+    nets, windows = small_nets
+    path, load, predict = nets[kind]
+    text = path.read_text()
+    load_and_predict = lambda edited: predict(load(edited), windows)  # noqa: E731
+    load_and_predict(path)  # the unedited file loads and predicts
+    for edited in _single_edits(text, delimiter=" ", prefix="meta "):
+        _read_rejects_cleanly(load_and_predict, table_dir / f"meta_{kind}.ckpt", edited)
 
 
 @pytest.mark.parametrize("dims", ["-2 -3", "-1 -6", "3 -2 -1"])
