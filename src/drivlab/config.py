@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from typing import Mapping
@@ -71,6 +72,9 @@ class PipelineConfig:
     count_unit: str = "steps"  # steps | windows
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValidationError(f"config key {f.name}: must be finite, got {getattr(self, f.name)!r}")
         if self.thresholds not in ("tight", "middle", "loose", "all"):
             raise ValidationError(
                 f"thresholds must be tight, middle, loose or all, got {self.thresholds!r}"

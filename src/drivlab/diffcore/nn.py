@@ -39,7 +39,9 @@ def linear(store: ParameterStore, name: str, x: Tensor) -> Tensor:
             _accum(w, x.data.T @ out.grad)
         _accum(b, out.grad.sum(axis=0))
 
-    return _out(x.data @ w.data + b.data, (x, w, b), backward)
+    y = x.data @ w.data
+    y += b.data  # in place: the sum's bits, one (B, n_out) array fewer
+    return _out(y, (x, w, b), backward)
 
 
 def init_lstm(

@@ -282,10 +282,15 @@ def lstm_seq(x: Tensor, steps: int, wx, wh, b) -> Tensor:
     wxs, whs = (np.stack([w.data for w in ws]) for ws in (wx, wh))
     bs = np.stack([w.data for w in b])[:, None]  # (tracks, 1, 4H): broadcast over the batch
     xw = (xd @ wxs).reshape(tracks, steps, batch, g4)
-    acts = np.empty((tracks, steps, batch, 4, hidden))  # activated gates i, f, g, o
-    cs = np.zeros((tracks, steps + 1, batch, hidden))  # cs[:, t] is the cell state entering step t
-    hs = np.zeros((tracks, steps + 1, batch, hidden))
-    tcs = np.empty((tracks, steps, batch, hidden))  # tanh of the cell state leaving step t
+    # A recording forward keeps every step for the backward. Without a tape
+    # only the running state is kept: one slot per buffer, which each step
+    # reads and then overwrites in place, with the same operations and bits
+    keep = _recording
+    span, states = (steps, steps + 1) if keep else (1, 1)
+    acts = np.empty((tracks, span, batch, 4, hidden))  # activated gates i, f, g, o
+    cs = np.zeros((tracks, states, batch, hidden))  # cs[:, t] is the cell state entering step t
+    hs = np.zeros((tracks, states, batch, hidden))
+    tcs = np.empty((tracks, span, batch, hidden))  # tanh of the cell state leaving step t
     # per-step work buffers, reused by every step; additions commute, so the
     # in-place order (h @ wh + xw) + b gives the cell chain's bits
     a = np.empty((tracks, batch, g4))
@@ -293,17 +298,18 @@ def lstm_seq(x: Tensor, steps: int, wx, wh, b) -> Tensor:
     work = np.empty_like(a4)
     ig = np.empty((tracks, batch, hidden))
     for t in range(steps):
-        np.matmul(hs[:, t], whs, out=a)
+        now, nxt = (t, t + 1) if keep else (0, 0)
+        np.matmul(hs[:, now], whs, out=a)
         a += xw[:, t]
         a += bs
-        act = acts[:, t]
+        act = acts[:, now]
         _sigmoid(a4, out=act, work=work)
         np.tanh(a4[:, :, 2], out=act[:, :, 2])
-        np.multiply(act[:, :, 1], cs[:, t], out=cs[:, t + 1])
+        np.multiply(act[:, :, 1], cs[:, now], out=cs[:, nxt])
         np.multiply(act[:, :, 0], act[:, :, 2], out=ig)
-        cs[:, t + 1] += ig
-        np.tanh(cs[:, t + 1], out=tcs[:, t])
-        np.multiply(act[:, :, 3], tcs[:, t], out=hs[:, t + 1])
+        cs[:, nxt] += ig
+        np.tanh(cs[:, nxt], out=tcs[:, now])
+        np.multiply(act[:, :, 3], tcs[:, now], out=hs[:, nxt])
 
     def backward(out):
         i, f, g, o = (acts[:, :, :, k] for k in range(4))
@@ -347,5 +353,5 @@ def lstm_seq(x: Tensor, steps: int, wx, wh, b) -> Tensor:
         if x.requires_grad:
             _accum(x, (d_gates @ wxs.transpose(0, 2, 1)).reshape(x.data.shape))
 
-    final = hs[:, steps].transpose(1, 0, 2).reshape(batch, tracks * hidden)
+    final = hs[:, -1].transpose(1, 0, 2).reshape(batch, tracks * hidden)
     return _out(final, (x, *wx, *wh, *b), backward)

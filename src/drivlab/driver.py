@@ -22,6 +22,7 @@ from .core import (
     DEFAULT_OBS_DIM,
     SPEED_MAX,
     SPEED_MIN,
+    SPLIT_NAMES,
     Normalizer,
     Windows,
     fit_normalizer,
@@ -186,14 +187,25 @@ def driver_forward(
 
 
 def windows_to_arrays(windows: Windows, normalizer: Normalizer) -> dict[str, np.ndarray]:
-    """Normalized model inputs and targets: the columns are normalized once,
-    then each window gathers its rows end-k..end."""
-    obs, speed, angle = (normalizer.normalize(getattr(windows, c), c) for c in ("obs", "speed", "angle"))
-    end = windows.end[:, None]
-    frames = end + np.arange(-windows.k, 1)
-    past = frames[:, :-1]
-    return {"vis": obs[frames], "spd": speed[past], "ang": angle[past],
+    """Normalized model inputs and targets. The rows the windows span are
+    normalized once; ``obs`` stays a column and ``frames`` holds each
+    window's rows end-k..end in it, so a window's frames are gathered only
+    with its batch (``batch_inputs``). The past speeds and angles are
+    gathered here."""
+    frames = windows.end[:, None] + np.arange(-windows.k, 1)
+    lo, hi = (int(frames.min()), int(frames.max()) + 1) if frames.size else (0, 0)
+    obs, speed, angle = (normalizer.normalize(getattr(windows, c)[lo:hi], c)
+                         for c in ("obs", "speed", "angle"))
+    frames -= lo
+    end, past = frames[:, -1:], frames[:, :-1]
+    return {"obs": obs, "frames": frames, "spd": speed[past], "ang": angle[past],
             "tgt_a": angle[end], "tgt_s": speed[end]}
+
+
+def batch_inputs(data: Mapping[str, np.ndarray], rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(vis, spd, ang) of the windows ``rows`` (an index array or a slice) of
+    ``windows_to_arrays`` output; vis, (B, k+1, obs_dim), is gathered here."""
+    return data["obs"][data["frames"][rows]], data["spd"][rows], data["ang"][rows]
 
 
 def fit(name: str, windows: Windows, normalizer: Normalizer, cfg: TrainConfig, init, forward, loss,
@@ -203,9 +215,10 @@ def fit(name: str, windows: Windows, normalizer: Normalizer, cfg: TrainConfig, i
 
     A batch's loss is ``loss(forward(params, arch, vis, spd, ang, mode, rng),
     data, idx)``: ``data`` holds the normalized arrays of all windows and
-    ``idx`` the batch's rows. ``validate(arch, params)`` adds a per-epoch
-    ``val_loss``. Deterministic for a fixed cfg.seed: init, shuffling and
-    dropout all draw from seed-derived streams.
+    ``idx`` the batch's rows; only the batch's frames are gathered.
+    ``validate(arch, params)`` adds a per-epoch ``val_loss``. Deterministic
+    for a fixed cfg.seed: init, shuffling and dropout all draw from
+    seed-derived streams.
     """
     arch = BackboneArch(obs_dim=windows.obs.shape[1], k=windows.k, dropout_p=cfg.dropout_p)
     streams = np.random.SeedSequence(cfg.seed).spawn(3)
@@ -220,8 +233,7 @@ def fit(name: str, windows: Windows, normalizer: Normalizer, cfg: TrainConfig, i
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             try:
-                out = forward(params, arch, data["vis"][idx], data["spd"][idx], data["ang"][idx],
-                              mode="train", rng=drop_rng)
+                out = forward(params, arch, *batch_inputs(data, idx), mode="train", rng=drop_rng)
                 batch_loss = loss(out, data, idx)
             except NumericalError as exc:
                 raise NumericalError(f"{exc} (lr={cfg.lr}, epoch={epoch}, batch={batches})") from exc
@@ -266,15 +278,15 @@ def train_driver(
 def forward_chunks(forward, data: Mapping[str, np.ndarray]) -> list[np.ndarray]:
     """Run ``forward(vis, spd, ang)``, which returns a tuple of tensors, over
     the rows of ``data`` in chunks of ``PREDICT_BATCH`` under ``no_grad``;
-    returns each output's values over all rows. A one-row remainder joins the
-    chunk before it, so no chunk is a single row."""
-    n = data["vis"].shape[0]
+    returns each output's values over all rows. Each chunk gathers its own
+    frames. A one-row remainder joins the chunk before it, so no chunk is a
+    single row."""
+    n = data["frames"].shape[0]
     stops = [*range(PREDICT_BATCH, n - 1, PREDICT_BATCH), n] if n else []
     parts = []
     with no_grad():
         for start, stop in zip([0, *stops], stops):
-            sl = slice(start, stop)
-            parts.append([out.data for out in forward(data["vis"][sl], data["spd"][sl], data["ang"][sl])])
+            parts.append([out.data for out in forward(*batch_inputs(data, slice(start, stop)))])
     return [np.concatenate(column) for column in zip(*parts)]
 
 
@@ -431,9 +443,12 @@ def load_net(path, kind: str, init, build):
         arch = BackboneArch(**_fields_from_meta(BackboneArch, meta))
         normalizer = Normalizer(**_fields_from_meta(Normalizer, meta, "norm_"))
         _check_agrees(arch, normalizer, params, init)
+        trained_on = meta_field(meta, "trained_on")
+        if trained_on not in SPLIT_NAMES:
+            raise ValidationError(f"meta trained_on: {trained_on!r} is not one of {', '.join(SPLIT_NAMES)}")
         provenance = {k[len("prov_"):]: v for k, v in meta.items() if k.startswith("prov_")}
         return build(meta, arch=arch, params=params, normalizer=normalizer, provenance=provenance,
-                     trained_on=meta_field(meta, "trained_on"), seed=meta_field(meta, "seed", int))
+                     trained_on=trained_on, seed=meta_field(meta, "seed", int))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

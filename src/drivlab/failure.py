@@ -214,21 +214,27 @@ def build_failure_dataset(
     th: Thresholds,
     m: int = DEFAULT_HORIZON,
     allow_leakage: bool = False,
+    predictions: dict | None = None,
 ) -> FailureDataset:
     """Run the driver over every window, label per-step failures, then OR
     each step's failures over the m-step future.
 
     Refuses to label the driver's own training split: its predictions there
-    are too optimistic to reflect real failures.
+    are too optimistic to reflect real failures. ``predictions``, a dict
+    that calls with the same net and episodes share, keeps the windows and
+    the driver's predictions of the first call, so labelling one split at
+    several thresholds runs the driver once.
     """
     if split == net.trained_on and not allow_leakage:
         raise SplitLeakageError(
             f"refusing to label split {split}: the driver was trained on it "
             f"(pass allow_leakage to override)"
         )
-    ordered = sorted(episodes, key=lambda e: e.episode_id)
-    windows = make_windows(*ordered, k=net.arch.k)
-    pred_a, pred_s = predict_batch(net, windows)
+    predictions = {} if predictions is None else predictions
+    if not predictions:
+        windows = make_windows(*sorted(episodes, key=lambda e: e.episode_id), k=net.arch.k)
+        predictions.update(windows=windows, pred=predict_batch(net, windows))
+    windows, (pred_a, pred_s) = predictions["windows"], predictions["pred"]
     true_a, true_s = windows.target_angle, windows.target_speed
     g_a, g_s, g = step_failures((pred_a, pred_s), (true_a, true_s), th)
     # windows are grouped by episode; horizons never cross an episode's end

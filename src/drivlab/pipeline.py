@@ -238,10 +238,11 @@ def stage_label(
     split_episodes = _split_episodes(memo, episodes, splits, split_name)
     provenance = {"seed": str(cfg.seed), "driver": file_digest(driver)}
     paths = []
+    predictions: dict = {}  # one driver pass serves every threshold
     for th_name in cfg.threshold_names():
         ds = build_failure_dataset(
             net, split_episodes, split=split_name, th=CANONICAL_THRESHOLDS[th_name], m=cfg.m,
-            allow_leakage=allow_leakage,
+            allow_leakage=allow_leakage, predictions=predictions,
         )
         path = os.path.join(out_dir, art_labels(split_name, th_name))
         _keep(memo, path, (ds.rows, write_labels_csv(path, ds, provenance)))

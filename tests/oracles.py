@@ -2,10 +2,11 @@
 
 These deliberately use naive algorithms (repeated max-scan selection,
 nested-loop silencing and counting, per-step scalar and slice/any labeling, a
-per-gate autodiff graph for the LSTM, per-step slicing of windows, a
-per-parameter Adam loop, the two-branch sigmoid, MC dropout through the whole
-driver per sample, the human oracle on one ``WorldState`` per step, a
-backward loop for zone distances, a backward sweep that keeps its graph) so
+per-gate autodiff graph for the LSTM, per-step slicing of windows, the
+frames of all windows gathered at once, a per-parameter Adam loop, the
+two-branch sigmoid, MC dropout through the whole driver per sample, the human
+oracle on one ``WorldState`` per step, a backward loop for zone distances, a
+backward sweep that keeps its graph) so
 equivalence tests never share a code path with the implementations they
 check. The graph ops that only the references and the gradient checks use
 (``mul``, ``matmul``, ``tanh``, ``sigmoid``, ``softmax``, ``narrow``,
@@ -20,7 +21,7 @@ import numpy as np
 from drivlab import simgen
 from drivlab.core import ANGLE_MAX, ANGLE_MIN, SPEED_MAX, SPEED_MIN, Normalizer
 from drivlab.diffcore import Tensor, add
-from drivlab.driver import driver_forward, windows_to_arrays
+from drivlab.driver import driver_forward
 from drivlab.diffcore.tensor import _accum, _out
 from drivlab.errors import ShapeError, ValidationError
 
@@ -287,10 +288,22 @@ def adam_loop(data, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         param -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
 
 
+def materialized_arrays(windows, normalizer):
+    """Model inputs and targets of every window at once, ``vis`` gathered as
+    one (N, k+1, obs_dim) array: the reference for ``windows_to_arrays``
+    with ``batch_inputs``, which gather the frames per batch."""
+    obs, speed, angle = (normalizer.normalize(getattr(windows, c), c) for c in ("obs", "speed", "angle"))
+    end = windows.end[:, None]
+    frames = end + np.arange(-windows.k, 1)
+    past = frames[:, :-1]
+    return {"vis": obs[frames], "spd": speed[past], "ang": angle[past],
+            "tgt_a": angle[end], "tgt_s": speed[end]}
+
+
 def mc_predict_loop(net, windows, n_samples, rng, chunk=2048):
     """``mc_predict_batch`` as every sample running the whole driver, trunk
     included, in dropout mode over chunks of ``chunk`` rows."""
-    data = windows_to_arrays(windows, net.normalizer)
+    data = materialized_arrays(windows, net.normalizer)
     n = len(windows)
     angles = np.empty((n_samples, n))
     speeds = np.empty((n_samples, n))

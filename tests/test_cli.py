@@ -120,6 +120,16 @@ def test_invalid_config_value_exit_code_2(tmp_path):
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "e.txt"), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("key, value", [("driver_lr", "nan"), ("loss_balance", "inf"), ("visibility", "-inf")])
+def test_non_finite_config_float_exit_code_2(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.txt"
+    cfg.write_text(SMALL_CONFIG + f"{key} = {value}\n")
+    out = tmp_path / "run"
+    assert main(["run-all", "--config", str(cfg), "--out-dir", str(out), "--quiet"]) == 2
+    assert f"config key {key}: must be finite" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())  # rejected before any stage ran
+
+
 def test_label_leakage_exit_code_2(tmp_path, config_file):
     out = tmp_path / "run"
     assert main(["run-all", "--config", str(config_file), "--out-dir", str(out), "--quiet"]) == 0
@@ -355,6 +365,8 @@ CHECKPOINT_EDITS = {  # case -> (file, edit of its lines, message after the file
                     "parameter ('enc1.w', (16, 64)) where the arch gives ('enc1.w', (16, 63))"),
     "extra-param": ("driver.ckpt", lambda lines: [*lines[:-1], "param extra.w 2\n", "0.5 -0.5\n", lines[-1]],
                     "parameter ('extra.w', (2,)) where the arch gives (none)"),
+    "trained-on-unknown": ("driver.ckpt", _set_meta("trained_on", "D9"),
+                           "meta trained_on: 'D9' is not one of D1, D2, D3"),
 }
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drivlab import core
-from drivlab.driver import windows_to_arrays
+from drivlab.driver import batch_inputs, windows_to_arrays
 from drivlab.errors import ArtifactVersionError, ValidationError
 from drivlab.simgen import WorldConfig, generate_dataset
 
@@ -71,6 +71,12 @@ class TestEpisode:
 
 
 _IDENTITY = core.Normalizer(0.0, 1.0, 0.0, 1.0, np.zeros(3), np.ones(3))
+_PER_WINDOW = ("vis", "spd", "ang", "tgt_a", "tgt_s")
+
+
+def _gathered(arrays):
+    """``windows_to_arrays`` output with every window's frames gathered as ``vis``."""
+    return {**arrays, "vis": batch_inputs(arrays, slice(None))[0]}
 
 
 class TestMakeWindows:
@@ -87,8 +93,9 @@ class TestMakeWindows:
 
     def test_window_contents(self):
         ep = _episode(8)
-        arrays = windows_to_arrays(core.make_windows(ep, k=4), _IDENTITY)
+        arrays = _gathered(windows_to_arrays(core.make_windows(ep, k=4), _IDENTITY))
         # window 1 ends at t = 5
+        assert arrays["frames"][1].tolist() == [1, 2, 3, 4, 5]
         assert arrays["vis"][1].shape == (5, 3)
         assert np.array_equal(arrays["vis"][1][-1], ep.obs[5])
         assert np.array_equal(arrays["spd"][1], ep.speed[1:5])
@@ -126,7 +133,7 @@ class TestMakeWindows:
             assert getattr(norm, field) == getattr(expected, field), field
         assert np.array_equal(norm.obs_mean, expected.obs_mean)
         assert np.array_equal(norm.obs_std, expected.obs_std)
-        got, want = windows_to_arrays(ws, norm), sliced_arrays(ref, norm)
+        got, want = _gathered(windows_to_arrays(ws, norm)), sliced_arrays(ref, norm)
         for key in want:
             assert got[key].shape == want[key].shape and np.array_equal(got[key], want[key]), key
 
@@ -141,9 +148,9 @@ class TestMakeWindows:
         assert [ws.episode_ids[e] for e in ws.ep] == [ep.episode_id for w, ep in zip(parts, eps) for _ in range(len(w))]
         if not len(ws):
             return
-        got = windows_to_arrays(ws, _IDENTITY)
-        for key in got:
-            want = np.concatenate([windows_to_arrays(w, _IDENTITY)[key] for w in parts if len(w)])
+        got = _gathered(windows_to_arrays(ws, _IDENTITY))
+        for key in _PER_WINDOW:
+            want = np.concatenate([_gathered(windows_to_arrays(w, _IDENTITY))[key] for w in parts if len(w)])
             assert np.array_equal(got[key], want), key
 
     def test_several_episodes_reject_duplicate_ids(self):
@@ -157,12 +164,12 @@ class TestMakeWindows:
         assert ws.episode_ids == ("b", "a")  # only the ids the windows use
         assert ws.ep.tolist() == [0, 1, 0] and ws.t.tolist() == [5, 4, 4]
         assert ws.obs.shape == (13, 3)  # only the referenced episodes' rows
-        arrays = windows_to_arrays(ws, _IDENTITY)
+        arrays = _gathered(windows_to_arrays(ws, _IDENTITY))
         assert np.array_equal(arrays["vis"][1], a.obs[0:5])
         assert np.array_equal(arrays["ang"][2], b.angle[0:4])
         part = ws[1:]
         assert len(part) == 2 and part.obs is ws.obs
-        assert np.array_equal(windows_to_arrays(part, _IDENTITY)["vis"], arrays["vis"][1:])
+        assert np.array_equal(_gathered(windows_to_arrays(part, _IDENTITY))["vis"], arrays["vis"][1:])
         with pytest.raises(ValidationError, match="unknown episode z"):
             core.windows_at({"a": a}, ("a", "z"), [1], [4], k=4)
         with pytest.raises(ValidationError, match="out of window range"):

@@ -132,6 +132,16 @@ class TestPrimitiveGradients:
         store.add("lin.b", rng.standard_normal(2))
         _check(lambda: _weighted_sum(linear(store, "lin", x)), store)
 
+    def test_linear_bias_in_place_keeps_the_sum_bits(self):
+        rng = np.random.default_rng(43)
+        store = ParameterStore()
+        x = store.add("x", rng.standard_normal((37, 5)))
+        w, b = store.add("lin.w", rng.standard_normal((5, 3))), store.add("lin.b", rng.standard_normal(3))
+        want = (x.data @ w.data + b.data).view(np.int64)
+        assert np.array_equal(linear(store, "lin", x).data.view(np.int64), want)
+        with no_grad():
+            assert np.array_equal(linear(store, "lin", x).data.view(np.int64), want)
+
     def test_lstm_cell(self):
         store = ParameterStore()
         h = 3
@@ -198,16 +208,39 @@ class TestLstmSeq:
         store, args = _lstm_store(*shape, x_grad=x_grad, seed=4)
         _check(lambda: _weighted_sum(lstm_seq(*args)), store)
 
-    @pytest.mark.parametrize("batch", [2, 3, 32, 257, 2048])
-    @pytest.mark.parametrize("n_in, hidden", [(1, 8), (3, 4)])
-    def test_two_tracks_match_per_track_cell_chains(self, batch, n_in, hidden):
-        steps = 4
+    @pytest.mark.parametrize("shape", [*LSTM_SHAPES, (5, 512, 32, 32), (4, 512, 1, 8)])
+    def test_no_grad_forward_keeps_the_recorded_bits(self, shape):
+        # without a tape only the running state is kept; the values must not move
+        _, args = _lstm_store(*shape)
+        recorded = lstm_seq(*args)
+        with no_grad():
+            got = lstm_seq(*args)
+        assert recorded._parents and got._parents == ()
+        assert np.array_equal(got.data.view(np.int64), recorded.data.view(np.int64))
+
+    @staticmethod
+    def _two_tracks(batch, n_in, hidden, steps=4):
         rng = np.random.default_rng(batch)
         store = ParameterStore()
         x = store.add("x", rng.standard_normal((2, steps * batch, n_in)))
         wx, wh, b = ([store.add(f"{k}.{w}", rng.standard_normal(shape) * 0.8) for k in range(2)]
                      for w, shape in (("wx", (n_in, 4 * hidden)), ("wh", (hidden, 4 * hidden)),
                                       ("b", (4 * hidden,))))
+        return store, (x, steps, wx, wh, b)
+
+    @pytest.mark.parametrize("batch", [3, 512])
+    def test_no_grad_two_tracks_keep_the_recorded_bits(self, batch):
+        _, args = self._two_tracks(batch, 1, 8)
+        recorded = lstm_seq(*args)
+        with no_grad():
+            got = lstm_seq(*args)
+        assert got.data.shape == (batch, 16) and got._parents == ()
+        assert np.array_equal(got.data.view(np.int64), recorded.data.view(np.int64))
+
+    @pytest.mark.parametrize("batch", [2, 3, 32, 257, 2048])
+    @pytest.mark.parametrize("n_in, hidden", [(1, 8), (3, 4)])
+    def test_two_tracks_match_per_track_cell_chains(self, batch, n_in, hidden):
+        store, (x, steps, wx, wh, b) = self._two_tracks(batch, n_in, hidden)
         stacked = lstm_seq(x, steps, wx, wh, b)
         rows = [Tensor(x.data[k].copy(), requires_grad=True) for k in range(2)]
         chains = [lstm_chain(rows[k], steps, wx[k], wh[k], b[k]) for k in range(2)]

@@ -17,6 +17,7 @@ from drivlab.driver import (
     TrainConfig,
     _eval_loss,
     _predict_normalized,
+    batch_inputs,
     constant_mean_mae,
     driver_forward,
     init_driver_params,
@@ -28,11 +29,11 @@ from drivlab.driver import (
     windows_to_arrays,
 )
 from drivlab.errors import NumericalError, ValidationError
-from drivlab.failure import predict_hazard_batch
+from drivlab.failure import CANONICAL_THRESHOLDS, HazardNet, init_hazard_params, predict_hazard_batch, train_failure
 
 from conftest import all_windows, small_world, windows_of_rows
 from drivlab import simgen
-from oracles import mc_predict_loop
+from oracles import materialized_arrays, mc_predict_loop
 
 
 def _constant_windows(n=40, angle=5.0, speed=50.0, d=16, k=4):
@@ -90,7 +91,7 @@ class TestPredictContracts:
         net, _ = trained
         w = small_windows_module[7:8]
         data = windows_to_arrays(w, net.normalizer)
-        out_a, out_s = driver_forward(net.params, net.arch, data["vis"], data["spd"], data["ang"])
+        out_a, out_s = driver_forward(net.params, net.arch, *batch_inputs(data, slice(None)))
         angle, speed = predict_batch(net, w)
         assert angle[0] == float(net.normalizer.denormalize(out_a.data[0, 0], "angle"))
         assert speed[0] == float(net.normalizer.denormalize(out_s.data[0, 0], "speed"))
@@ -172,6 +173,38 @@ class TestInferenceChunks:
         assert predict_hazard_batch(tiny_pipeline["hazard"], empty).shape == (0,)
 
 
+class TestFrameGather:
+    """``windows_to_arrays`` keeps the obs column and a frame-row index;
+    ``batch_inputs`` gathers a batch's frames. Every batch must get the bits
+    of the whole-set gather in ``oracles.materialized_arrays``."""
+
+    @pytest.mark.parametrize("subset", ["all", "shuffled-half", "middle"])
+    def test_ragged_batches_match_the_materialized_gather(self, small_windows_module, subset):
+        rng = np.random.default_rng(9)
+        windows = small_windows_module
+        if subset == "shuffled-half":  # rows out of order, sharing the columns with gaps
+            windows = windows[rng.permutation(len(windows))[: len(windows) // 2]]
+        if subset == "middle":  # a slice whose rows start past the columns' first row
+            windows = windows[150:420]
+        normalizer = core.fit_normalizer(small_windows_module)
+        data, want = windows_to_arrays(windows, normalizer), materialized_arrays(windows, normalizer)
+        for key in ("tgt_a", "tgt_s"):
+            assert np.array_equal(data[key], want[key])
+        span = windows.end.max() - windows.end.min() + 5  # only the rows the windows span
+        assert data["obs"].shape == (span, 16) and data["frames"].min() == 0
+        n = len(windows)
+        cuts = np.cumsum(rng.integers(1, 97, size=n))
+        bounds = [0, *cuts[cuts < n].tolist(), n]  # ragged sizes, one-row batches possible
+        order = rng.permutation(n)
+        batches = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]  # chunks, as in inference
+        batches += [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]  # shuffled, as in training
+        batches += [slice(n - 1, n), order[:1], order[:0]]
+        for rows in batches:
+            for got, key in zip(batch_inputs(data, rows), ("vis", "spd", "ang")):
+                assert got.shape == want[key][rows].shape
+                assert np.array_equal(got.view(np.int64), want[key][rows].view(np.int64)), key
+
+
 MIB = float(1 << 20)
 
 
@@ -194,14 +227,12 @@ class TestMemory:
         arch = BackboneArch(obs_dim=windows.obs.shape[1], k=windows.k)
         params = init_driver_params(arch, np.random.default_rng(0))
         data = windows_to_arrays(windows, core.fit_normalizer(windows))
-        batch = {key: value[:512] for key, value in data.items()}
+        inputs = batch_inputs(data, slice(0, 512))
         rng = np.random.default_rng(1)
 
         def step():
-            out_a, out_s = driver_forward(
-                params, arch, batch["vis"], batch["spd"], batch["ang"], mode="train", rng=rng
-            )
-            loss = add(l2_loss(out_a, batch["tgt_a"]), scale(l2_loss(out_s, batch["tgt_s"]), 1.0))
+            out_a, out_s = driver_forward(params, arch, *inputs, mode="train", rng=rng)
+            loss = add(l2_loss(out_a, data["tgt_a"][:512]), scale(l2_loss(out_s, data["tgt_s"][:512]), 1.0))
             loss.backward()
             adam_step(params, 1e-3)
             return loss
@@ -220,16 +251,51 @@ class TestMemory:
 
     def test_inference_over_2048_rows(self, trained, small_windows_module):
         net, _ = trained
-        data = windows_to_arrays(small_windows_module, net.normalizer)
-        data = {key: np.concatenate([value] * 3)[:2048] for key, value in data.items()}
-        assert data["vis"].shape[0] == 2048
+        rows = np.arange(2048) % len(small_windows_module)  # the windows three times over, cut at 2048
+        data = windows_to_arrays(small_windows_module[rows], net.normalizer)
+        assert data["frames"].shape[0] == 2048
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             peak, _, _ = self._traced(lambda: _predict_normalized(net, data), base)
         finally:
             tracemalloc.stop()
-        assert peak < 10.0
+        assert peak < 7.0
+
+    def test_no_frame_copy_beyond_one_batch_or_chunk(self):
+        """Training, validation, ``eval_mae`` and the three predictors gather
+        the frames of one batch or chunk at a time. Over 6,144 windows of
+        64-wide frames, one copy of every window's frames is 15 MiB, more
+        than any of their traced peaks may reach."""
+        rng = np.random.default_rng(11)
+        episodes = [core.Episode(f"e{i}", 0, rng.standard_normal((1540, 64)), rng.uniform(20, 100, 1540),
+                                 rng.uniform(-30, 30, 1540), {}) for i in range(4)]
+        windows = core.make_windows(*episodes, k=4)
+        frame_copy = len(windows) * 5 * 64 * 8 / MIB
+        assert len(windows) == 6144 and frame_copy == 15.0
+        normalizer = core.fit_normalizer(windows)  # gathers all frames at once itself, so it runs untraced
+        arch = BackboneArch(obs_dim=64, k=4, enc_hidden=8, enc_out=8, vis_hidden=8, sig_hidden=4, head_hidden=8)
+        net = driver_mod.DriverNet(arch, init_driver_params(arch, rng), normalizer, "D1", 0)
+        middle = CANONICAL_THRESHOLDS["middle"]
+        hazard = HazardNet(arch, init_hazard_params(arch, rng), normalizer, "D2", middle, 8, 0)
+        labels = np.arange(len(windows)) % 2
+        paths = {
+            "train": lambda: train_failure(windows, labels, TrainConfig(epochs=1, batch_size=32), normalizer, middle),
+            "validate": lambda: _eval_loss(net, windows_to_arrays(windows, normalizer), 1.0),
+            "eval_mae": lambda: driver_mod.eval_mae(net, windows),
+            "predict": lambda: predict_batch(net, windows),
+            "mc_predict": lambda: mc_predict_batch(net, windows, 2, np.random.default_rng(0)),
+            "predict_hazard": lambda: predict_hazard_batch(hazard, windows),
+        }
+        peaks = {}
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for name, fn in paths.items():
+                peaks[name] = self._traced(fn, base)[0]
+        finally:
+            tracemalloc.stop()
+        assert all(peak < frame_copy for peak in peaks.values()), peaks
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
     def test_freed_blocks_are_reused(self):
@@ -264,8 +330,7 @@ class TestTraining:
         from drivlab.diffcore import l2_loss
 
         out_a, out_s = driver_forward(
-            params, arch, data["vis"], data["spd"], data["ang"], mode="train",
-            rng=np.random.default_rng(1),
+            params, arch, *batch_inputs(data, slice(None)), mode="train", rng=np.random.default_rng(1),
         )
         loss = l2_loss(out_a, data["tgt_a"])  # lam = 0 drops the speed term
         loss.backward()

@@ -335,13 +335,13 @@ class TestHazardNet:
         assert np.all((0.0 <= probs) & (probs <= 1.0))
 
     def test_class_probabilities_sum_to_one(self, tiny_pipeline):
-        from drivlab.driver import windows_to_arrays
+        from drivlab.driver import batch_inputs, windows_to_arrays
         from drivlab.failure import hazard_forward, softmax
 
         net = tiny_pipeline["hazard"]
         ds = tiny_pipeline["eval_labels"]
         data = windows_to_arrays(ds.windows[:40], net.normalizer)
-        logits = hazard_forward(net.params, net.arch, data["vis"], data["spd"], data["ang"])
+        logits = hazard_forward(net.params, net.arch, *batch_inputs(data, slice(None)))
         probs = softmax(logits.data)
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-12)
 

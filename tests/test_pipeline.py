@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
+from drivlab import failure
 from drivlab.config import PipelineConfig, parse_budgets, parse_kv_file
 from drivlab.errors import MissingArtifactError, ValidationError
-from drivlab.pipeline import derived_seed, run_stage
+from drivlab.pipeline import art_labels, derived_seed, run_stage, stage_label
 
 
 class TestKvFile:
@@ -71,6 +74,28 @@ class TestStages:
     def test_stage_requires_upstream(self, tmp_path):
         with pytest.raises(MissingArtifactError, match="episodes.txt"):
             run_stage("split", PipelineConfig(), tmp_path)
+
+
+    def test_label_runs_the_driver_once_per_split(self, tmp_path, monkeypatch):
+        """At thresholds = all the three label files of a split share one
+        driver pass, and each holds the bytes of labelling at its threshold alone."""
+        cfg = PipelineConfig(episodes=6, episode_length=40, driver_epochs=1, thresholds="all")
+        for name in ("gen", "split", "train-driver"):
+            run_stage(name, cfg, tmp_path)
+        passes = []
+        predict = failure.predict_batch
+        monkeypatch.setattr(failure, "predict_batch", lambda net, ws: passes.append(len(ws)) or predict(net, ws))
+        assert len(run_stage("label", cfg, tmp_path)) == 6
+        assert len(passes) == 2 and min(passes) > 0
+        inputs = [tmp_path / name for name in ("episodes.txt", "splits.tsv", "driver.ckpt")]
+        for th in cfg.threshold_names():
+            alone = tmp_path / th
+            alone.mkdir()
+            for split in ("D2", "D3"):
+                stage_label(dataclasses.replace(cfg, thresholds=th), *inputs, split, alone, {})
+                name = art_labels(split, th)
+                assert (alone / name).read_bytes() == (tmp_path / name).read_bytes(), name
+        assert len(passes) == 2 + 6
 
 
 class TestDerivedSeed:
