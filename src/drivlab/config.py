@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, fields
 from typing import Mapping
 
+from .core import key, parse_keys
 from .errors import MissingArtifactError, ValidationError
 from .simgen import WorldConfig
 
@@ -33,111 +33,67 @@ def parse_kv_file(path) -> dict[str, str]:
     return out
 
 
-@dataclass
-class PipelineConfig:
-    """All knobs for the five-stage pipeline. Key names match the config file."""
+@dataclass(frozen=True)
+class PipelineConfig(WorldConfig):
+    """All knobs for the five-stage pipeline. Key names match the config file;
+    the world keys and their domains are ``WorldConfig``'s, and ``seed`` is
+    the pipeline's master seed."""
 
-    episodes: int = 1000
-    episode_length: int = 300
-    seed: int = 0
-    k: int = 4
-    m: int = 8
-    obs_dim: int = 16
+    episodes: int = key(1000, "[3, inf)")  # three-way split
+    k: int = key(4, "[1, inf)")
+    m: int = key(8, "[0, inf)")
 
-    curvature_sigma: float = 0.004
-    curvature_rate: float = 0.08
-    curvature_jump_prob: float = 0.015
-    curvature_jump_scale: float = 0.02
-    intersection_rate: float = 2.5
-    congestion_level: float = 0.6
-    visibility: float = 0.7
-    obs_noise_scale: float = 0.5
-    steer_gain: float = 400.0
-    base_speed: float = 80.0
+    driver_lr: float = key(1e-3, "(0, inf)")
+    driver_epochs: int = key(10, "[1, inf)")
+    driver_batch_size: int = key(32, "[1, inf)")
+    driver_dropout: float = key(0.1, "(0, 1)")  # > 0: eval runs the MC-dropout baseline
+    loss_balance: float = key(1.0, "[0, inf)")
 
-    driver_lr: float = 1e-3
-    driver_epochs: int = 10
-    driver_batch_size: int = 32
-    driver_dropout: float = 0.1
-    loss_balance: float = 1.0
-
-    hazard_lr: float = 1e-3
-    hazard_epochs: int = 10
-    hazard_batch_size: int = 32
-    hazard_dropout: float = 0.1
+    hazard_lr: float = key(1e-3, "(0, inf)")
+    hazard_epochs: int = key(10, "[1, inf)")
+    hazard_batch_size: int = key(32, "[1, inf)")
+    hazard_dropout: float = key(0.1, "[0, 1)")
 
     thresholds: str = "middle"  # tight | middle | loose | all
     budgets: str = "0.01:1.0:0.01"
-    mc_samples: int = 20
+    mc_samples: int = key(20, "[2, inf)")
     count_unit: str = "steps"  # steps | windows
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValidationError(f"config key {f.name}: must be finite, got {getattr(self, f.name)!r}")
+        super().__post_init__()
         if self.thresholds not in ("tight", "middle", "loose", "all"):
             raise ValidationError(
                 f"thresholds must be tight, middle, loose or all, got {self.thresholds!r}"
             )
         if self.count_unit not in ("steps", "windows"):
             raise ValidationError(f"count_unit must be steps or windows, got {self.count_unit!r}")
-        if self.episodes < 3:
-            raise ValidationError("episodes must be >= 3 (three-way split)")
-        if self.m < 0 or self.k < 1:
-            raise ValidationError("need m >= 0 and k >= 1")
         if self.episode_length < self.k + self.m + 1:
             raise ValidationError(
                 f"episode_length {self.episode_length} < k + m + 1 = {self.k + self.m + 1}"
             )
-        if self.mc_samples < 2:
-            raise ValidationError("mc_samples must be >= 2")
         parse_budgets(self.budgets)
 
     @classmethod
     def from_mapping(cls, raw: Mapping[str, str]) -> "PipelineConfig":
-        known = {f.name: f.type for f in fields(cls)}
-        unknown = sorted(set(raw) - set(known))
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in raw:
-                continue
-            text = raw[f.name]
-            try:
-                if f.type == "int":
-                    kwargs[f.name] = int(text)
-                elif f.type == "float":
-                    kwargs[f.name] = float(text)
-                else:
-                    kwargs[f.name] = text
-            except ValueError:
-                raise ValidationError(f"config key {f.name}: cannot parse {text!r}") from None
-        return cls(**kwargs)
+        return parse_keys(cls, raw, "config key", required=False)
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        return cls.from_mapping(parse_kv_file(path))
+        raw = parse_kv_file(path)
+        try:
+            return cls.from_mapping(raw)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
     def to_mapping(self) -> dict[str, object]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def world_config(self, seed: int | None = None) -> WorldConfig:
-        return WorldConfig(
-            episode_length=self.episode_length,
-            curvature_sigma=self.curvature_sigma,
-            curvature_rate=self.curvature_rate,
-            curvature_jump_prob=self.curvature_jump_prob,
-            curvature_jump_scale=self.curvature_jump_scale,
-            intersection_rate=self.intersection_rate,
-            congestion_level=self.congestion_level,
-            visibility=self.visibility,
-            obs_noise_scale=self.obs_noise_scale,
-            steer_gain=self.steer_gain,
-            base_speed=self.base_speed,
-            obs_dim=self.obs_dim,
-            seed=self.seed if seed is None else seed,
-        )
+        world = {f.name: getattr(self, f.name) for f in fields(WorldConfig)}
+        return WorldConfig(**{**world, "seed": self.seed if seed is None else seed})
 
     def threshold_names(self) -> list[str]:
         return ["tight", "middle", "loose"] if self.thresholds == "all" else [self.thresholds]

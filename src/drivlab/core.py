@@ -8,9 +8,10 @@ are marked read-only so slices of windows can safely share their columns.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,6 +35,79 @@ def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+# ---------------------------------------------------------------------------
+# Keys: typed, domain-checked fields of configs and checkpoint metadata
+# ---------------------------------------------------------------------------
+
+# field annotation -> (the types a value may have, its text, the value of a text)
+_KEY_TYPES = {
+    "int": ((int, np.integer), str, int),
+    "float": ((int, float, np.integer, np.floating), lambda v: repr(float(v)), float),
+    "str": (str, str, str),
+    "np.ndarray": (np.ndarray, lambda v: ",".join(repr(float(x)) for x in v),
+                   lambda text: np.array([float(x) for x in text.split(",")])),
+}
+
+
+def key(default=MISSING, domain: str = "(-inf, inf)") -> Field:
+    """A dataclass field whose value, or each value of an array, must lie in
+    the interval ``domain``, written like ``[0, 1)``; a float must also be
+    finite. ``check_keys`` checks it and ``parse_keys`` reads it."""
+    lo, hi = (float(bound) for bound in domain[1:-1].split(","))
+    # an open end is checked as the closed end one float inward
+    lo = math.nextafter(lo, math.inf) if domain[0] == "(" and math.isfinite(lo) else lo
+    hi = math.nextafter(hi, -math.inf) if domain[-1] == ")" and math.isfinite(hi) else hi
+    return field(default=default, metadata={"domain": (domain, lo, hi)})
+
+
+def check_key(f: Field, value, where: str):
+    """``value`` if it has the type of field ``f`` and lies in its domain;
+    otherwise a ValidationError names ``where`` and the value."""
+    if not isinstance(value, _KEY_TYPES[f.type][0]):
+        raise ValidationError(f"{where}: must be {f.type}, got {value!r}")
+    if "domain" in f.metadata:
+        domain, lo, hi = f.metadata["domain"]
+        for v in value.ravel().tolist() if isinstance(value, np.ndarray) else [value]:
+            if not (lo <= v <= hi and (f.type == "int" or math.isfinite(v))):
+                finite = "" if f.type == "int" else "finite and "
+                raise ValidationError(f"{where}: must be {finite}in {domain}, got {v}")
+    return value
+
+
+def check_keys(obj, where: str) -> None:
+    """``check_key`` on every field of dataclass ``obj``, named ``where`` and the field name."""
+    for f in fields(obj):
+        check_key(f, getattr(obj, f.name), f"{where} {f.name}")
+
+
+def format_keys(obj, prefix: str = "") -> dict[str, str]:
+    """The text of each field of dataclass ``obj`` under ``prefix`` + its name, in field order."""
+    return {prefix + f.name: _KEY_TYPES[f.type][1](getattr(obj, f.name)) for f in fields(obj)}
+
+
+def read_key(raw: Mapping[str, str], name: str, where: str, parse=str):
+    """``parse(raw[name])``; a missing key or a text that ``parse`` rejects
+    raises ValidationError naming ``where`` and the key."""
+    if name not in raw:
+        raise ValidationError(f"missing {where} key {name!r}")
+    try:
+        return parse(raw[name])
+    except ValueError:
+        raise ValidationError(f"{where} {name}: cannot read {raw[name]!r}") from None
+
+
+def parse_keys(cls, raw: Mapping[str, str], where: str, prefix: str = "", required: bool = True):
+    """A ``cls`` built from the texts that ``format_keys`` writes, each field
+    parsed by its type and checked by ``check_key``; errors name ``where`` and
+    the key. Unless ``required``, an absent key keeps its field's default."""
+    return cls(**{
+        f.name: check_key(f, read_key(raw, prefix + f.name, where, _KEY_TYPES[f.type][2]),
+                          f"{where} {prefix}{f.name}")
+        for f in fields(cls)
+        if required or prefix + f.name in raw
+    })
 
 
 def _bad_step(obs: np.ndarray, speed: np.ndarray, angle: np.ndarray) -> tuple[int, str] | None:
@@ -228,21 +302,17 @@ def split_dataset(episodes: Sequence[Episode], seed: int) -> SplitSet:
 class Normalizer:
     """Per-channel z-score statistics, computed on the training split only."""
 
-    mean_speed: float
-    std_speed: float
-    mean_angle: float
-    std_angle: float
-    obs_mean: np.ndarray  # (obs_dim,)
-    obs_std: np.ndarray  # (obs_dim,)
+    mean_speed: float = key()
+    std_speed: float = key(domain="(0, inf)")
+    mean_angle: float = key()
+    std_angle: float = key(domain="(0, inf)")
+    obs_mean: np.ndarray = key()  # (obs_dim,)
+    obs_std: np.ndarray = key(domain="(0, inf)")  # (obs_dim,)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "obs_mean", _readonly(self.obs_mean))
         object.__setattr__(self, "obs_std", _readonly(self.obs_std))
-        scalars = [self.mean_speed, self.std_speed, self.mean_angle, self.std_angle]
-        if not np.all(np.isfinite(np.concatenate([scalars, self.obs_mean, self.obs_std]))):
-            raise ValidationError("normalizer statistics must be finite")
-        if self.std_speed <= 0 or self.std_angle <= 0 or np.any(self.obs_std <= 0):
-            raise ValidationError("normalizer std values must be positive")
+        check_keys(self, "normalizer")
 
     def _stats(self, channel: str):
         if channel == "speed":

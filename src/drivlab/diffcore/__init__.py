@@ -15,7 +15,6 @@ from .tensor import (
 )
 from .optim import ParameterStore, adam_step
 from .nn import glorot_uniform, init_linear, init_lstm, linear
-from .gradcheck import GradCheckReport, grad_check
 from .checkpoint import CHECKPOINT_FORMAT, load_checkpoint, save_checkpoint
 
 __all__ = [
@@ -23,6 +22,5 @@ __all__ = [
     "lstm_seq", "no_grad", "relu", "scale",
     "ParameterStore", "adam_step",
     "glorot_uniform", "init_linear", "init_lstm", "linear",
-    "GradCheckReport", "grad_check",
     "CHECKPOINT_FORMAT", "load_checkpoint", "save_checkpoint",
 ]

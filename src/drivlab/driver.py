@@ -25,7 +25,12 @@ from .core import (
     SPLIT_NAMES,
     Normalizer,
     Windows,
+    check_keys,
     fit_normalizer,
+    format_keys,
+    key,
+    parse_keys,
+    read_key,
 )
 from .diffcore import (
     ParameterStore,
@@ -59,14 +64,17 @@ PREDICT_BATCH = 512
 class BackboneArch:
     """Shape of the shared trunk used by both the driver and hazard nets."""
 
-    obs_dim: int = DEFAULT_OBS_DIM
-    k: int = DEFAULT_K
-    enc_hidden: int = 64
-    enc_out: int = 32
-    vis_hidden: int = 32
-    sig_hidden: int = 8
-    head_hidden: int = 32
-    dropout_p: float = 0.1
+    obs_dim: int = key(DEFAULT_OBS_DIM, "[1, inf)")
+    k: int = key(DEFAULT_K, "[1, inf)")
+    enc_hidden: int = key(64, "[1, inf)")
+    enc_out: int = key(32, "[1, inf)")
+    vis_hidden: int = key(32, "[1, inf)")
+    sig_hidden: int = key(8, "[1, inf)")
+    head_hidden: int = key(32, "[1, inf)")
+    dropout_p: float = key(0.1, "[0, 1)")
+
+    def __post_init__(self) -> None:
+        check_keys(self, "arch")
 
     @property
     def fused_dim(self) -> int:
@@ -75,18 +83,15 @@ class BackboneArch:
 
 @dataclass
 class TrainConfig:
-    lr: float = 1e-3
-    epochs: int = 10
-    batch_size: int = 32
-    lam: float = 1.0  # balance between the angle loss and the speed loss
-    seed: int = 0
-    dropout_p: float = 0.1
+    lr: float = key(1e-3, "(0, inf)")
+    epochs: int = key(10, "[1, inf)")
+    batch_size: int = key(32, "[1, inf)")
+    lam: float = key(1.0, "[0, inf)")  # balance between the angle loss and the speed loss
+    seed: int = key(0, "[0, inf)")
+    dropout_p: float = key(0.1, "[0, 1)")
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValidationError(f"loss balance must be >= 0, got {self.lam}")
-        if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
-            raise ValidationError("epochs and batch_size must be >= 1, lr > 0")
+        check_keys(self, "train config")
 
 
 @dataclass
@@ -375,40 +380,10 @@ def constant_mean_mae(normalizer: Normalizer, windows: Windows) -> tuple[float, 
 # ---------------------------------------------------------------------------
 
 
-# field annotation -> (format, parse) of a checkpoint meta value
-_META_CODECS = {
-    "int": (str, int),
-    "float": (lambda v: repr(float(v)), float),
-    "np.ndarray": (lambda v: ",".join(repr(float(x)) for x in v),
-                   lambda text: np.array([float(x) for x in text.split(",")])),
-}
-
-
-def _fields_meta(obj, prefix: str = "") -> dict[str, str]:
-    """Checkpoint meta of dataclass ``obj``: a ``prefix + field`` key per field, in field order."""
-    return {prefix + f.name: _META_CODECS[f.type][0](getattr(obj, f.name)) for f in fields(obj)}
-
-
-def _fields_from_meta(cls, meta: Mapping[str, str], prefix: str = "") -> dict[str, object]:
-    """The fields of dataclass ``cls`` parsed from the keys ``_fields_meta`` writes."""
-    return {f.name: meta_field(meta, prefix + f.name, _META_CODECS[f.type][1]) for f in fields(cls)}
-
-
-def meta_field(meta: Mapping[str, str], key: str, parse=str):
-    """``parse(meta[key])`` for checkpoint metadata; a missing key or a value
-    that ``parse`` rejects raises ValidationError naming the key."""
-    if key not in meta:
-        raise ValidationError(f"missing meta key {key!r}")
-    try:
-        return parse(meta[key])
-    except ValueError:
-        raise ValidationError(f"meta {key}: cannot read {meta[key]!r}") from None
-
-
 def save_net(path, kind: str, net, extra: Mapping[str, str]) -> None:
     """Write a driver or hazard net: arch, training split and seed, ``extra``, normalizer, provenance."""
-    meta = {**_fields_meta(net.arch), "trained_on": net.trained_on, "seed": str(net.seed), **extra,
-            **_fields_meta(net.normalizer, "norm_"),
+    meta = {**format_keys(net.arch), "trained_on": net.trained_on, "seed": str(net.seed), **extra,
+            **format_keys(net.normalizer, "norm_"),
             **{f"prov_{k}": str(v) for k, v in sorted(net.provenance.items())}}
     save_checkpoint(path, kind, meta, net.params)
 
@@ -416,15 +391,15 @@ def save_net(path, kind: str, net, extra: Mapping[str, str]) -> None:
 def _check_agrees(arch: BackboneArch, normalizer: Normalizer, params: ParameterStore, init) -> None:
     """The normalizer and the parameters must have the shapes ``arch`` gives
     them; the parameters are compared by name and shape with ``init(arch)``'s."""
-    for key in ("obs_mean", "obs_std"):
-        size = getattr(normalizer, key).size
+    for stat in ("obs_mean", "obs_std"):
+        size = getattr(normalizer, stat).size
         if size != arch.obs_dim:
-            raise ValidationError(f"meta norm_{key}: {size} values, obs_dim is {arch.obs_dim}")
+            raise ValidationError(f"meta norm_{stat}: {size} values, obs_dim is {arch.obs_dim}")
     stored = [(name, p.data.shape) for name, p in params.items()]
     # a width beyond every stored dimension cannot match: reject it before init allocates it
     widest = max((d for _, shape in stored for d in shape), default=0)
     for f in fields(arch):
-        if f.type == "int" and f.name != "k" and not 1 <= getattr(arch, f.name) <= widest:
+        if f.type == "int" and f.name != "k" and getattr(arch, f.name) > widest:
             raise ValidationError(f"meta {f.name}: {getattr(arch, f.name)} is no dimension of the parameters")
     expected = [(name, p.data.shape) for name, p in init(arch, np.random.default_rng(0)).items()]
     if stored != expected:
@@ -440,15 +415,15 @@ def load_net(path, kind: str, init, build):
     if found != kind:
         raise ValidationError(f"{path}: expected a {kind} checkpoint, found kind {found!r}")
     try:
-        arch = BackboneArch(**_fields_from_meta(BackboneArch, meta))
-        normalizer = Normalizer(**_fields_from_meta(Normalizer, meta, "norm_"))
+        arch = parse_keys(BackboneArch, meta, "meta")
+        normalizer = parse_keys(Normalizer, meta, "meta", "norm_")
         _check_agrees(arch, normalizer, params, init)
-        trained_on = meta_field(meta, "trained_on")
+        trained_on = read_key(meta, "trained_on", "meta")
         if trained_on not in SPLIT_NAMES:
             raise ValidationError(f"meta trained_on: {trained_on!r} is not one of {', '.join(SPLIT_NAMES)}")
         provenance = {k[len("prov_"):]: v for k, v in meta.items() if k.startswith("prov_")}
         return build(meta, arch=arch, params=params, normalizer=normalizer, provenance=provenance,
-                     trained_on=trained_on, seed=meta_field(meta, "seed", int))
+                     trained_on=trained_on, seed=read_key(meta, "seed", "meta", int))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

@@ -22,7 +22,11 @@ from .core import (
     TableSchema,
     Windows,
     _readonly,
+    check_keys,
+    format_keys,
+    key,
     make_windows,
+    parse_keys,
     read_table,
     write_table,
 )
@@ -37,7 +41,6 @@ from .driver import (
     head_forward,
     init_backbone,
     load_net,
-    meta_field,
     predict_batch,
     save_net,
     windows_to_arrays,
@@ -53,12 +56,18 @@ DEFAULT_HORIZON = 8  # steps; 2 s of lookahead at 4 Hz
 class Thresholds:
     """Failure thresholds: degrees for angle, km/h for speed."""
 
-    t_angle: float
-    t_speed: float
+    t_angle: float = key(domain="(0, inf)")
+    t_speed: float = key(domain="(0, inf)")
 
     def __post_init__(self) -> None:
-        if self.t_angle <= 0 or self.t_speed <= 0:
-            raise ValidationError(f"thresholds must be > 0, got {self}")
+        check_keys(self, "thresholds")
+
+
+@dataclass(frozen=True)
+class _Horizon(Thresholds):
+    """The keys of ``horizon_meta``: the thresholds and the lookahead ``m``, in steps."""
+
+    m: int = key(domain="[0, inf)")
 
 
 # the three canonical operating points, tight to loose
@@ -71,16 +80,13 @@ CANONICAL_THRESHOLDS: Mapping[str, Thresholds] = {
 
 def horizon_meta(th: Thresholds, m: int) -> dict[str, str]:
     """The ``t_angle``, ``t_speed`` and ``m`` metadata of label files and hazard checkpoints."""
-    return {"t_angle": repr(th.t_angle), "t_speed": repr(th.t_speed), "m": str(m)}
+    return format_keys(_Horizon(th.t_angle, th.t_speed, m))
 
 
 def horizon_from_meta(meta: Mapping[str, str]) -> tuple[Thresholds, int]:
     """(thresholds, m) from ``horizon_meta``'s keys; raises ValidationError naming a bad key."""
-    th = Thresholds(meta_field(meta, "t_angle", float), meta_field(meta, "t_speed", float))
-    m = meta_field(meta, "m", int)
-    if m < 0:
-        raise ValidationError(f"meta m: horizon must be >= 0, got {m}")
-    return th, m
+    horizon = parse_keys(_Horizon, meta, "meta")
+    return Thresholds(horizon.t_angle, horizon.t_speed), horizon.m
 
 
 MAX_STEP = 1 << 31  # labeled steps t lie in [0, MAX_STEP)

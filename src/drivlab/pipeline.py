@@ -28,7 +28,6 @@ from .driver import (
     constant_mean_mae,
     eval_mae,
     load_driver,
-    meta_field,
     save_driver,
     train_driver,
 )
@@ -147,9 +146,9 @@ def _driver_digest(driver, labels, meta: Mapping[str, str]) -> str:
 def _label_header(path, meta: Mapping[str, str]) -> tuple[str, str, Thresholds, int]:
     """(split, threshold name, thresholds, m) from a label file's metadata."""
     try:
-        split, (th, m) = meta_field(meta, "split"), horizon_from_meta(meta)
-    except ValidationError:
-        raise ValidationError(f"{path}: label file lacks a valid split, t_angle, t_speed or m") from None
+        split, (th, m) = core.read_key(meta, "split", "meta"), horizon_from_meta(meta)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: label file lacks a valid split, t_angle, t_speed or m: {exc}") from None
     names = [name for name, canon in CANONICAL_THRESHOLDS.items() if canon == th]
     if not names:
         raise ValidationError(f"{path}: thresholds {th} are not a canonical operating point")

@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import ANGLE_MAX, ANGLE_MIN, SPEED_MAX, SPEED_MIN, Episode
+from .core import ANGLE_MAX, ANGLE_MIN, SPEED_MAX, SPEED_MIN, Episode, check_keys, key
 from .errors import ValidationError
 
 # stream ids for the per-concern Philox streams
@@ -55,6 +55,7 @@ _CHANNEL_SCALES = np.array(
 )
 N_SIGNAL_CHANNELS = len(_CHANNEL_SCALES)
 N_NOISE_CHANNELS = 4  # pure-noise tail channels force the encoder to select
+OBS_DIM = N_SIGNAL_CHANNELS + N_NOISE_CHANNELS
 
 
 @dataclass(frozen=True)
@@ -67,42 +68,22 @@ class WorldConfig:
     intersections per 100 steps.
     """
 
-    episode_length: int = 300
-    curvature_sigma: float = 0.004
-    curvature_rate: float = 0.08
-    curvature_jump_prob: float = 0.015
-    curvature_jump_scale: float = 0.02
-    intersection_rate: float = 2.5
-    congestion_level: float = 0.6
-    visibility: float = 0.7
-    obs_noise_scale: float = 0.5
-    steer_gain: float = 400.0
-    base_speed: float = 80.0
-    obs_dim: int = 16
-    seed: int = 0
+    episode_length: int = key(300, "[1, inf)")
+    curvature_sigma: float = key(0.004, "[0, inf)")
+    curvature_rate: float = key(0.08, "[0, inf)")
+    curvature_jump_prob: float = key(0.015, "[0, 1]")
+    curvature_jump_scale: float = key(0.02, "[0, inf)")
+    intersection_rate: float = key(2.5, "[0, 100]")
+    congestion_level: float = key(0.6, "[0, 1]")
+    visibility: float = key(0.7, "[0, 1]")
+    obs_noise_scale: float = key(0.5, "[0, inf)")
+    steer_gain: float = key(400.0)
+    base_speed: float = key(80.0, f"(0, {SPEED_MAX}]")
+    obs_dim: int = key(OBS_DIM, f"[{OBS_DIM}, {OBS_DIM}]")
+    seed: int = key(0)
 
-    def validate(self, min_length: int = 13) -> None:
-        if self.episode_length < min_length:
-            raise ValidationError(
-                f"episode_length {self.episode_length} < minimum {min_length} (k + m + 1)"
-            )
-        for name in ("curvature_sigma", "curvature_rate", "intersection_rate",
-                     "curvature_jump_prob", "curvature_jump_scale", "obs_noise_scale"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-        for name in ("congestion_level", "visibility"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {v}")
-        if self.curvature_jump_prob > 1.0:
-            raise ValidationError("curvature_jump_prob must lie in [0, 1]")
-        if self.obs_dim != N_SIGNAL_CHANNELS + N_NOISE_CHANNELS:
-            raise ValidationError(
-                f"obs_dim must be {N_SIGNAL_CHANNELS + N_NOISE_CHANNELS} "
-                f"({N_SIGNAL_CHANNELS} signal + {N_NOISE_CHANNELS} noise channels)"
-            )
-        if self.base_speed <= 0 or self.base_speed > SPEED_MAX:
-            raise ValidationError(f"base_speed must lie in (0, {SPEED_MAX}]")
+    def __post_init__(self) -> None:
+        check_keys(self, "config key")
 
     def digest(self) -> str:
         payload = ";".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
@@ -170,8 +151,6 @@ def _zone_schedule(
     overlap.
     """
     p = config.intersection_rate / 100.0
-    if p > 1.0:
-        raise ValidationError("intersection_rate must be <= 100 per 100 steps")
     rng_arrivals = _stream(config.seed, _STREAM_ARRIVALS)
     rng_branches = _stream(config.seed, _STREAM_BRANCHES)
     arrivals = rng_arrivals.random(n) < p
@@ -225,7 +204,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def generate_episode(config: WorldConfig, episode_id: str | None = None) -> Episode:
     """Deterministic episode for ``config.seed``; see module docstring."""
-    config.validate()
     n = config.episode_length
     lookahead = 8
     curvature = _curvature_path(config, n + lookahead)

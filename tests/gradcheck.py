@@ -1,4 +1,5 @@
-"""Central finite-difference verification of analytic gradients."""
+"""Central finite-difference verification of analytic gradients (C1 and the
+diffcore tests)."""
 
 from __future__ import annotations
 
@@ -7,8 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .optim import ParameterStore
-from .tensor import Tensor
+from drivlab.diffcore import ParameterStore, Tensor
 
 # rel-error denominator floor: below this scale central differences are
 # dominated by float64 cancellation noise, so tiny gradients compare absolutely

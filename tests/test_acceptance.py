@@ -18,7 +18,6 @@ import pytest
 from drivlab import evaluate
 from drivlab.cli import main as cli_main
 from drivlab.config import PipelineConfig
-from drivlab.diffcore import grad_check
 from drivlab.driver import load_driver, predict_batch, save_driver
 from drivlab.failure import (
     CANONICAL_THRESHOLDS,
@@ -32,6 +31,7 @@ from drivlab.failure import (
 )
 from drivlab.pipeline import ART_DRIVER_METRICS, art_eval, art_labels, run_all, run_stage
 from conftest import labels_of, row_positions, trace_of
+from gradcheck import grad_check
 from oracles import brute_force_horizon, brute_force_takeover, label_horizon, label_step, lstm_cell
 
 

@@ -130,6 +130,25 @@ def test_non_finite_config_float_exit_code_2(tmp_path, capsys, key, value):
     assert not out.exists() or not any(out.iterdir())  # rejected before any stage ran
 
 
+@pytest.mark.parametrize("key, value", [
+    ("hazard_lr", "0"), ("hazard_batch_size", "0"), ("hazard_dropout", "1.0"), ("loss_balance", "-1"),
+    ("driver_dropout", "0"), ("intersection_rate", "200"),
+])
+def test_config_value_outside_its_domain_exits_2_before_any_stage(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.txt"
+    cfg.write_text(SMALL_CONFIG + f"{key} = {value}\n")
+    out = tmp_path / "run"
+    assert main(["run-all", "--config", str(cfg), "--out-dir", str(out), "--quiet"]) == 2
+    assert f"{cfg}: config key {key}: must be" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())  # rejected before any stage ran
+
+
+def test_gen_takes_the_pipeline_episode_length_floor(tmp_path):
+    cfg = tmp_path / "short.txt"
+    cfg.write_text(SMALL_CONFIG.replace("episode_length = 60", "episode_length = 8") + "k = 1\nm = 0\n")
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "e.txt"), "--quiet"]) == 0
+
+
 def test_label_leakage_exit_code_2(tmp_path, config_file):
     out = tmp_path / "run"
     assert main(["run-all", "--config", str(config_file), "--out-dir", str(out), "--quiet"]) == 0
@@ -359,7 +378,10 @@ CHECKPOINT_EDITS = {  # case -> (file, edit of its lines, message after the file
                        "the hazard net was trained at Thresholds(t_angle=7.0, t_speed=3.0), m=4;"),
     "hazard-other-threshold": ("hazard_middle.ckpt", _set_meta("t_angle", "10.0"),
                                "the hazard net was trained at Thresholds(t_angle=10.0, t_speed=3.0), m=8;"),
-    "hazard-negative-m": ("hazard_middle.ckpt", _set_meta("m", "-3"), "meta m: horizon must be >= 0, got -3"),
+    "hazard-negative-m": ("hazard_middle.ckpt", _set_meta("m", "-3"), "meta m: must be in [0, inf), got -3"),
+    "dropout-nan": ("driver.ckpt", _set_meta("dropout_p", "nan"), "meta dropout_p: must be finite and in [0, 1), got nan"),
+    "hazard-dropout-1.5": ("hazard_middle.ckpt", _set_meta("dropout_p", "1.5"),
+                           "meta dropout_p: must be finite and in [0, 1), got 1.5"),
     "short-obs-mean": ("driver.ckpt", _short_obs_mean, "meta norm_obs_mean: 15 values, obs_dim is 16"),
     "other-width": ("driver.ckpt", _set_meta("enc_hidden", "63"),
                     "parameter ('enc1.w', (16, 64)) where the arch gives ('enc1.w', (16, 63))"),

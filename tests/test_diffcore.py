@@ -11,7 +11,6 @@ from drivlab.diffcore import (
     concat,
     cross_entropy_loss,
     dropout,
-    grad_check,
     l2_loss,
     linear,
     lstm_seq,
@@ -30,6 +29,7 @@ from drivlab.errors import (
 from drivlab.diffcore.tensor import _sigmoid
 from drivlab.driver import BackboneArch, driver_forward, init_driver_params
 from drivlab.failure import softmax as np_softmax
+from gradcheck import grad_check
 from oracles import (
     adam_loop,
     graph_nodes,

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +66,26 @@ class TestPipelineConfig:
     def test_unknown_key(self):
         with pytest.raises(ValidationError, match="unknown config keys"):
             PipelineConfig.from_mapping({"velocity": "1"})
+
+    def test_domain_ends(self):
+        """A closed end belongs to a key's domain, an open end does not."""
+        for kwargs in ({"intersection_rate": 100.0}, {"visibility": 0.0}, {"visibility": 1.0},
+                       {"base_speed": 180.0}, {"hazard_dropout": 0.0}, {"m": 0}):
+            PipelineConfig(**kwargs)
+        for kwargs in ({"driver_dropout": 0.0}, {"driver_dropout": 1.0}, {"hazard_dropout": 1.0},
+                       {"base_speed": 0.0}, {"driver_lr": 0.0}, {"m": -1}, {"episodes": 2}):
+            with pytest.raises(ValidationError, match=f"config key {next(iter(kwargs))}: must be"):
+                PipelineConfig(**kwargs)
+
+    def test_readme_config_blocks_load(self, tmp_path):
+        """Every ``key = value`` block of the README is a config that loads."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```\n((?:\w+ = .*\n)+)```$", readme, flags=re.MULTILINE)
+        assert blocks
+        for block in blocks:
+            path = tmp_path / "readme.txt"
+            path.write_text(block)
+            PipelineConfig.from_file(path)
 
 
 class TestStages:

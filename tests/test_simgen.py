@@ -203,15 +203,15 @@ class TestPlantedDifficulty:
 class TestConfigValidation:
     def test_too_short_episode(self):
         with pytest.raises(ValidationError):
-            simgen.WorldConfig(episode_length=10).validate()
+            simgen.WorldConfig(episode_length=0)
 
     def test_bad_probability(self):
         with pytest.raises(ValidationError):
-            simgen.WorldConfig(visibility=1.5).validate()
+            simgen.WorldConfig(visibility=1.5)
 
     def test_negative_rate(self):
         with pytest.raises(ValidationError):
-            simgen.WorldConfig(intersection_rate=-1.0).validate()
+            simgen.WorldConfig(intersection_rate=-1.0)
 
     def test_state_invariants(self):
         # distances and gaps never go negative; with no zone ahead the distance is the length

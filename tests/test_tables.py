@@ -1,4 +1,4 @@
-"""The text-table codec: exact round trips and fuzzed readers, checkpoints included."""
+"""The text-table codec: exact round trips and fuzzed readers, checkpoints and config files included."""
 
 import dataclasses
 import string
@@ -9,8 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drivlab import core, simgen
+from drivlab.config import PipelineConfig
 from drivlab.diffcore.checkpoint import CHECKPOINT_FORMAT, load_checkpoint
-from drivlab.driver import BackboneArch, DriverNet, init_driver_params, load_driver, predict_batch, save_driver
+from drivlab.driver import (
+    BackboneArch,
+    DriverNet,
+    TrainConfig,
+    init_driver_params,
+    load_driver,
+    predict_batch,
+    save_driver,
+)
 from drivlab.errors import DrivlabError, ValidationError, exit_code_for
 from drivlab.evaluate import SCORE_TABLE, SCORES_FORMAT, SCORES_HEADER, read_scores_csv
 from drivlab.failure import (
@@ -163,6 +172,44 @@ def test_edited_file_raises_only_drivlab_errors(table_dir, kind, edits):
     for edit in edits:
         text = _edited(text, edit)
     _read_rejects_cleanly(read, table_dir / f"fuzz_{kind}.txt", text)
+
+
+# every PipelineConfig key, at the defaults
+CONFIG = "".join(f"{key} = {value}\n" for key, value in PipelineConfig().to_mapping().items())
+
+
+def _config_loads_whole_or_rejects(path, text: str) -> None:
+    """A config file either fails to load with a DrivlabError, or every
+    object the stages build from it builds: nothing it sets fails later."""
+    path.write_text(text)
+    try:
+        cfg = PipelineConfig.from_file(path)
+    except DrivlabError as exc:
+        assert exit_code_for(exc) in (2, 3), text
+        return
+    cfg.world_config()
+    # as stage_train_driver and stage_train_failure build them
+    TrainConfig(lr=cfg.driver_lr, epochs=cfg.driver_epochs, batch_size=cfg.driver_batch_size,
+                lam=cfg.loss_balance, dropout_p=cfg.driver_dropout)
+    TrainConfig(lr=cfg.hazard_lr, epochs=cfg.hazard_epochs, batch_size=cfg.hazard_batch_size,
+                dropout_p=cfg.hazard_dropout)
+
+
+def test_every_single_config_edit_loads_whole_or_raises_drivlab_errors(table_dir):
+    path = table_dir / "edit_config.txt"
+    path.write_text(CONFIG)
+    assert PipelineConfig.from_file(path) == PipelineConfig()
+    for edited in _single_edits(CONFIG, delimiter=" "):
+        _config_loads_whole_or_rejects(path, edited)
+
+
+@given(edits=st.lists(EDIT, min_size=2, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_edited_config_loads_whole_or_raises_drivlab_errors(table_dir, edits):
+    text = CONFIG
+    for edit in edits:
+        text = _edited(text, edit, delimiter=" ")
+    _config_loads_whole_or_rejects(table_dir / "fuzz_config.txt", text)
 
 
 CHECKPOINT = (f"{CHECKPOINT_FORMAT}\nkind driver\nmeta k 4\nmeta prov_episodes 00ff\nparam w 2 3\n"
