@@ -17,6 +17,7 @@ import sys
 
 from . import pipeline
 from .config import PipelineConfig
+from .core import SPLIT_NAMES
 from .errors import EXIT_VALIDATION, DrivlabError, ValidationError, exit_code_for
 
 log = logging.getLogger("drivlab")
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--driver", required=True)
-    p.add_argument("--on", choices=("D1", "D2", "D3"), default="D2")
+    p.add_argument("--on", choices=SPLIT_NAMES, default="D2")
     p.add_argument("--allow-leakage", action="store_true",
                    help="permit labeling the driver's own training split")
     p.add_argument("--out-dir", required=True)

@@ -6,16 +6,17 @@ import os
 from dataclasses import dataclass, fields
 from typing import Mapping
 
-from .core import key, parse_keys
+from .core import key, parse_key
 from .errors import MissingArtifactError, ValidationError
 from .simgen import WorldConfig
 
 
-def parse_kv_file(path) -> dict[str, str]:
-    """Flat ``key = value`` text; ``#`` starts a comment, blank lines ignored."""
+def parse_kv_file(path) -> dict[str, tuple[str, int]]:
+    """Flat ``key = value`` text as key -> (value, line number); ``#`` starts
+    a comment, blank lines ignored."""
     if not os.path.exists(path):
         raise MissingArtifactError(f"missing artifact: config file {path}")
-    out: dict[str, str] = {}
+    out: dict[str, tuple[str, int]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -29,7 +30,7 @@ def parse_kv_file(path) -> dict[str, str]:
                 raise ValidationError(f"{path}:{lineno}: empty key")
             if key in out:
                 raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = value
+            out[key] = value, lineno
     return out
 
 
@@ -54,19 +55,13 @@ class PipelineConfig(WorldConfig):
     hazard_batch_size: int = key(32, "[1, inf)")
     hazard_dropout: float = key(0.1, "[0, 1)")
 
-    thresholds: str = "middle"  # tight | middle | loose | all
+    thresholds: str = key("middle", "{tight, middle, loose, all}")
     budgets: str = "0.01:1.0:0.01"
     mc_samples: int = key(20, "[2, inf)")
-    count_unit: str = "steps"  # steps | windows
+    count_unit: str = key("steps", "{steps, windows}")
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.thresholds not in ("tight", "middle", "loose", "all"):
-            raise ValidationError(
-                f"thresholds must be tight, middle, loose or all, got {self.thresholds!r}"
-            )
-        if self.count_unit not in ("steps", "windows"):
-            raise ValidationError(f"count_unit must be steps or windows, got {self.count_unit!r}")
         if self.episode_length < self.k + self.m + 1:
             raise ValidationError(
                 f"episode_length {self.episode_length} < k + m + 1 = {self.k + self.m + 1}"
@@ -75,25 +70,33 @@ class PipelineConfig(WorldConfig):
 
     @classmethod
     def from_mapping(cls, raw: Mapping[str, str]) -> "PipelineConfig":
-        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-        return parse_keys(cls, raw, "config key", required=False)
+        return cls(**cls._parse(raw, lambda name: ""))
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        raw = parse_kv_file(path)
+        located = parse_kv_file(path)
+        raw = {name: value for name, (value, _) in located.items()}
+        values = cls._parse(raw, lambda name: f"{path}:{located[name][1]}: ")
         try:
-            return cls.from_mapping(raw)
-        except ValidationError as exc:
+            return cls(**values)
+        except ValidationError as exc:  # a rule across keys
             raise ValidationError(f"{path}: {exc}") from None
+
+    @classmethod
+    def _parse(cls, raw: Mapping[str, str], at) -> dict[str, object]:
+        """The value of each key ``raw`` sets, read and checked by
+        ``parse_key``; an error about a key starts with ``at(key)``."""
+        declared = {f.name: f for f in fields(cls)}
+        unknown = [name for name in raw if name not in declared]
+        if unknown:
+            raise ValidationError(f"{at(unknown[0])}unknown config keys: {', '.join(unknown)}")
+        return {name: parse_key(declared[name], raw, name, f"{at(name)}config key") for name in raw}
 
     def to_mapping(self) -> dict[str, object]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def world_config(self, seed: int | None = None) -> WorldConfig:
-        world = {f.name: getattr(self, f.name) for f in fields(WorldConfig)}
-        return WorldConfig(**{**world, "seed": self.seed if seed is None else seed})
+    def world_config(self) -> WorldConfig:
+        return WorldConfig(**{f.name: getattr(self, f.name) for f in fields(WorldConfig)})
 
     def threshold_names(self) -> list[str]:
         return ["tight", "middle", "loose"] if self.thresholds == "all" else [self.thresholds]

@@ -38,8 +38,50 @@ def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Keys: typed, domain-checked fields of configs and checkpoint metadata
+# Domains and keys: the values a table column or a config or metadata key may take
 # ---------------------------------------------------------------------------
+
+
+class Domain:
+    """The values a column or key may take: an interval such as ``[0, 180]``
+    or ``[0, 2147483648)`` (a float must also be finite), or a choice such as
+    ``{D1, D2, D3}``. Parsed once, where the column or key is declared."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.choices = tuple(c.strip() for c in text[1:-1].split(",")) if text[0] == "{" else None
+        lo, hi = (-math.inf, math.inf) if self.choices else (float(b) for b in text[1:-1].split(","))
+        # an open end is checked as the closed end one float inward
+        self.lo = math.nextafter(lo, math.inf) if text[0] == "(" and math.isfinite(lo) else lo
+        self.hi = math.nextafter(hi, -math.inf) if text[-1] == ")" and math.isfinite(hi) else hi
+
+    def first_outside(self, values: np.ndarray) -> tuple[int, object] | None:
+        """(row, value) of the first of ``values`` outside the domain, rows
+        running along axis 0; None when all lie inside. The one domain check."""
+        if self.choices is not None:
+            outside = ~np.isin(values, self.choices)
+        else:
+            outside = ~((values >= self.lo) & (values <= self.hi))
+            if values.dtype.kind == "f":
+                outside |= ~np.isfinite(values)
+        if not outside.any():
+            return None
+        row, col = divmod(int(np.argmax(outside)), outside[0].size)
+        return row, values.reshape(len(values), -1)[row].tolist()[col]
+
+    def why(self, value, name: str | None = None) -> str:
+        """Why ``value`` lies outside: ``must be …, got <value>`` for a key,
+        or ``<name> <value>, must be …`` for a value of column ``name``."""
+        if self.choices is not None:
+            return f"{'' if name is None else name + ' '}{value!r} is not one of {', '.join(self.choices)}"
+        need = [f"in {self.text}"] if self.lo > -math.inf or self.hi < math.inf else []
+        need = " and ".join((["finite"] if isinstance(value, float) else []) + need)
+        if name is None:
+            return f"must be {need}, got {value}"
+        return f"{'' if math.isfinite(value) else 'non-finite '}{name} {value}, must be {need}"
+
+
+SPLITS = "{" + ", ".join(SPLIT_NAMES) + "}"  # the domain of a split name
 
 # field annotation -> (the types a value may have, its text, the value of a text)
 _KEY_TYPES = {
@@ -53,13 +95,9 @@ _KEY_TYPES = {
 
 def key(default=MISSING, domain: str = "(-inf, inf)") -> Field:
     """A dataclass field whose value, or each value of an array, must lie in
-    the interval ``domain``, written like ``[0, 1)``; a float must also be
-    finite. ``check_keys`` checks it and ``parse_keys`` reads it."""
-    lo, hi = (float(bound) for bound in domain[1:-1].split(","))
-    # an open end is checked as the closed end one float inward
-    lo = math.nextafter(lo, math.inf) if domain[0] == "(" and math.isfinite(lo) else lo
-    hi = math.nextafter(hi, -math.inf) if domain[-1] == ")" and math.isfinite(hi) else hi
-    return field(default=default, metadata={"domain": (domain, lo, hi)})
+    the ``Domain`` written ``domain``. ``check_keys`` checks it and
+    ``parse_keys`` reads it."""
+    return field(default=default, metadata={"domain": Domain(domain)})
 
 
 def check_key(f: Field, value, where: str):
@@ -67,12 +105,11 @@ def check_key(f: Field, value, where: str):
     otherwise a ValidationError names ``where`` and the value."""
     if not isinstance(value, _KEY_TYPES[f.type][0]):
         raise ValidationError(f"{where}: must be {f.type}, got {value!r}")
-    if "domain" in f.metadata:
-        domain, lo, hi = f.metadata["domain"]
-        for v in value.ravel().tolist() if isinstance(value, np.ndarray) else [value]:
-            if not (lo <= v <= hi and (f.type == "int" or math.isfinite(v))):
-                finite = "" if f.type == "int" else "finite and "
-                raise ValidationError(f"{where}: must be {finite}in {domain}, got {v}")
+    domain = f.metadata.get("domain")
+    values = np.asarray(value, dtype=np.float64 if f.type == "float" else None).ravel()
+    found = domain and domain.first_outside(values)
+    if found:
+        raise ValidationError(f"{where}: {domain.why(found[1])}")
     return value
 
 
@@ -87,55 +124,35 @@ def format_keys(obj, prefix: str = "") -> dict[str, str]:
     return {prefix + f.name: _KEY_TYPES[f.type][1](getattr(obj, f.name)) for f in fields(obj)}
 
 
-def read_key(raw: Mapping[str, str], name: str, where: str, parse=str):
-    """``parse(raw[name])``; a missing key or a text that ``parse`` rejects
-    raises ValidationError naming ``where`` and the key."""
+def parse_key(f: Field, raw: Mapping[str, str], name: str, where: str):
+    """The value of key ``name`` of ``raw``, read as field ``f`` and checked by
+    ``check_key``; a missing key or a text that does not read raises
+    ValidationError naming ``where`` and the key."""
     if name not in raw:
         raise ValidationError(f"missing {where} key {name!r}")
     try:
-        return parse(raw[name])
+        value = _KEY_TYPES[f.type][2](raw[name])
     except ValueError:
         raise ValidationError(f"{where} {name}: cannot read {raw[name]!r}") from None
+    return check_key(f, value, f"{where} {name}")
 
 
-def parse_keys(cls, raw: Mapping[str, str], where: str, prefix: str = "", required: bool = True):
+def parse_keys(cls, raw: Mapping[str, str], where: str, prefix: str = ""):
     """A ``cls`` built from the texts that ``format_keys`` writes, each field
-    parsed by its type and checked by ``check_key``; errors name ``where`` and
-    the key. Unless ``required``, an absent key keeps its field's default."""
-    return cls(**{
-        f.name: check_key(f, read_key(raw, prefix + f.name, where, _KEY_TYPES[f.type][2]),
-                          f"{where} {prefix}{f.name}")
-        for f in fields(cls)
-        if required or prefix + f.name in raw
-    })
-
-
-def _bad_step(obs: np.ndarray, speed: np.ndarray, angle: np.ndarray) -> tuple[int, str] | None:
-    """(step, reason) for the first step with non-finite obs or a speed or
-    angle outside the legal CAN ranges; None when every step is valid."""
-    bad_obs = ~np.all(np.isfinite(obs), axis=1)
-    bad_speed = ~((speed >= SPEED_MIN) & (speed <= SPEED_MAX))
-    bad = bad_obs | bad_speed | ~((angle >= ANGLE_MIN) & (angle <= ANGLE_MAX))
-    if not bad.any():
-        return None
-    i = int(np.argmax(bad))
-    if bad_obs[i]:
-        return i, "obs has non-finite entries"
-    if bad_speed[i]:
-        return i, f"speed {speed[i]} outside [{SPEED_MIN}, {SPEED_MAX}]"
-    return i, f"angle {angle[i]} outside [{ANGLE_MIN}, {ANGLE_MAX}]"
+    read by ``parse_key`` from the key ``prefix`` + its name."""
+    return cls(**{f.name: parse_key(f, raw, prefix + f.name, where) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
 class Episode:
     """One drive as read-only float64 columns sampled at SAMPLE_RATE_HZ:
     observation vectors ``obs`` (n, d) and the human oracle's maneuver,
-    ``speed`` (n,) and ``angle`` (n,), which must lie in the legal CAN value
-    ranges. Row i is step i.
+    ``speed`` (n,) and ``angle`` (n,), in the domains of their
+    ``EPISODE_TABLE`` columns (speed and angle in the legal CAN value ranges).
+    Row i is step i.
 
-    ``meta`` holds generator bookkeeping (config digest, hidden difficulty
-    traces). It exists for validation and tests only and must never feed a
-    model input.
+    ``meta`` holds generator bookkeeping (hidden difficulty traces). It
+    exists for validation and tests only and must never feed a model input.
     """
 
     episode_id: str
@@ -155,7 +172,7 @@ class Episode:
             raise ValidationError(f"episode {self.episode_id} has no records")
         if self.speed.shape != (n,) or self.angle.shape != (n,):
             raise ValidationError(f"episode {self.episode_id}: speed and angle do not match {n} obs rows")
-        bad = _bad_step(self.obs, self.speed, self.angle)
+        bad = EPISODE_TABLE.first_bad(vars(self))
         if bad is not None:
             raise ValidationError(f"episode {self.episode_id}: {bad[1]} at step {bad[0]}")
 
@@ -235,15 +252,12 @@ def windows_at(
     return Windows(obs, speed, angle, end=starts[ep] + t, ep=ep, t=t, episode_ids=ids, k=k)
 
 
-def make_windows(*episodes: Episode, k: int = DEFAULT_K, stride: int = 1) -> Windows:
-    """The windows of ``episodes`` at every t in [k, len-1] stepping by
-    ``stride``, episode by episode in the given order; an episode shorter
-    than k+1 steps has none."""
-    if stride < 1:
-        raise ValidationError(f"stride must be >= 1, got {stride}")
-    counts = np.array([len(range(k, len(e), stride)) for e in episodes], dtype=np.int64)
+def make_windows(*episodes: Episode, k: int = DEFAULT_K) -> Windows:
+    """The windows of ``episodes`` at every t in [k, len-1], episode by
+    episode in the given order; an episode shorter than k+1 steps has none."""
+    counts = np.array([max(len(e) - k, 0) for e in episodes], dtype=np.int64)
     ep = np.repeat(np.arange(len(episodes)), counts)
-    t = k + stride * (np.arange(len(ep)) - np.repeat(np.cumsum(counts) - counts, counts))
+    t = k + np.arange(len(ep)) - np.repeat(np.cumsum(counts) - counts, counts)
     return windows_at(episodes_by_id(episodes), [e.episode_id for e in episodes], ep, t, k)
 
 
@@ -265,15 +279,9 @@ class SplitSet:
         if sizes[-1] - sizes[0] > 1:
             raise ValidationError(f"split sizes differ by more than 1: {sizes}")
 
-    def split_of(self, episode_id: str) -> str:
-        for name, ids in zip(SPLIT_NAMES, (self.d1, self.d2, self.d3)):
-            if episode_id in ids:
-                return name
-        raise ValidationError(f"episode {episode_id} not in any split")
-
     def ids_of(self, split: str) -> tuple[str, ...]:
         try:
-            return {"D1": self.d1, "D2": self.d2, "D3": self.d3}[split]
+            return dict(zip(SPLIT_NAMES, (self.d1, self.d2, self.d3)))[split]
         except KeyError:
             raise ValidationError(f"unknown split {split!r}") from None
 
@@ -379,14 +387,18 @@ TABLE_BLOCK = 1536  # fields per numpy conversion; bounds the codec's working me
 
 @dataclass(frozen=True)
 class Column:
-    """A table column of str, np.int64 or np.float64; numbers must be finite
-    and in [lo, hi]. ``width`` names the format-line key of a 2-D column's width."""
+    """A table column of str, np.int64 or np.float64 whose values lie in the
+    ``Domain`` written ``domain``, by default ``(-inf, inf)`` for numbers.
+    ``width`` names the format-line key of a 2-D column's width."""
 
     name: str
     dtype: type
-    lo: float = -np.inf
-    hi: float = np.inf
+    domain: Domain | str | None = None
     width: str | None = None
+
+    def __post_init__(self) -> None:
+        text = self.domain or (None if self.dtype is str else "(-inf, inf)")
+        object.__setattr__(self, "domain", text and Domain(text))
 
 
 @dataclass(frozen=True)
@@ -408,6 +420,14 @@ class TableSchema:
     def row_error(self, path, line: int, reason: str) -> ValidationError:
         return ValidationError(f"{path}:{line}: malformed {self.noun} row: {reason}")
 
+    def first_bad(self, columns: Mapping[str, np.ndarray]) -> tuple[int, str] | None:
+        """(row, reason) for the first row of ``columns``, arrays keyed by
+        column name, with a value outside its column's domain; None when every
+        value lies inside. Keys that name no column are skipped."""
+        bad = [(found[0], col.domain.why(found[1], col.name)) for col in self.columns
+               if col.domain and col.name in columns and (found := col.domain.first_outside(columns[col.name]))]
+        return min(bad, default=None)
+
 
 def _parse(path, schema: TableSchema, spans, rows, lines) -> list[np.ndarray]:
     """The columns of ``rows``, the field lists of ``lines``, each column
@@ -424,18 +444,11 @@ def _parse(path, schema: TableSchema, spans, rows, lines) -> list[np.ndarray]:
         for row, line in zip(rows, lines):  # find the first bad row
             _parse(path, schema, spans, [row], [line])
         raise
-    bad = []
-    for col, values in zip(schema.columns, arrays):
-        if col.dtype is not str:
-            ok = np.isfinite(values) & (values >= col.lo) & (values <= col.hi)
-            i = int(np.argmin(ok.all(axis=1)))
-            if not ok[i].all():
-                value = values[i][np.argmin(ok[i])]
-                bad.append((i, f"{col.name} {value} outside [{col.lo}, {col.hi}]"))
-    if bad:
-        i, reason = min(bad)
-        raise schema.row_error(path, lines[i], reason)
-    return [values if col.width else values[:, 0] for col, values in zip(schema.columns, arrays)]
+    columns = {col.name: values if col.width else values[:, 0] for col, values in zip(schema.columns, arrays)}
+    bad = schema.first_bad(columns)
+    if bad is not None:
+        raise schema.row_error(path, lines[bad[0]], bad[1])
+    return list(columns.values())
 
 
 def read_table(path, schema: TableSchema) -> tuple[dict[str, str], dict[str, np.ndarray]]:
@@ -514,15 +527,15 @@ EPISODE_TABLE = TableSchema(
     EPISODE_FORMAT, "episode", ",",
     (
         Column("episode_id", str),
-        Column("step_index", np.int64, 0),
-        Column("speed", np.float64, SPEED_MIN, SPEED_MAX),
-        Column("angle", np.float64, ANGLE_MIN, ANGLE_MAX),
+        Column("step_index", np.int64, "[0, inf)"),
+        Column("speed", np.float64, f"[{SPEED_MIN}, {SPEED_MAX}]"),
+        Column("angle", np.float64, f"[{ANGLE_MIN}, {ANGLE_MAX}]"),
         Column("obs", np.float64, width="d"),
     ),
     column_line=False, format_keys=("d", "f"),
 )
 SPLIT_TABLE = TableSchema(
-    SPLIT_FORMAT, "split", "\t", (Column("episode_id", str), Column("split", str)), column_line=False
+    SPLIT_FORMAT, "split", "\t", (Column("episode_id", str), Column("split", str, SPLITS)), column_line=False
 )
 
 
@@ -578,12 +591,7 @@ def write_split_manifest(path, splits: SplitSet, provenance: Mapping[str, str] |
 def read_split_manifest(path) -> tuple[SplitSet, dict[str, str]]:
     """The splits of a split manifest, and its provenance."""
     meta, cols = read_table(path, SPLIT_TABLE)
-    names = cols["split"]
-    unknown = ~np.isin(names, SPLIT_NAMES)
-    if unknown.any():
-        i = int(np.argmax(unknown))
-        raise SPLIT_TABLE.row_error(path, cols["line"][i], f"unknown split {str(names[i])!r}")
-    ids = cols["episode_id"]
+    ids, names = cols["episode_id"], cols["split"]
     return SplitSet(*(tuple(ids[names == name].tolist()) for name in SPLIT_NAMES)), meta
 
 

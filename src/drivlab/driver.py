@@ -22,7 +22,7 @@ from .core import (
     DEFAULT_OBS_DIM,
     SPEED_MAX,
     SPEED_MIN,
-    SPLIT_NAMES,
+    SPLITS,
     Normalizer,
     Windows,
     check_keys,
@@ -30,7 +30,6 @@ from .core import (
     format_keys,
     key,
     parse_keys,
-    read_key,
 )
 from .diffcore import (
     ParameterStore,
@@ -92,6 +91,14 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         check_keys(self, "train config")
+
+
+@dataclass(frozen=True)
+class _Training:
+    """The checkpoint keys that say what a net learned from: its split and its seed."""
+
+    trained_on: str = key(domain=SPLITS)
+    seed: int = key()
 
 
 @dataclass
@@ -382,7 +389,7 @@ def constant_mean_mae(normalizer: Normalizer, windows: Windows) -> tuple[float, 
 
 def save_net(path, kind: str, net, extra: Mapping[str, str]) -> None:
     """Write a driver or hazard net: arch, training split and seed, ``extra``, normalizer, provenance."""
-    meta = {**format_keys(net.arch), "trained_on": net.trained_on, "seed": str(net.seed), **extra,
+    meta = {**format_keys(net.arch), **format_keys(_Training(net.trained_on, net.seed)), **extra,
             **format_keys(net.normalizer, "norm_"),
             **{f"prov_{k}": str(v) for k, v in sorted(net.provenance.items())}}
     save_checkpoint(path, kind, meta, net.params)
@@ -418,12 +425,10 @@ def load_net(path, kind: str, init, build):
         arch = parse_keys(BackboneArch, meta, "meta")
         normalizer = parse_keys(Normalizer, meta, "meta", "norm_")
         _check_agrees(arch, normalizer, params, init)
-        trained_on = read_key(meta, "trained_on", "meta")
-        if trained_on not in SPLIT_NAMES:
-            raise ValidationError(f"meta trained_on: {trained_on!r} is not one of {', '.join(SPLIT_NAMES)}")
+        training = parse_keys(_Training, meta, "meta")
         provenance = {k[len("prov_"):]: v for k, v in meta.items() if k.startswith("prov_")}
         return build(meta, arch=arch, params=params, normalizer=normalizer, provenance=provenance,
-                     trained_on=trained_on, seed=read_key(meta, "seed", "meta", int))
+                     **vars(training))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

@@ -23,7 +23,7 @@ from .failure import MAX_STEP, HazardNet, Labels, Thresholds, predict_hazard_bat
 
 SCORE_TABLE = TableSchema(
     "#drivlab-scores v1", "score", ",",
-    (Column("episode_id", str), Column("t", np.int64, 0), Column("score", np.float64)),
+    (Column("episode_id", str), Column("t", np.int64, "[0, inf)"), Column("score", np.float64)),
     column_line=True,
 )
 SCORES_FORMAT = SCORE_TABLE.magic
@@ -50,7 +50,8 @@ class PolicyScoreTrace:
     """One score per scene for one policy, as read-only columns sorted by
     (episode_id, t): scene i is step ``t[i]`` of episode
     ``episode_ids[ep[i]]`` and scores ``score[i]``. The ids are sorted, so
-    (ep, t) order is (episode_id, t) order; repeated scenes keep their order."""
+    (ep, t) order is (episode_id, t) order; repeated scenes keep their order.
+    ``t`` and ``score`` lie in the domains of their ``SCORE_TABLE`` columns."""
 
     policy: str
     episode_ids: tuple[str, ...]
@@ -67,11 +68,12 @@ class PolicyScoreTrace:
         score = np.asarray(self.score, dtype=np.float64)
         if ep.ndim != 1 or not ep.shape == t.shape == score.shape or ((ep < 0) | (ep >= len(ids))).any():
             raise ValidationError(f"{self.policy}: trace needs equal-length 1-D columns, ep indexing the ids")
+        bad = SCORE_TABLE.first_bad({"t": t, "score": score})
+        if bad is not None:
+            raise ValidationError(f"{self.policy}: {bad[1]} at row {bad[0]}")
         order = np.lexsort((t, ep))
         for name, column in (("ep", ep), ("t", t), ("score", score)):
             object.__setattr__(self, name, _readonly(column[order], column.dtype))
-        if not np.isfinite(self.score).all():
-            raise ValidationError(f"{self.policy}: non-finite score in trace")
 
     def __len__(self) -> int:
         return self.t.shape[0]

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
+    SPLITS,
     Column,
     Episode,
     Normalizer,
@@ -78,6 +79,13 @@ CANONICAL_THRESHOLDS: Mapping[str, Thresholds] = {
 }
 
 
+@dataclass(frozen=True)
+class LabelSplit:
+    """The ``split`` key of a label file: the split whose steps it labels."""
+
+    split: str = key(domain=SPLITS)
+
+
 def horizon_meta(th: Thresholds, m: int) -> dict[str, str]:
     """The ``t_angle``, ``t_speed`` and ``m`` metadata of label files and hazard checkpoints."""
     return format_keys(_Horizon(th.t_angle, th.t_speed, m))
@@ -98,8 +106,8 @@ LABEL_TABLE = TableSchema(
     "#drivlab-labels v1", "label", ",",
     (
         Column("episode_id", str),
-        Column("t", np.int64, 0),
-        *(Column(c, np.int64, 0, 1) for c in _FLAGS),
+        Column("t", np.int64, f"[0, {MAX_STEP})"),
+        *(Column(c, np.int64, "[0, 1]") for c in _FLAGS),
         *(Column(c, np.float64) for c in _VALUES),
     ),
     column_line=True,
@@ -109,19 +117,14 @@ LABELS_HEADER = LABEL_TABLE.header
 
 
 def _bad_row(cols: Mapping[str, np.ndarray], n_ids: int) -> tuple[int, str] | None:
-    """(row, reason) for the first row that breaks a ``Labels`` invariant;
-    None when every row is valid."""
+    """(row, reason) for the first row that breaks a ``Labels`` rule across
+    columns or rows; None when every row keeps them."""
     ep, t = cols["ep"], cols["t"]
-    flags = np.stack([cols[c] for c in _FLAGS])
     unordered = np.zeros(len(ep), dtype=bool)
     unordered[1:] = (ep[1:] < ep[:-1]) | ((ep[1:] == ep[:-1]) & (t[1:] <= t[:-1]))
     checks = (
         ((ep < 0) | (ep >= n_ids), "episode code out of range"),
-        ((t < 0) | (t >= MAX_STEP), f"t must lie in [0, {MAX_STEP})"),
-        (((flags != 0) & (flags != 1)).any(axis=0), "g_a, g_s, g and g_horizon must be 0 or 1"),
         (cols["g"] != cols["g_a"] | cols["g_s"], "g must equal g_a | g_s"),
-        (~np.isfinite(np.stack([cols[c] for c in _VALUES])).all(axis=0),
-         "predictions and truths must be finite"),
         (unordered, "(episode_id, t) repeats or is out of order"),
     )
     bad = np.logical_or.reduce([mask for mask, _ in checks])
@@ -136,9 +139,9 @@ class Labels:
     """Labeled steps as read-only columns, strictly increasing in
     (episode_id, t).
 
-    Row i is step ``t[i]`` (in [0, MAX_STEP)) of episode
-    ``episode_ids[ep[i]]``; the ids are sorted, so rows ordered by (ep, t) are
-    ordered by (episode_id, t).
+    Row i is step ``t[i]`` of episode ``episode_ids[ep[i]]``, each column in
+    the domain of its ``LABEL_TABLE`` column; the ids are sorted, so rows
+    ordered by (ep, t) are ordered by (episode_id, t).
     ``g_a`` and ``g_s`` flag the angle and speed failures of the driver's
     prediction, ``g`` is their OR and ``g_horizon`` the OR of ``g`` over steps
     t..t+m of the episode. The four floats are the predicted and true maneuver.
@@ -167,7 +170,7 @@ class Labels:
         n = self.ep.size
         if any(getattr(self, c).shape != (n,) for c in _COLUMNS):
             raise ValidationError("label columns must be 1-D and of equal length")
-        bad = _bad_row(vars(self), len(ids))
+        bad = LABEL_TABLE.first_bad(vars(self)) or _bad_row(vars(self), len(ids))
         if bad is not None:
             raise ValidationError(f"labels: {bad[1]} at row {bad[0]}")
 

@@ -34,6 +34,7 @@ from .driver import (
 from .errors import MissingArtifactError, ValidationError
 from .failure import (
     CANONICAL_THRESHOLDS,
+    LabelSplit,
     Thresholds,
     build_failure_dataset,
     horizon_from_meta,
@@ -146,7 +147,7 @@ def _driver_digest(driver, labels, meta: Mapping[str, str]) -> str:
 def _label_header(path, meta: Mapping[str, str]) -> tuple[str, str, Thresholds, int]:
     """(split, threshold name, thresholds, m) from a label file's metadata."""
     try:
-        split, (th, m) = core.read_key(meta, "split", "meta"), horizon_from_meta(meta)
+        split, (th, m) = core.parse_keys(LabelSplit, meta, "meta").split, horizon_from_meta(meta)
     except ValidationError as exc:
         raise ValidationError(f"{path}: label file lacks a valid split, t_angle, t_speed or m: {exc}") from None
     names = [name for name, canon in CANONICAL_THRESHOLDS.items() if canon == th]

@@ -15,9 +15,8 @@ unrelated draws.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -84,10 +83,6 @@ class WorldConfig:
 
     def __post_init__(self) -> None:
         check_keys(self, "config key")
-
-    def digest(self) -> str:
-        payload = ";".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -242,7 +237,6 @@ def generate_episode(config: WorldConfig, episode_id: str | None = None) -> Epis
     obs[:, N_SIGNAL_CHANNELS:] = eps[:, N_SIGNAL_CHANNELS:]  # pure noise channels
 
     meta = {
-        "config_digest": config.digest(),
         "congestion": congestion,
         "visibility": visibility,
         "n_intersections": n_arrivals,

@@ -14,7 +14,7 @@ def small_world(**overrides) -> simgen.WorldConfig:
 
 
 def all_windows(episodes, k=4):
-    """Every stride-1 window of ``episodes``, in the given order."""
+    """Every window of ``episodes``, in the given order."""
     return core.make_windows(*episodes, k=k)
 
 

@@ -350,9 +350,9 @@ def lstm_chain(x, steps, wx, wh, b):
     return h
 
 
-def sliced_windows(episode, k, stride):
+def sliced_windows(episode, k):
     """(frames, past_speeds, past_angles, target_speed, target_angle) per t in
-    [k, len-1] stepping by ``stride``, cut from the episode by slicing."""
+    [k, len-1], cut from the episode by slicing."""
     return [
         (
             episode.obs[t - k : t + 1],
@@ -361,7 +361,7 @@ def sliced_windows(episode, k, stride):
             float(episode.speed[t]),
             float(episode.angle[t]),
         )
-        for t in range(k, len(episode), stride)
+        for t in range(k, len(episode))
     ]
 
 

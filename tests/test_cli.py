@@ -139,8 +139,21 @@ def test_config_value_outside_its_domain_exits_2_before_any_stage(tmp_path, caps
     cfg.write_text(SMALL_CONFIG + f"{key} = {value}\n")
     out = tmp_path / "run"
     assert main(["run-all", "--config", str(cfg), "--out-dir", str(out), "--quiet"]) == 2
-    assert f"{cfg}: config key {key}: must be" in capsys.readouterr().err
+    lineno = SMALL_CONFIG.count("\n") + 1
+    assert f"{cfg}:{lineno}: config key {key}: must be" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())  # rejected before any stage ran
+
+
+@pytest.mark.parametrize("line, message", [
+    ("hazard_lr = 0", "config key hazard_lr: must be finite and in (0, inf), got 0.0"),
+    ("hazard_lr = fast", "config key hazard_lr: cannot read 'fast'"),
+    ("warp_speed = 9", "unknown config keys: warp_speed"),
+])
+def test_config_error_names_the_line(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.txt"
+    cfg.write_text(SMALL_CONFIG + "# line 11\n" + line + "\n")
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "e.txt"), "--quiet"]) == 2
+    assert f"{cfg}:12: {message}" in capsys.readouterr().err
 
 
 def test_gen_takes_the_pipeline_episode_length_floor(tmp_path):
@@ -407,6 +420,24 @@ def test_malformed_checkpoint_meta_exit_code_2(tmp_path, small_run, case, capsys
                      "--out", str(tmp_path / "e.json"), "--quiet"])
     assert code == 2
     assert f"{edited}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train-failure", "eval"])
+def test_label_file_split_outside_its_domain_exit_code_2(tmp_path, small_run, command, capsys):
+    split = "D2" if command == "train-failure" else "D3"
+    labels = tmp_path / f"labels_{split}_middle.csv"
+    text = (small_run / labels.name).read_text()
+    labels.write_text(text.replace(f"# split {split}\n", "# split D9\n"))
+    common = ["--config", str(small_run.parent / "config.txt"), "--labels", str(labels),
+              "--data", str(small_run / "episodes.txt"), "--driver", str(small_run / "driver.ckpt"), "--quiet"]
+    if command == "train-failure":
+        argv = ["--split", str(small_run / "splits.tsv"), "--out", str(tmp_path / "hazard.ckpt")]
+    else:
+        argv = ["--hazard", str(small_run / "hazard_middle.ckpt"), "--out", str(tmp_path / "e.json")]
+    assert main([command, *common, *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"{labels}: label file lacks a valid split" in err
+    assert "meta split: 'D9' is not one of D1, D2, D3" in err
 
 
 @pytest.mark.parametrize("command", ["gen", "train-driver", "label", "split", "run-all"])

@@ -81,7 +81,7 @@ def _gathered(arrays):
 
 class TestMakeWindows:
     def test_six_records_k4_two_windows(self):
-        ws = core.make_windows(_episode(6), k=4, stride=1)
+        ws = core.make_windows(_episode(6), k=4)
         assert ws.t.tolist() == [4, 5]
 
     def test_five_records_k4_one_window(self):
@@ -104,26 +104,23 @@ class TestMakeWindows:
     def test_invalid_args(self):
         with pytest.raises(ValidationError):
             core.make_windows(_episode(6), k=0)
-        with pytest.raises(ValidationError):
-            core.make_windows(_episode(6), k=4, stride=0)
 
-    @given(n=st.integers(1, 40), k=st.integers(1, 6), stride=st.integers(1, 5))
+    @given(n=st.integers(1, 40), k=st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
-    def test_window_count_and_provenance(self, n, k, stride):
-        ep = _episode(n, eid=f"e{n}_{k}_{stride}")
-        ws = core.make_windows(ep, k=k, stride=stride)
-        expected = 0 if n < k + 1 else (n - 1 - k) // stride + 1
-        assert len(ws) == expected
-        assert ws.t.tolist() == list(range(k, n, stride))
+    def test_window_count_and_provenance(self, n, k):
+        ep = _episode(n, eid=f"e{n}_{k}")
+        ws = core.make_windows(ep, k=k)
+        assert len(ws) == max(n - k, 0)
+        assert ws.t.tolist() == list(range(k, n))
         assert all(ws.episode_ids[e] == ep.episode_id for e in ws.ep)
         assert ws.k == k
 
-    @given(n=st.integers(1, 40), k=st.integers(1, 6), stride=st.integers(1, 5))
+    @given(n=st.integers(1, 40), k=st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
-    def test_matches_sliced_reference(self, n, k, stride):
-        ep = _episode(n, eid=f"r{n}_{k}_{stride}")
-        ws = core.make_windows(ep, k=k, stride=stride)
-        ref = sliced_windows(ep, k, stride)
+    def test_matches_sliced_reference(self, n, k):
+        ep = _episode(n, eid=f"r{n}_{k}")
+        ws = core.make_windows(ep, k=k)
+        ref = sliced_windows(ep, k)
         assert len(ws) == len(ref)
         if not ref:
             return
@@ -138,12 +135,12 @@ class TestMakeWindows:
             assert got[key].shape == want[key].shape and np.array_equal(got[key], want[key]), key
 
     @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=4),
-           k=st.integers(1, 4), stride=st.integers(1, 3))
+           k=st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
-    def test_several_episodes_match_per_episode_windows(self, lengths, k, stride):
+    def test_several_episodes_match_per_episode_windows(self, lengths, k):
         eps = [_episode(n, eid=f"m{i}_{n}") for i, n in enumerate(lengths)]
-        ws = core.make_windows(*eps, k=k, stride=stride)
-        parts = [core.make_windows(ep, k=k, stride=stride) for ep in eps]
+        ws = core.make_windows(*eps, k=k)
+        parts = [core.make_windows(ep, k=k) for ep in eps]
         assert ws.t.tolist() == [t for w in parts for t in w.t.tolist()]
         assert [ws.episode_ids[e] for e in ws.ep] == [ep.episode_id for w, ep in zip(parts, eps) for _ in range(len(w))]
         if not len(ws):

@@ -1,0 +1,32 @@
+"""Every function and class of the package is named somewhere besides its definition."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEARCHED = ("src", "tests", "perfbench", "tools")
+
+
+def _definitions() -> dict[str, int]:
+    """Name -> number of definitions, over every non-dunder function and class of ``src/drivlab``."""
+    counts: dict[str, int] = {}
+    for path in sorted((ROOT / "src" / "drivlab").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    counts[node.name] = counts.get(node.name, 0) + 1
+    return counts
+
+
+def test_every_definition_is_named_elsewhere():
+    texts = [path.read_text(encoding="utf-8") for top in SEARCHED for path in sorted((ROOT / top).rglob("*"))
+             if path.suffix == ".py"]
+    texts.append((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    words: dict[str, int] = {}
+    for text in texts:
+        for word in re.findall(r"\w+", text):
+            words[word] = words.get(word, 0) + 1
+    # a def or class statement names its own word once
+    unused = sorted(name for name, defined in _definitions().items() if words.get(name, 0) <= defined)
+    assert not unused, f"defined but never named elsewhere: {', '.join(unused)}"

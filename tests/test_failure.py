@@ -153,7 +153,7 @@ class TestLabels:
 
     def test_rejects_bad_flags_and_non_finite_values(self):
         labels = labels_of([("a", 0, 0), ("a", 1, 1)])
-        with pytest.raises(ValidationError, match="must be 0 or 1 at row 0"):
+        with pytest.raises(ValidationError, match=r"g_horizon 2, must be in \[0, 1\] at row 0"):
             replace(labels, g_horizon=[2, 1])
         with pytest.raises(ValidationError, match=r"g must equal g_a \| g_s at row 1"):
             replace(labels, g_a=[0, 0])
@@ -161,7 +161,7 @@ class TestLabels:
             replace(labels, true_speed=[0.0, np.inf])
         with pytest.raises(ValidationError, match="episode code out of range at row 0"):
             replace(labels, ep=[-1, 0])
-        with pytest.raises(ValidationError, match=r"t must lie in \[0, 2147483648\) at row 1"):
+        with pytest.raises(ValidationError, match=r"t 2147483648, must be in \[0, 2147483648\) at row 1"):
             replace(labels, t=[0, 1 << 31])
 
     def test_columns_are_read_only(self):

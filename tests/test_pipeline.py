@@ -14,7 +14,7 @@ class TestKvFile:
     def test_parses_comments_and_blanks(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("# header\n\nepisodes = 20  # inline\nseed=3\n")
-        assert parse_kv_file(path) == {"episodes": "20", "seed": "3"}
+        assert parse_kv_file(path) == {"episodes": ("20", 3), "seed": ("3", 4)}
 
     def test_duplicate_key(self, tmp_path):
         path = tmp_path / "c.txt"

@@ -1,6 +1,8 @@
 """The text-table codec: exact round trips and fuzzed readers, checkpoints and config files included."""
 
 import dataclasses
+import math
+import re
 import string
 
 import numpy as np
@@ -21,13 +23,14 @@ from drivlab.driver import (
     save_driver,
 )
 from drivlab.errors import DrivlabError, ValidationError, exit_code_for
-from drivlab.evaluate import SCORE_TABLE, SCORES_FORMAT, SCORES_HEADER, read_scores_csv
+from drivlab.evaluate import SCORE_TABLE, SCORES_FORMAT, SCORES_HEADER, PolicyScoreTrace, read_scores_csv
 from drivlab.failure import (
     CANONICAL_THRESHOLDS,
     LABEL_TABLE,
     LABELS_FORMAT,
     LABELS_HEADER,
     HazardNet,
+    Labels,
     init_hazard_params,
     load_hazard,
     predict_hazard_batch,
@@ -49,13 +52,17 @@ def table_dir(tmp_path_factory):
 
 def _cells(col: core.Column):
     """Values inside ``col``'s domain, with the edge cases drawn often."""
-    if col.dtype is str:
+    domain = col.domain
+    if domain is None:
         return st.text(TEXT, max_size=8)
+    if domain.choices:
+        return st.sampled_from(domain.choices)
     if col.dtype is np.int64:
-        hi = int(min(col.hi, 2**63 - 1))
+        hi = int(min(domain.hi, 2**63 - 1))
         return st.one_of(st.sampled_from([v for v in SPECIAL_INTS if v <= hi]), st.integers(0, hi))
-    bounds = {"min_value": None if np.isinf(col.lo) else col.lo, "max_value": None if np.isinf(col.hi) else col.hi}
-    special = [v for v in SPECIAL_FLOATS if col.lo <= v <= col.hi]
+    bounds = {"min_value": None if np.isinf(domain.lo) else domain.lo,
+              "max_value": None if np.isinf(domain.hi) else domain.hi}
+    special = [v for v in SPECIAL_FLOATS if domain.lo <= v <= domain.hi]
     return st.one_of(st.sampled_from(special), st.floats(allow_nan=False, allow_infinity=False, **bounds))
 
 
@@ -102,6 +109,58 @@ VALID = {
     "score": (read_scores_csv, f"{SCORES_FORMAT}\n# policy learned\n# split D3\n{SCORES_HEADER}\n"
               "ep0,2,0.25\nep1,4,0.75\n"),
 }
+
+
+def _coded(cols):
+    """(sorted episode ids, each row's code) of a table's episode_id column."""
+    ids, ep = np.unique(cols["episode_id"], return_inverse=True)
+    return tuple(ids.tolist()), ep
+
+
+# table kind -> (its schema, the constructor of its in-memory columns from the columns read)
+IN_MEMORY = {
+    "episode": (core.EPISODE_TABLE, lambda c: core.Episode("ep0", 0, c["obs"], c["speed"], c["angle"], {})),
+    "label": (LABEL_TABLE, lambda c: Labels(*_coded(c), **{
+        col.name: c[col.name] for col in LABEL_TABLE.columns if col.name != "episode_id"})),
+    "score": (SCORE_TABLE, lambda c: PolicyScoreTrace("learned", *_coded(c), c["t"], c["score"])),
+}
+
+
+def _outside(col: core.Column):
+    """A value just outside ``col``'s domain: past its upper end, else below
+    its lower end, else not finite."""
+    domain, whole = col.domain, col.dtype is np.int64
+    if domain.hi < math.inf:
+        return math.floor(domain.hi) + 1 if whole else domain.hi + 1
+    if domain.lo > -math.inf:
+        return math.ceil(domain.lo) - 1 if whole else domain.lo - 1
+    return math.nan
+
+
+@pytest.mark.parametrize("kind, name", [
+    (kind, col.name) for kind, (schema, _) in IN_MEMORY.items() for col in schema.columns
+    if col.domain and col.name != "step_index"  # the row's position in its episode, not kept in memory
+])
+def test_reader_and_constructor_reject_the_same_value(table_dir, kind, name):
+    """A value outside its column's domain is rejected by the file's reader,
+    naming file:line, and by the constructor of the in-memory columns."""
+    read, text = VALID[kind]
+    schema, build = IN_MEMORY[kind]
+    path = table_dir / f"agree_{kind}.txt"
+    path.write_text(text)
+    meta, cols = core.read_table(path, schema)
+    build({key: values.copy() for key, values in cols.items()})  # the valid columns build
+    bad = _outside(next(col for col in schema.columns if col.name == name))
+    cols[name] = cols[name].copy()
+    cols[name][1] = bad  # a whole row of a 2-D column
+    core.write_table(path, schema, meta, cols)
+    value = re.escape(f"{name} {bad}")
+    with pytest.raises(ValidationError, match=rf"{re.escape(str(path))}:{cols['line'][1]}: malformed .*{value}"):
+        read(path)
+    with pytest.raises(ValidationError, match=rf"{value}.* at (step|row) 1$"):
+        build(cols)
+
+
 TOKENS = ("nan", "inf", "-inf", "x", "1e400", "99999999999999999999", "-1", "-3", "", "0", "1.5",
           "v2", "D4", "#")
 

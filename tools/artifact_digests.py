@@ -36,12 +36,12 @@ def _literal(path: Path, name: str):
 
 def reference_configs(checkout: Path) -> dict[str, object]:
     """Config name -> PipelineConfig: C8 first, then the benchmark workloads."""
-    from drivlab.config import PipelineConfig, parse_kv_file
+    from drivlab.config import PipelineConfig
 
     with tempfile.TemporaryDirectory() as tmp:
         c8 = Path(tmp) / "c8.txt"
         c8.write_text(_literal(checkout / "tests" / "test_acceptance.py", "DETERMINISM_CONFIG"))
-        configs = {"C8": PipelineConfig.from_mapping(parse_kv_file(c8))}
+        configs = {"C8": PipelineConfig.from_file(c8)}
     for name, workload in _literal(checkout / "perfbench" / "run.py", "WORKLOADS").items():
         configs[name] = PipelineConfig(**workload["config"])
     return configs
