@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
-from typing import Mapping
 
 from .core import key, parse_key
 from .errors import MissingArtifactError, ValidationError
@@ -69,28 +68,22 @@ class PipelineConfig(WorldConfig):
         parse_budgets(self.budgets)
 
     @classmethod
-    def from_mapping(cls, raw: Mapping[str, str]) -> "PipelineConfig":
-        return cls(**cls._parse(raw, lambda name: ""))
-
-    @classmethod
     def from_file(cls, path) -> "PipelineConfig":
+        """The config a ``parse_kv_file`` file sets, each key read and checked
+        by ``parse_key``; an error about a key names its line."""
         located = parse_kv_file(path)
         raw = {name: value for name, (value, _) in located.items()}
-        values = cls._parse(raw, lambda name: f"{path}:{located[name][1]}: ")
+        declared = {f.name: f for f in fields(cls)}
+        unknown = [name for name in raw if name not in declared]
+        if unknown:
+            line = located[unknown[0]][1]
+            raise ValidationError(f"{path}:{line}: unknown config keys: {', '.join(unknown)}")
+        values = {name: parse_key(declared[name], raw, name, f"{path}:{line}: config key")
+                  for name, (_, line) in located.items()}
         try:
             return cls(**values)
         except ValidationError as exc:  # a rule across keys
             raise ValidationError(f"{path}: {exc}") from None
-
-    @classmethod
-    def _parse(cls, raw: Mapping[str, str], at) -> dict[str, object]:
-        """The value of each key ``raw`` sets, read and checked by
-        ``parse_key``; an error about a key starts with ``at(key)``."""
-        declared = {f.name: f for f in fields(cls)}
-        unknown = [name for name in raw if name not in declared]
-        if unknown:
-            raise ValidationError(f"{at(unknown[0])}unknown config keys: {', '.join(unknown)}")
-        return {name: parse_key(declared[name], raw, name, f"{at(name)}config key") for name in raw}
 
     def to_mapping(self) -> dict[str, object]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -113,7 +106,7 @@ def parse_budgets(text: str) -> list[float]:
                 raise ValueError
             n = int(round((stop - start) / step))
             budgets = [round(start + i * step, 10) for i in range(n + 1)]
-            budgets = [b for b in budgets if b <= 1.0 + 1e-12]
+            budgets = [b for b in budgets if b <= stop + 1e-12]
         else:
             budgets = [float(v) for v in text.split(",") if v.strip()]
         if not budgets or any(not 0 < b <= 1 for b in budgets):

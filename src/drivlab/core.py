@@ -31,10 +31,19 @@ EPISODE_FORMAT = "#drivlab-episodes v1"
 SPLIT_FORMAT = "#drivlab-splits v1"
 
 
-def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=dtype)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: for an array the caller has just built and shares with no one."""
     a.setflags(write=False)
     return a
+
+
+def _readonly(a, dtype=np.float64) -> np.ndarray:
+    """``a`` as a read-only C-contiguous ``dtype`` array. A read-only array of
+    that dtype and layout is shared; anything else is copied, so the caller's
+    arrays stay writeable and a later write to them changes nothing here."""
+    if isinstance(a, np.ndarray) and not a.flags.writeable and a.dtype == dtype and a.flags.c_contiguous:
+        return a
+    return _frozen(np.array(a, dtype=dtype, order="C"))
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +158,13 @@ class Episode:
     observation vectors ``obs`` (n, d) and the human oracle's maneuver,
     ``speed`` (n,) and ``angle`` (n,), in the domains of their
     ``EPISODE_TABLE`` columns (speed and angle in the legal CAN value ranges).
-    Row i is step i.
+    Row i is step i. A writeable column is copied.
 
     ``meta`` holds generator bookkeeping (hidden difficulty traces). It
     exists for validation and tests only and must never feed a model input.
     """
 
     episode_id: str
-    seed: int
     obs: np.ndarray
     speed: np.ndarray
     angle: np.ndarray
@@ -246,7 +254,7 @@ def windows_at(
         raise ValidationError(f"scene t={t[i]} out of window range for episode {ids[ep[i]]}")
     empty = {"obs": np.empty((0, 0)), "speed": np.empty(0), "angle": np.empty(0)}
     obs, speed, angle = (
-        _readonly(np.concatenate([getattr(e, c) for e in used] or [empty[c]])) for c in empty
+        _frozen(np.concatenate([getattr(e, c) for e in used] or [empty[c]])) for c in empty
     )
     starts = np.cumsum(lengths) - lengths
     return Windows(obs, speed, angle, end=starts[ep] + t, ep=ep, t=t, episode_ids=ids, k=k)
@@ -502,7 +510,7 @@ def read_table(path, schema: TableSchema) -> tuple[dict[str, str], dict[str, np.
                         out[name] = out[name].astype(values.dtype)
                     out[name][n : n + len(rows)] = values
                 n += len(rows)
-    return meta, {name: values[:n] for name, values in out.items()}
+    return meta, {name: _frozen(values[:n]) for name, values in out.items()}
 
 
 def write_table(path, schema: TableSchema, meta: Mapping[str, str], columns: Mapping) -> None:
@@ -577,7 +585,7 @@ def read_episodes(path) -> list[Episode]:
         i, reason = min(errors)
         raise EPISODE_TABLE.row_error(path, cols["line"][i], reason)
     return [
-        Episode(str(ids[a]), 0, cols["obs"][a:b], cols["speed"][a:b], cols["angle"][a:b], meta={})
+        Episode(str(ids[a]), cols["obs"][a:b], cols["speed"][a:b], cols["angle"][a:b], meta={})
         for a, b in zip(starts.tolist(), stops.tolist())
     ]
 

@@ -1,6 +1,5 @@
 """Exception taxonomy shared across the package, mapped to CLI exit codes."""
 
-EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_MISSING_ARTIFACT = 3
 EXIT_NUMERICAL = 4

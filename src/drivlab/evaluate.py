@@ -16,10 +16,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Column, Episode, TableSchema, _readonly, read_table, windows_at, write_table
+from .core import Column, Episode, TableSchema, _frozen, read_table, windows_at, write_table
 from .driver import DriverNet, mc_predict_batch
 from .errors import ValidationError
-from .failure import MAX_STEP, HazardNet, Labels, Thresholds, predict_hazard_batch
+from .failure import MAX_STEP, HazardNet, Labels, predict_hazard_batch
 
 SCORE_TABLE = TableSchema(
     "#drivlab-scores v1", "score", ",",
@@ -73,7 +73,7 @@ class PolicyScoreTrace:
             raise ValidationError(f"{self.policy}: {bad[1]} at row {bad[0]}")
         order = np.lexsort((t, ep))
         for name, column in (("ep", ep), ("t", t), ("score", score)):
-            object.__setattr__(self, name, _readonly(column[order], column.dtype))
+            object.__setattr__(self, name, _frozen(column[order]))
 
     def __len__(self) -> int:
         return self.t.shape[0]
@@ -87,21 +87,11 @@ class PolicyScoreTrace:
 
 
 @dataclass(frozen=True)
-class TakeoverOutcome:
-    reduction: float
-    baseline_failures: int
-    remaining_failures: int
-    n_selected: int
-    no_failures: bool
-
-
-@dataclass(frozen=True)
 class TakeoverResult:
     """Failure-reduction curve over manual-driving budgets for one policy."""
 
     policy: str
     points: tuple[tuple[float, float], ...]  # (budget, reduction)
-    thresholds: Thresholds | None = None
 
     def reduction_at(self, budget: float) -> float:
         key = round(budget, 6)
@@ -146,13 +136,14 @@ def simulate_takeover(
     budget: float,
     m: int,
     unit: str = "steps",
-) -> TakeoverOutcome:
-    """Silence the spans [t, t+m] of the top budget share of scenes.
+) -> float:
+    """The failure reduction of silencing the spans [t, t+m] of the top
+    budget share of scenes: the fraction of baseline failures silenced.
 
     ``unit`` selects what gets counted: "steps" counts per-step failures g,
     "windows" counts labeled windows whose horizon fails (g_horizon).
     Selection ties break by (episode_id, t) ascending. With no baseline
-    failures the reduction is defined as 1.0 and flagged.
+    failures the reduction is defined as 1.0.
     """
     if unit not in ("steps", "windows"):
         raise ValidationError(f"unit must be 'steps' or 'windows', got {unit!r}")
@@ -164,16 +155,9 @@ def simulate_takeover(
     silenced = np.cumsum(np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1))[:n] > 0
     fail = rows.g if unit == "steps" else rows.g_horizon
     baseline = int(fail.sum())
-    remaining = int(fail[~silenced].sum())
     if baseline == 0:
-        return TakeoverOutcome(1.0, 0, 0, k_sel, True)
-    return TakeoverOutcome(
-        reduction=1.0 - remaining / baseline,
-        baseline_failures=baseline,
-        remaining_failures=remaining,
-        n_selected=k_sel,
-        no_failures=False,
-    )
+        return 1.0
+    return 1.0 - int(fail[~silenced].sum()) / baseline
 
 
 def reduction_curve(
@@ -181,13 +165,10 @@ def reduction_curve(
     trace: PolicyScoreTrace,
     budgets: Sequence[float],
     m: int,
-    thresholds: Thresholds | None = None,
     unit: str = "steps",
 ) -> TakeoverResult:
-    points = tuple(
-        (float(b), simulate_takeover(rows, trace, b, m, unit).reduction) for b in budgets
-    )
-    return TakeoverResult(policy=trace.policy, points=points, thresholds=thresholds)
+    points = tuple((float(b), simulate_takeover(rows, trace, b, m, unit)) for b in budgets)
+    return TakeoverResult(policy=trace.policy, points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +231,12 @@ def interval_curve(
     scenes: Scenes,
     budgets: Sequence[float],
     m: int,
-    thresholds: Thresholds | None = None,
     unit: str = "steps",
 ) -> TakeoverResult:
     points = tuple(
-        (float(b), simulate_takeover(rows, score_interval(scenes, b), b, m, unit).reduction) for b in budgets
+        (float(b), simulate_takeover(rows, score_interval(scenes, b), b, m, unit)) for b in budgets
     )
-    return TakeoverResult(policy="interval", points=points, thresholds=thresholds)
+    return TakeoverResult(policy="interval", points=points)
 
 
 def score_oracle(rows: Labels, scenes: Scenes, m: int) -> PolicyScoreTrace:

@@ -180,10 +180,9 @@ class Labels:
 
 @dataclass
 class FailureDataset:
-    """Labeled windows for hazard training plus per-step rows and stats."""
+    """Labeled steps of one split at one threshold and horizon, as a label file holds them."""
 
     rows: Labels
-    windows: Windows  # aligned with rows
     thresholds: Thresholds
     m: int
     split: str
@@ -255,9 +254,7 @@ def build_failure_dataset(
         true_angle=true_a[kept], true_speed=true_s[kept],
     )
     n_dropped = len(windows) - len(rows)
-    ds = FailureDataset(
-        rows=rows, windows=windows[kept], thresholds=th, m=m, split=split, n_dropped=n_dropped
-    )
+    ds = FailureDataset(rows=rows, thresholds=th, m=m, split=split, n_dropped=n_dropped)
     log.info(
         "labeled %d steps on %s at (%.1f deg, %.1f km/h): hazard fraction %.3f, %d dropped",
         len(rows), split, th.t_angle, th.t_speed, ds.hazard_fraction, n_dropped,

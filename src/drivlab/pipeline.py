@@ -331,8 +331,11 @@ def stage_eval(
     Policy scores come from ``scores`` files (policy -> path) or, without
     them, from the ``hazard`` and ``driver`` checkpoints over ``episodes``;
     ``scores_out`` (policy -> path) writes the computed scores. The interval
-    and oracle policies are always added.
+    and oracle policies are always computed, so ``scores`` may not name them.
     """
+    computed = [policy for policy in ("interval", "oracle") if policy in (scores or {})]
+    if computed:
+        raise ValidationError(f"{computed[0]} scores: eval computes the interval and oracle policies itself")
     rows, meta = _memo(memo, labels, read_labels_csv)
     split, th_name, th, m = _label_header(labels, meta)
     scenes = build_scenes(rows, m)
@@ -362,11 +365,11 @@ def stage_eval(
     budgets = parse_budgets(cfg.budgets)
     unit = cfg.count_unit
     curves = {
-        policy: reduction_curve(rows, trace, budgets, m, th, unit)
+        policy: reduction_curve(rows, trace, budgets, m, unit)
         for policy, (trace, _) in traces.items()
     }
-    curves["interval"] = interval_curve(rows, scenes, budgets, m, th, unit)
-    curves["oracle"] = reduction_curve(rows, score_oracle(rows, scenes, m), budgets, m, th, unit)
+    curves["interval"] = interval_curve(rows, scenes, budgets, m, unit)
+    curves["oracle"] = reduction_curve(rows, score_oracle(rows, scenes, m), budgets, m, unit)
     gains = {}
     if "learned" in curves:
         for b in GAIN_BUDGETS:

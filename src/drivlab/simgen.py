@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import ANGLE_MAX, ANGLE_MIN, SPEED_MAX, SPEED_MIN, Episode, check_keys, key
+from .core import ANGLE_MAX, ANGLE_MIN, SPEED_MAX, SPEED_MIN, Episode, _frozen, check_keys, key
 from .errors import ValidationError
 
 # stream ids for the per-concern Philox streams
@@ -192,12 +192,7 @@ def _lead_gap_path(config: WorldConfig, congestion: float, n: int) -> np.ndarray
     return g
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-def generate_episode(config: WorldConfig, episode_id: str | None = None) -> Episode:
+def generate_episode(config: WorldConfig, episode_id: str) -> Episode:
     """Deterministic episode for ``config.seed``; see module docstring."""
     n = config.episode_length
     lookahead = 8
@@ -248,8 +243,7 @@ def generate_episode(config: WorldConfig, episode_id: str | None = None) -> Epis
         "lead_gap": _frozen(gap),  # m
     }
     angles, speeds = oracle_action(meta, config)
-    eid = episode_id if episode_id is not None else f"ep{config.seed:010d}"
-    return Episode(eid, seed=config.seed, obs=obs, speed=speeds, angle=angles, meta=meta)
+    return Episode(episode_id, obs=_frozen(obs), speed=_frozen(speeds), angle=_frozen(angles), meta=meta)
 
 
 def generate_dataset(config: WorldConfig, n_episodes: int, base_seed: int) -> list[Episode]:

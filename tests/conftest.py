@@ -22,8 +22,13 @@ def windows_of_rows(frames, speeds, angles):
     """One window per free-standing (k+1)-row episode: ``frames`` (n, k+1, d),
     ``speeds`` and ``angles`` (n, k+1), the last row holding the targets."""
     n, steps, _ = np.shape(frames)
-    eps = {f"w{i}": core.Episode(f"w{i}", 0, frames[i], speeds[i], angles[i], {}) for i in range(n)}
+    eps = {f"w{i}": core.Episode(f"w{i}", frames[i], speeds[i], angles[i], {}) for i in range(n)}
     return core.windows_at(eps, list(eps), np.arange(n), np.full(n, steps - 1), steps - 1)
+
+
+def label_windows(rows, episodes, k=4):
+    """The windows of label rows ``rows`` over ``episodes``, built as the pipeline builds them."""
+    return core.windows_at(core.episodes_by_id(episodes), rows.episode_ids, rows.ep, rows.t, k)
 
 
 def scenes_of(pairs):
@@ -91,7 +96,7 @@ def tiny_pipeline(small_episodes):
     ds_train = build_failure_dataset(net, d2, split="D2", th=th, m=8)
     ds_eval = build_failure_dataset(net, d3, split="D3", th=th, m=8)
     hazard, _ = train_failure(
-        ds_train.windows, ds_train.rows.g_horizon, TrainConfig(epochs=3, seed=31),
+        label_windows(ds_train.rows, d2), ds_train.rows.g_horizon, TrainConfig(epochs=3, seed=31),
         normalizer=net.normalizer, thresholds=th, m=8, trained_on="D2",
     )
     return {

@@ -30,7 +30,7 @@ from drivlab.failure import (
     step_failures,
 )
 from drivlab.pipeline import ART_DRIVER_METRICS, art_eval, art_labels, run_all, run_stage
-from conftest import labels_of, row_positions, trace_of
+from conftest import label_windows, labels_of, row_positions, trace_of
 from gradcheck import grad_check
 from oracles import brute_force_horizon, brute_force_takeover, label_horizon, label_step, lstm_cell
 
@@ -292,7 +292,7 @@ def test_c4_takeover_simulator_oracle_equivalence():
         rows = labels_of(rows)
         m = int(rng.integers(0, 4))
         budget = float(rng.uniform(0.05, 1.0))
-        ours = evaluate.simulate_takeover(rows, trace, budget, m).reduction
+        ours = evaluate.simulate_takeover(rows, trace, budget, m)
         ref = brute_force_takeover(rows, trace, budget, m)
         assert ours == pytest.approx(ref, abs=1e-12), f"case {case}"
         if case % 50 == 0:
@@ -387,7 +387,7 @@ def test_c8_run_all_byte_identical(tmp_path):
 def test_c9_checkpoint_round_trip(tiny_pipeline, tmp_path):
     driver = tiny_pipeline["driver"]
     hazard = tiny_pipeline["hazard"]
-    windows = tiny_pipeline["eval_labels"].windows[:50]
+    windows = label_windows(tiny_pipeline["eval_labels"].rows, tiny_pipeline["d3"])[:50]
     # provenance entries must survive the round trip too
     driver.provenance = {"episodes": "0" * 64, "pipeline_seed": "0"}
     hazard.provenance = {"labels": "1" * 64}

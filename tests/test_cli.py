@@ -279,6 +279,18 @@ def test_malformed_text_field_exit_code_2(tmp_path, kind, text, lineno, capsys):
     assert f"{bad}:{lineno}: malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("policy", ["interval", "oracle"])
+def test_eval_rejects_scores_for_a_policy_it_computes(tmp_path, policy, capsys):
+    """A score file that would pass every other check would have its curve replaced."""
+    labels, scores = tmp_path / "labels.csv", tmp_path / "scores.csv"
+    labels.write_text(LABELS_D3.replace("# m 8\n", "# m 8\n# driver abc\n"))
+    scores.write_text(f"{SCORES_FORMAT}\n# policy {policy}\n# driver abc\n{SCORES_HEADER}\nep0000,2,0.5\n")
+    code = main(["eval", "--labels", str(labels), "--scores", f"{policy}={scores}",
+                 "--out", str(tmp_path / "e.json"), "--quiet"])
+    assert code == 2
+    assert f"{policy} scores: eval computes the interval and oracle policies itself" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edit", ["unknown-id", "no-digest", "other-digest"])
 def test_split_manifest_provenance_exit_code_2(tmp_path, config_file, edit, capsys):
     episodes, splits = tmp_path / "episodes.txt", tmp_path / "splits.tsv"

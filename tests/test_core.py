@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from drivlab import core
 from drivlab.driver import batch_inputs, windows_to_arrays
 from drivlab.errors import ArtifactVersionError, ValidationError
+from drivlab.evaluate import PolicyScoreTrace
+from drivlab.failure import Labels
 from drivlab.simgen import WorldConfig, generate_dataset
 
 from conftest import all_windows, windows_of_rows
@@ -17,7 +19,7 @@ def _episode(n, d=3, eid="e0"):
     obs = rng.standard_normal((n, d))
     speed = rng.uniform(0, 120, size=n)
     angle = rng.uniform(-90, 90, size=n)
-    return core.Episode(episode_id=eid, seed=1, obs=obs, speed=speed, angle=angle, meta={})
+    return core.Episode(episode_id=eid, obs=obs, speed=speed, angle=angle, meta={})
 
 
 def _columns(n=4, d=3):
@@ -30,44 +32,75 @@ class TestEpisode:
             obs, speed, angle = _columns()
             speed[2] = bad
             with pytest.raises(ValidationError, match="speed .* at step 2"):
-                core.Episode("e", 0, obs, speed, angle, {})
+                core.Episode("e", obs, speed, angle, {})
 
     def test_rejects_out_of_range_angle(self):
         obs, speed, angle = _columns()
         angle[1] = 721.0
         with pytest.raises(ValidationError, match="angle .* at step 1"):
-            core.Episode("e", 0, obs, speed, angle, {})
+            core.Episode("e", obs, speed, angle, {})
 
     def test_rejects_non_finite_obs(self):
         obs, speed, angle = _columns()
         obs[3, 1] = np.nan
         with pytest.raises(ValidationError, match="non-finite .* at step 3"):
-            core.Episode("e", 0, obs, speed, angle, {})
+            core.Episode("e", obs, speed, angle, {})
 
     def test_columns_are_read_only(self):
-        ep = core.Episode("e", 0, *_columns(), {})
+        ep = core.Episode("e", *_columns(), {})
         for column in (ep.obs, ep.speed, ep.angle):
             with pytest.raises(ValueError):
                 column[0] = 1.0
 
     def test_rejects_empty_and_misshapen_columns(self):
         with pytest.raises(ValidationError, match="no records"):
-            core.Episode("e", 0, *_columns(n=0), {})
+            core.Episode("e", *_columns(n=0), {})
         obs, speed, angle = _columns()
         with pytest.raises(ValidationError, match="obs must be"):
-            core.Episode("e", 0, speed, speed, angle, {})
+            core.Episode("e", speed, speed, angle, {})
         with pytest.raises(ValidationError, match="do not match"):
-            core.Episode("e", 0, obs, speed[:3], angle, {})
+            core.Episode("e", obs, speed[:3], angle, {})
 
     def test_arrays_match_records(self):
         obs, speed, angle = _columns(n=5)
         obs[2] = [1.0, 2.0, 3.0]
         speed[4] = 33.5
-        ep = core.Episode("e", 0, obs, speed.astype(np.float32), angle.tolist(), {})
+        ep = core.Episode("e", obs, speed.astype(np.float32), angle.tolist(), {})
         assert len(ep) == 5 and ep.obs_dim == 3
         assert ep.speed.dtype == ep.angle.dtype == ep.obs.dtype == np.float64
         assert np.array_equal(ep.speed, speed)
         assert np.array_equal(ep.obs[2], [1.0, 2.0, 3.0])
+
+
+class TestOwnership:
+    def test_constructors_leave_the_callers_arrays_writeable_and_apart(self):
+        """An array of the stored dtype and layout is the case a constructor
+        could store without a copy; a later write to it must change nothing."""
+        obs, speed, angle = _columns()
+        labels = {"ep": np.array([0, 0], dtype=np.int64), "t": np.array([4, 5], dtype=np.int64),
+                  "g_s": np.zeros(2, dtype=np.int64),
+                  **{c: np.array([0, 1], dtype=np.int64) for c in ("g_a", "g", "g_horizon")},
+                  **{c: np.zeros(2) for c in ("pred_angle", "pred_speed", "true_angle", "true_speed")}}
+        score = {"ep": np.array([0, 0], dtype=np.int64), "t": np.array([4, 5], dtype=np.int64),
+                 "score": np.array([0.5, 0.25])}
+        normalizer = {"obs_mean": np.zeros(3), "obs_std": np.ones(3)}
+        built = [
+            (core.Episode("e", obs, speed, angle, {}), {"obs": obs, "speed": speed, "angle": angle}),
+            (Labels(episode_ids=("e",), **labels), labels),
+            (PolicyScoreTrace("p", ("e",), **score), score),
+            (core.Normalizer(0.0, 1.0, 0.0, 1.0, **normalizer), normalizer),
+        ]
+        for obj, arrays in built:
+            for name, array in arrays.items():
+                assert array.flags.writeable, f"{type(obj).__name__}.{name}"
+                stored = getattr(obj, name).copy()
+                array[...] = 7
+                assert np.array_equal(getattr(obj, name), stored), f"{type(obj).__name__}.{name}"
+
+    def test_read_only_arrays_are_shared(self):
+        obs, speed, angle = (core._frozen(a) for a in _columns())
+        ep = core.Episode("e", obs, speed, angle, {})
+        assert ep.obs is obs and ep.speed is speed and ep.angle is angle
 
 
 _IDENTITY = core.Normalizer(0.0, 1.0, 0.0, 1.0, np.zeros(3), np.ones(3))

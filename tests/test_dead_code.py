@@ -1,4 +1,4 @@
-"""Every function and class of the package is named somewhere besides its definition."""
+"""Every function, class and module-level name of the package is named somewhere besides its definition."""
 
 import ast
 import re
@@ -8,14 +8,27 @@ ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "tests", "perfbench", "tools")
 
 
+def _defined_names(tree: ast.Module):
+    """The names of every function and class of ``tree`` and of every name a
+    module-level assignment binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
 def _definitions() -> dict[str, int]:
-    """Name -> number of definitions, over every non-dunder function and class of ``src/drivlab``."""
+    """Name -> number of definitions, over every non-dunder name ``_defined_names`` finds in ``src/drivlab``."""
     counts: dict[str, int] = {}
     for path in sorted((ROOT / "src" / "drivlab").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    counts[node.name] = counts.get(node.name, 0) + 1
+        for name in _defined_names(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (name.startswith("__") and name.endswith("__")):
+                counts[name] = counts.get(name, 0) + 1
     return counts
 
 

@@ -165,7 +165,7 @@ class TestInferenceChunks:
             assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
     def test_empty_windows_give_empty_results(self, tiny_pipeline):
-        one_step = core.Episode("e", 0, np.zeros((1, 16)), np.array([50.0]), np.array([0.0]), {})
+        one_step = core.Episode("e", np.zeros((1, 16)), np.array([50.0]), np.array([0.0]), {})
         empty = core.make_windows(one_step, k=1)
         angles, speeds = mc_predict_batch(tiny_pipeline["driver"], empty, 3, np.random.default_rng(0))
         assert angles.shape == speeds.shape == (3, 0)
@@ -268,7 +268,7 @@ class TestMemory:
         64-wide frames, one copy of every window's frames is 15 MiB, more
         than any of their traced peaks may reach."""
         rng = np.random.default_rng(11)
-        episodes = [core.Episode(f"e{i}", 0, rng.standard_normal((1540, 64)), rng.uniform(20, 100, 1540),
+        episodes = [core.Episode(f"e{i}", rng.standard_normal((1540, 64)), rng.uniform(20, 100, 1540),
                                  rng.uniform(-30, 30, 1540), {}) for i in range(4)]
         windows = core.make_windows(*episodes, k=4)
         frame_copy = len(windows) * 5 * 64 * 8 / MIB

@@ -20,7 +20,7 @@ from drivlab.evaluate import (
     simulate_takeover,
 )
 
-from conftest import labels_of, positions, scenes_of, trace_of as _trace
+from conftest import label_windows, labels_of, positions, scenes_of, trace_of as _trace
 from oracles import brute_force_oracle, brute_force_takeover, interval_entries, pairwise_auc, trace_entries
 
 
@@ -51,22 +51,21 @@ class TestSimulateTakeover:
         labels = [1, 0, 1, 0, 0, 0, 0, 1, 0, 0]
         rows = labels_of([_row("e", t, g) for t, g in enumerate(labels)])
         trace = _trace("x", [("e", t, float(g)) for t, g in enumerate(labels)])
-        out = simulate_takeover(rows, trace, budget=0.3, m=0)
-        assert out.reduction == 1.0
-        assert out.n_selected == 3
-        assert not out.no_failures
+        # a 0.3 budget selects three scenes, the three failures; 0.2 selects two of them
+        assert budget_count(0.3, len(trace)) == 3
+        assert simulate_takeover(rows, trace, budget=0.3, m=0) == 1.0
+        assert simulate_takeover(rows, trace, budget=0.2, m=0) == pytest.approx(2 / 3, abs=1e-15)
 
-    def test_all_zero_labels_flagged(self):
+    def test_all_zero_labels_reduce_fully(self):
         rows = labels_of([_row("e", t, 0) for t in range(5)])
         trace = _trace("x", [("e", t, 0.5) for t in range(5)])
-        out = simulate_takeover(rows, trace, budget=0.2, m=0)
-        assert out.reduction == 1.0
-        assert out.no_failures
+        assert not rows.g.any()
+        assert simulate_takeover(rows, trace, budget=0.2, m=0) == 1.0
 
     def test_full_budget_silences_everything(self):
         rows = labels_of([_row("e", t, 1) for t in range(6)])
         trace = _trace("x", [("e", t, 0.0) for t in range(6)])
-        assert simulate_takeover(rows, trace, budget=1.0, m=0).reduction == 1.0
+        assert simulate_takeover(rows, trace, budget=1.0, m=0) == 1.0
 
     def test_budget_validation(self):
         rows = labels_of([_row("e", 0, 1)])
@@ -77,16 +76,16 @@ class TestSimulateTakeover:
     def test_horizon_silencing(self):
         rows = labels_of([_row("e", t, 1 if t in (3, 4) else 0) for t in range(8)])
         trace = _trace("x", [("e", 0, 1.0), ("e", 4, 0.5)])
-        out = simulate_takeover(rows, trace, budget=0.5, m=2)
         # only ('e', 0) selected; silences t in [0, 2]; both failures remain
-        assert out.reduction == 0.0
+        assert simulate_takeover(rows, trace, budget=0.5, m=2) == 0.0
 
     def test_window_unit_counts_horizon_rows(self):
         rows = labels_of([_row("e", 0, 0, gh=1), _row("e", 1, 1, gh=1), _row("e", 2, 0, gh=0)])
         trace = _trace("x", [("e", 0, 1.0), ("e", 1, 0.0), ("e", 2, 0.0)])
-        out = simulate_takeover(rows, trace, budget=1 / 3, m=0, unit="windows")
-        assert out.baseline_failures == 2
-        assert out.reduction == 0.5
+        # one of the two g_horizon rows is silenced; the one g row is not
+        assert rows.g_horizon.sum() == 2 and rows.g.sum() == 1
+        assert simulate_takeover(rows, trace, budget=1 / 3, m=0, unit="windows") == 0.5
+        assert simulate_takeover(rows, trace, budget=1 / 3, m=0, unit="steps") == 0.0
 
     @given(
         n_eps=st.integers(1, 3),
@@ -104,7 +103,7 @@ class TestSimulateTakeover:
                 rows.append(_row(f"e{e}", t, int(rng.random() < 0.4)))
                 entries.append((f"e{e}", t, float(rng.choice([0.0, 0.3, 0.3, 0.9]))))
         trace, rows = _trace("fuzz", entries), labels_of(rows)
-        ours = simulate_takeover(rows, trace, budget, m).reduction
+        ours = simulate_takeover(rows, trace, budget, m)
         ref = brute_force_takeover(rows, trace, budget, m)
         assert ours == pytest.approx(ref, abs=1e-12)
 
@@ -148,8 +147,7 @@ class TestAgainstReference:
         ])
         trace = _trace("fuzz", scenes)
         out = simulate_takeover(rows, trace, budget, m, unit)
-        assert out.reduction == brute_force_takeover(rows, trace, budget, m, unit)
-        assert out.no_failures == (not (rows.g if unit == "steps" else rows.g_horizon).any())
+        assert out == brute_force_takeover(rows, trace, budget, m, unit)
         pairs = [(eid, t) for eid, t, _ in scenes]
         counts = brute_force_oracle(rows, pairs, m)
         expected = sorted((eid, t, s) for (eid, t), s in zip(pairs, counts))
@@ -217,7 +215,7 @@ class TestIntervalPolicy:
         for _ in range(1000):
             labels = rng.permutation(base)
             rows = labels_of([_row("e", t, int(g)) for t, g in enumerate(labels)])
-            reductions.append(simulate_takeover(rows, trace, budget, m=0).reduction)
+            reductions.append(simulate_takeover(rows, trace, budget, m=0))
         assert abs(np.mean(reductions) - budget) < 0.02
 
 
@@ -257,10 +255,10 @@ class TestUncertaintyPolicy:
         from drivlab.driver import mc_predict_batch
 
         net = replace(tiny_pipeline["driver"], arch=replace(tiny_pipeline["driver"].arch, dropout_p=0.5))
-        ds = tiny_pipeline["eval_labels"]
+        windows = label_windows(tiny_pipeline["eval_labels"].rows, tiny_pipeline["d3"])
         n = 400
         rng = np.random.default_rng(17)
-        angles, speeds = mc_predict_batch(net, ds.windows[[10, 10]], n_samples=n, rng=rng)
+        angles, speeds = mc_predict_batch(net, windows[[10, 10]], n_samples=n, rng=rng)
         for arr in (angles, speeds):
             v1, v2 = arr.var(axis=0)
             bound = 3.0 * math.sqrt(2.0) * math.sqrt(2.0 / (n - 1)) * max(v1, v2)

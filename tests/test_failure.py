@@ -21,7 +21,7 @@ from drivlab.failure import (
     write_labels_csv,
 )
 
-from conftest import all_windows, labels_of, row_positions, windows_of_rows
+from conftest import all_windows, label_windows, labels_of, row_positions, windows_of_rows
 from oracles import brute_force_horizon, label_horizon, label_step, sgn
 
 
@@ -330,8 +330,8 @@ class TestHazardNet:
 
     def test_probabilities_valid(self, tiny_pipeline):
         net = tiny_pipeline["hazard"]
-        ds = tiny_pipeline["eval_labels"]
-        probs = predict_hazard_batch(net, ds.windows[:50])
+        windows = label_windows(tiny_pipeline["eval_labels"].rows, tiny_pipeline["d3"])
+        probs = predict_hazard_batch(net, windows[:50])
         assert np.all((0.0 <= probs) & (probs <= 1.0))
 
     def test_class_probabilities_sum_to_one(self, tiny_pipeline):
@@ -339,8 +339,8 @@ class TestHazardNet:
         from drivlab.failure import hazard_forward, softmax
 
         net = tiny_pipeline["hazard"]
-        ds = tiny_pipeline["eval_labels"]
-        data = windows_to_arrays(ds.windows[:40], net.normalizer)
+        windows = label_windows(tiny_pipeline["eval_labels"].rows, tiny_pipeline["d3"])
+        data = windows_to_arrays(windows[:40], net.normalizer)
         logits = hazard_forward(net.params, net.arch, *batch_inputs(data, slice(None)))
         probs = softmax(logits.data)
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-12)

@@ -40,6 +40,10 @@ class TestBudgets:
         assert grid[0] == 0.01 and grid[-1] == 1.0
         assert 0.25 in grid
 
+    def test_grid_stops_at_stop(self):
+        assert parse_budgets("0.1:0.55:0.3") == [0.1, 0.4]
+        assert parse_budgets("0.05:1.0:0.05")[-1] == 1.0
+
     def test_comma_list(self):
         assert parse_budgets("0.25, 0.5") == [0.25, 0.5]
 
@@ -63,9 +67,12 @@ class TestPipelineConfig:
         with pytest.raises(ValidationError, match="k \\+ m \\+ 1"):
             PipelineConfig(episode_length=10)
 
-    def test_unknown_key(self):
-        with pytest.raises(ValidationError, match="unknown config keys"):
-            PipelineConfig.from_mapping({"velocity": "1"})
+    def test_unknown_key(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("seed = 1\nvelocity = 1\nwarp = 9\n")
+        message = f"{path}:2: unknown config keys: velocity, warp"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            PipelineConfig.from_file(path)
 
     def test_domain_ends(self):
         """A closed end belongs to a key's domain, an open end does not."""

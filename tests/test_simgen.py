@@ -38,8 +38,8 @@ class TestDeterminism:
 
     def test_knob_isolation(self):
         # changing congestion must not reshuffle the curvature stream
-        a = simgen.generate_episode(small_world(seed=5, congestion_level=0.0))
-        b = simgen.generate_episode(small_world(seed=5, congestion_level=1.0))
+        a = simgen.generate_episode(small_world(seed=5, congestion_level=0.0), "e")
+        b = simgen.generate_episode(small_world(seed=5, congestion_level=1.0), "e")
         assert np.array_equal(a.meta["curvature"], b.meta["curvature"])
         assert np.array_equal(a.meta["zone_mask"], b.meta["zone_mask"])
 
@@ -49,14 +49,14 @@ class TestOracleClosedForm:
 
     def test_angle_equals_curvature_tracking_law(self):
         cfg = small_world(seed=13, **self.CFG)
-        ep = simgen.generate_episode(cfg)
+        ep = simgen.generate_episode(cfg, "e")
         curvature = np.array(ep.meta["curvature"])
         expected = np.clip(cfg.steer_gain * curvature, core.ANGLE_MIN, core.ANGLE_MAX)
         assert np.array_equal(ep.angle, expected)
 
     def test_pure_noise_channels_untouched_by_noise_scale(self):
-        a = simgen.generate_episode(small_world(seed=4, obs_noise_scale=0.0))
-        b = simgen.generate_episode(small_world(seed=4, obs_noise_scale=2.0))
+        a = simgen.generate_episode(small_world(seed=4, obs_noise_scale=0.0), "e")
+        b = simgen.generate_episode(small_world(seed=4, obs_noise_scale=2.0), "e")
         tail = slice(simgen.N_SIGNAL_CHANNELS, None)
         assert np.array_equal(a.obs[:, tail], b.obs[:, tail])
 
@@ -75,7 +75,7 @@ class TestIntersectionProcess:
         assert abs(mean - 4.0) < half
 
     def test_zones_never_overlap(self):
-        ep = simgen.generate_episode(small_world(seed=8, intersection_rate=8.0))
+        ep = simgen.generate_episode(small_world(seed=8, intersection_rate=8.0), "e")
         mask = np.array(ep.meta["zone_mask"])
         starts = np.flatnonzero(np.diff(np.concatenate([[0], mask.astype(int)])) == 1)
         for s in starts:
@@ -85,7 +85,7 @@ class TestIntersectionProcess:
         # queued zones must restart the turn ramp, not continue it
         found_back_to_back = False
         for seed in range(30):
-            ep = simgen.generate_episode(small_world(seed=seed, intersection_rate=15.0))
+            ep = simgen.generate_episode(small_world(seed=seed, intersection_rate=15.0), "e")
             progress = np.array(ep.meta["zone_progress"])
             mask = np.array(ep.meta["zone_mask"])
             assert np.all((0.0 <= progress) & (progress < 1.0))
@@ -126,7 +126,7 @@ class TestOracleAction:
         worlds = ({}, {**EXTREME, "intersection_rate": 20.0}, {**EXTREME, "intersection_rate": 100.0})
         for world, seed in itertools.product(worlds, range(8)):
             cfg = simgen.WorldConfig(seed=seed, **world)
-            ep = simgen.generate_episode(cfg)
+            ep = simgen.generate_episode(cfg, "e")
             reference = zone_schedule(cfg, len(ep))
             names = ("zone_mask", "branch", "dist_next", "zone_progress")
             for name, want in zip(names, reference):
@@ -140,7 +140,7 @@ class TestOracleAction:
         # Episode construction enforces the ranges; cover an extreme config
         cfg = small_world(seed=2, curvature_sigma=0.05, curvature_jump_prob=0.2,
                           congestion_level=1.0, visibility=0.0, intersection_rate=20.0)
-        ep = simgen.generate_episode(cfg)
+        ep = simgen.generate_episode(cfg, "e")
         assert np.all(ep.speed >= core.SPEED_MIN) and np.all(ep.speed <= core.SPEED_MAX)
         assert np.all(ep.angle >= core.ANGLE_MIN) and np.all(ep.angle <= core.ANGLE_MAX)
 
@@ -149,7 +149,7 @@ class TestStraightBranchPassage:
     def test_angle_stays_small(self):
         checked = 0
         for seed in range(40):
-            ep = simgen.generate_episode(small_world(seed=seed, intersection_rate=6.0))
+            ep = simgen.generate_episode(small_world(seed=seed, intersection_rate=6.0), "e")
             mask = np.array(ep.meta["zone_mask"])
             branch = np.array(ep.meta["branch"])
             angles = ep.angle
@@ -217,7 +217,7 @@ class TestConfigValidation:
         # distances and gaps never go negative; with no zone ahead the distance is the length
         for world in ({}, {**EXTREME, "intersection_rate": 60.0}, {"intersection_rate": 0.0}):
             for seed in range(5):
-                ep = simgen.generate_episode(small_world(seed=seed, **world))
+                ep = simgen.generate_episode(small_world(seed=seed, **world), "e")
                 dist, mask = ep.meta["dist_next"], ep.meta["zone_mask"]
                 assert dist.min() >= 0 and ep.meta["lead_gap"].min() >= 0
                 last_start = np.flatnonzero(mask & (ep.meta["zone_progress"] == 0))[-1:]

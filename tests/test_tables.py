@@ -119,7 +119,7 @@ def _coded(cols):
 
 # table kind -> (its schema, the constructor of its in-memory columns from the columns read)
 IN_MEMORY = {
-    "episode": (core.EPISODE_TABLE, lambda c: core.Episode("ep0", 0, c["obs"], c["speed"], c["angle"], {})),
+    "episode": (core.EPISODE_TABLE, lambda c: core.Episode("ep0", c["obs"], c["speed"], c["angle"], {})),
     "label": (LABEL_TABLE, lambda c: Labels(*_coded(c), **{
         col.name: c[col.name] for col in LABEL_TABLE.columns if col.name != "episode_id"})),
     "score": (SCORE_TABLE, lambda c: PolicyScoreTrace("learned", *_coded(c), c["t"], c["score"])),
