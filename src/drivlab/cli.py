@@ -34,6 +34,8 @@ def _score_files(specs: list[str] | None) -> dict[str, str]:
         if "=" not in spec:
             raise ValidationError(f"--scores expects policy=path, got {spec!r}")
         policy, _, path = spec.partition("=")
+        if policy in files:
+            raise ValidationError(f"--scores names policy {policy!r} twice")
         files[policy] = path
     return files
 

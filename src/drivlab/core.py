@@ -358,17 +358,50 @@ def _channel_stats(values: np.ndarray, name: str) -> tuple[float, float]:
     return mean, std
 
 
+STATS_BLOCK = 4096  # rows per gathered block in ``row_stats``; bounds its working memory
+
+
+def row_stats(values: np.ndarray, rows: np.ndarray, block: int = STATS_BLOCK) -> tuple[np.ndarray, np.ndarray]:
+    """``np.mean`` and ``np.std`` over axis 0 of ``values[rows]`` for 2-D
+    ``values``, bit for bit, gathering ``block`` rows at a time.
+
+    numpy sums axis 0 of a C-contiguous array of two or more columns row by
+    row, so each block's sum starts from the running sum, written as its first
+    row, and the sum of the blocks is the whole array's. One column is summed
+    pairwise instead, so it is gathered whole (8 bytes a row)."""
+    if values.shape[1] == 1:
+        gathered = values[rows]
+        return np.mean(gathered, axis=0), np.std(gathered, axis=0)
+    buf = np.empty((min(block, len(rows)) + 1, values.shape[1]))
+
+    def total(mean=None):
+        # axis-0 sum of values[rows], or of (values[rows] - mean) ** 2
+        acc = None
+        for lo in range(0, len(rows), block):
+            part = rows[lo:lo + block]
+            gathered = np.take(values, part, axis=0, out=buf[1:len(part) + 1])
+            if mean is not None:
+                np.square(np.subtract(gathered, mean, out=gathered), out=gathered)
+            if acc is not None:
+                buf[0] = acc
+                gathered = buf[:len(part) + 1]
+            acc = np.add.reduce(gathered, axis=0)
+        return acc
+
+    mean = total() / len(rows)
+    return mean, np.sqrt(total(mean) / len(rows))
+
+
 def fit_normalizer(windows: Windows) -> Normalizer:
     """Population z-score statistics over all frames, past values and targets,
-    each window contributing its rows end-k..end."""
+    each window contributing its rows end-k..end. The frames are gathered a
+    block at a time (``row_stats``)."""
     if not windows:
         raise ValidationError("cannot fit a normalizer on an empty window list")
     rows = (windows.end[:, None] + np.arange(-windows.k, 1)).ravel()
-    frames, speeds, angles = windows.obs[rows], windows.speed[rows], windows.angle[rows]
-    mean_s, std_s = _channel_stats(speeds, "speed")
-    mean_a, std_a = _channel_stats(angles, "angle")
-    obs_mean = np.mean(frames, axis=0)
-    obs_std = np.std(frames, axis=0)
+    mean_s, std_s = _channel_stats(windows.speed[rows], "speed")
+    mean_a, std_a = _channel_stats(windows.angle[rows], "angle")
+    obs_mean, obs_std = row_stats(windows.obs, rows)
     low = obs_std < STD_FLOOR
     if np.any(low):
         warnings.warn(

@@ -10,7 +10,6 @@ from .tensor import (
     l2_loss,
     lstm_seq,
     no_grad,
-    relu,
     scale,
 )
 from .optim import ParameterStore, adam_step
@@ -19,7 +18,7 @@ from .checkpoint import CHECKPOINT_FORMAT, load_checkpoint, save_checkpoint
 
 __all__ = [
     "Tensor", "add", "concat", "cross_entropy_loss", "dropout", "l2_loss",
-    "lstm_seq", "no_grad", "relu", "scale",
+    "lstm_seq", "no_grad", "scale",
     "ParameterStore", "adam_step",
     "glorot_uniform", "init_linear", "init_lstm", "linear",
     "CHECKPOINT_FORMAT", "load_checkpoint", "save_checkpoint",

@@ -27,20 +27,28 @@ def init_linear(
     store.add(f"{name}.b", np.zeros(n_out))
 
 
-def linear(store: ParameterStore, name: str, x: Tensor) -> Tensor:
-    """``x @ w + b`` for ``x`` (B, n_in) as one node."""
+def linear(store: ParameterStore, name: str, x: Tensor, relu: bool = False) -> Tensor:
+    """``x @ w + b`` for ``x`` (B, n_in) as one node, rectified in place when
+    ``relu``. The rectified node keeps only its output and takes its backward
+    mask from it: ``relu(y) > 0`` exactly where ``y > 0``, NaN included."""
     w, b = store[f"{name}.w"], store[f"{name}.b"]
     if x.data.ndim != 2 or w.data.shape != (x.data.shape[1], b.data.shape[0]):
         raise ShapeError(f"linear {name}: {x.data.shape} @ {w.data.shape} + {b.data.shape}")
+
     def backward(out):
+        g = out.grad
+        if relu:
+            g *= out.data > 0.0  # the node's own gradient, consumed with it
         if x.requires_grad:
-            _accum(x, out.grad @ w.data.T)
+            _accum(x, g @ w.data.T)
         if w.requires_grad:
-            _accum(w, x.data.T @ out.grad)
-        _accum(b, out.grad.sum(axis=0))
+            _accum(w, x.data.T @ g)
+        _accum(b, g.sum(axis=0))
 
     y = x.data @ w.data
     y += b.data  # in place: the sum's bits, one (B, n_out) array fewer
+    if relu:
+        np.maximum(y, 0.0, out=y)
     return _out(y, (x, w, b), backward)
 
 

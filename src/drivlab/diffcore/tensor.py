@@ -14,6 +14,11 @@ its parents and its gradient as soon as the backward has run, so the tape is
 gone when ``backward()`` returns. Leaves (parameters and input tensors) keep
 their gradients. Inside ``no_grad()`` ops record nothing, so inference frees
 each intermediate as soon as the next op has read it.
+
+The tape keeps only what a backward reads. A node owns the gradient array
+its consumers hand it and may overwrite it in its own backward, since the
+node is consumed right after; so an op hands each parent an array no one
+else holds (a fresh result, or disjoint views of its own consumed gradient).
 """
 
 from __future__ import annotations
@@ -92,11 +97,12 @@ class Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to ``t.grad``; a first gradient is taken as is, not copied,
+    so ``g`` must be an array its op hands to no other parent."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        # a copy: ``add`` hands the same array to both of its parents
-        t.grad = g.copy()
+        t.grad = g
     else:
         t.grad += g
 
@@ -118,8 +124,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: {a.data.shape} + {b.data.shape}")
 
     def backward(out):
+        # both parents get the whole gradient: ``a`` takes it, ``b`` a copy
         _accum(a, out.grad)
-        _accum(b, out.grad.sum(axis=0) if bias else out.grad)
+        _accum(b, out.grad.sum(axis=0) if bias else out.grad.copy())
 
     return _out(a.data + b.data, (a, b), backward)
 
@@ -131,13 +138,6 @@ def scale(a: Tensor, s: float) -> Tensor:
         _accum(a, out.grad * s)
 
     return _out(a.data * s, (a,), backward)
-
-
-def relu(x: Tensor) -> Tensor:
-    def backward(out):
-        _accum(x, out.grad * (x.data > 0.0))
-
-    return _out(np.maximum(x.data, 0.0), (x,), backward)
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
@@ -166,9 +166,9 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
     offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
     def backward(out):
+        # disjoint views of the consumed gradient, one per part
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            g = out.grad[lo:hi] if axis == 0 else out.grad[:, lo:hi]
-            _accum(t, g)
+            _accum(t, out.grad[lo:hi] if axis == 0 else out.grad[:, lo:hi])
 
     return _out(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
 
@@ -282,12 +282,15 @@ def lstm_seq(x: Tensor, steps: int, wx, wh, b) -> Tensor:
     wxs, whs = (np.stack([w.data for w in ws]) for ws in (wx, wh))
     bs = np.stack([w.data for w in b])[:, None]  # (tracks, 1, 4H): broadcast over the batch
     xw = (xd @ wxs).reshape(tracks, steps, batch, g4)
-    # A recording forward keeps every step for the backward. Without a tape
-    # only the running state is kept: one slot per buffer, which each step
-    # reads and then overwrites in place, with the same operations and bits
+    # A recording forward keeps every step for the backward: the activated
+    # gates go over the input projection, each step after reading its own
+    # slot. Without a tape only the running state is kept: one slot per
+    # buffer, which each step reads and then overwrites in place, with the
+    # same operations and bits
     keep = _recording
     span, states = (steps, steps + 1) if keep else (1, 1)
-    acts = np.empty((tracks, span, batch, 4, hidden))  # activated gates i, f, g, o
+    # activated gates i, f, g, o
+    acts = xw.reshape(tracks, steps, batch, 4, hidden) if keep else np.empty((tracks, 1, batch, 4, hidden))
     cs = np.zeros((tracks, states, batch, hidden))  # cs[:, t] is the cell state entering step t
     hs = np.zeros((tracks, states, batch, hidden))
     tcs = np.empty((tracks, span, batch, hidden))  # tanh of the cell state leaving step t
@@ -312,25 +315,27 @@ def lstm_seq(x: Tensor, steps: int, wx, wh, b) -> Tensor:
         np.multiply(act[:, :, 3], tcs[:, now], out=hs[:, nxt])
 
     def backward(out):
+        # local derivatives of every step at once, in place over the gates
+        # they come from: dc -> the input, forget and cell gates and dh -> the
+        # output gate (pre-activation). The loop scales them in place. ``tcs``
+        # and then ``c`` are free once read, and hold one factor at a time;
+        # ``d_cell`` is dh -> dc. No output overlaps another array's input, so
+        # numpy makes no copy, and each product keeps the grouping of the
+        # unbuffered expression, so the bits match it
         i, f, g, o = (acts[:, :, :, k] for k in range(4))
-        # local derivatives of every step at once, in gate layout: dc -> the
-        # input, forget and cell gates and dh -> the output gate (pre-
-        # activation). The loop scales them in place into d_gates. ``scratch``
-        # holds one factor at a time, then dh -> dc. Each product keeps the
-        # operand order of the unbuffered expression, so the bits match it
-        d_gates = np.empty((tracks, steps, batch, 4, hidden))
-        d_i, d_f, d_g, d_o = (d_gates[:, :, :, k] for k in range(4))
-        scratch = np.empty((tracks, steps, batch, hidden))
-        np.multiply(g, i, out=d_i)
-        d_i *= np.subtract(1.0, i, out=scratch)  # (g * i) * (1 - i)
-        np.multiply(cs[:, :steps], f, out=d_f)
-        d_f *= np.subtract(1.0, f, out=scratch)
-        np.multiply(g, g, out=scratch)
-        np.multiply(i, np.subtract(1.0, scratch, out=scratch), out=d_g)
-        np.multiply(tcs, o, out=d_o)
-        d_o *= np.subtract(1.0, o, out=scratch)
-        d_cell = np.multiply(tcs, tcs, out=scratch)
-        np.multiply(o, np.subtract(1.0, d_cell, out=d_cell), out=d_cell)
+        f_kept = f.copy()  # dc -> dc of the step before
+        d_cell = np.multiply(tcs, tcs)
+        np.multiply(o, np.subtract(1.0, d_cell, out=d_cell), out=d_cell)  # o * (1 - tc * tc)
+        np.multiply(tcs, o, out=tcs)
+        np.multiply(tcs, np.subtract(1.0, o, out=o), out=o)  # d_o = (tc * o) * (1 - o)
+        c = cs[:, :steps]
+        np.multiply(c, f, out=tcs)
+        np.multiply(tcs, np.subtract(1.0, f, out=f), out=f)  # d_f = (c * f) * (1 - f)
+        np.multiply(g, i, out=c)
+        np.multiply(g, g, out=tcs)
+        np.multiply(i, np.subtract(1.0, tcs, out=tcs), out=tcs)  # d_g = i * (1 - g * g)
+        np.multiply(c, np.subtract(1.0, i, out=i), out=i)  # d_i = (g * i) * (1 - i)
+        g[...] = tcs
         dh = out.grad.reshape(batch, tracks, hidden).transpose(1, 0, 2)
         dc = np.zeros((tracks, batch, hidden))
         dc_step = np.empty_like(dc)
@@ -338,12 +343,12 @@ def lstm_seq(x: Tensor, steps: int, wx, wh, b) -> Tensor:
         wh_t = whs.transpose(0, 2, 1)
         for t in reversed(range(steps)):
             dc += np.multiply(dh, d_cell[:, t], out=dc_step)
-            d_gates[:, t, :, :3] *= dc[:, :, None]
-            d_o[:, t] *= dh
-            dc *= f[:, t]
+            acts[:, t, :, :3] *= dc[:, :, None]
+            o[:, t] *= dh  # d_o
+            dc *= f_kept[:, t]
             if t:
-                dh = np.matmul(d_gates[:, t].reshape(tracks, batch, g4), wh_t, out=dh_buf)
-        d_gates = d_gates.reshape(tracks, steps * batch, g4)
+                dh = np.matmul(acts[:, t].reshape(tracks, batch, g4), wh_t, out=dh_buf)
+        d_gates = acts.reshape(tracks, steps * batch, g4)
         for k in range(tracks):
             if wh[k].requires_grad:
                 _accum(wh[k], hs[k, :steps].reshape(steps * batch, hidden).T @ d_gates[k])

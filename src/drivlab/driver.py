@@ -44,7 +44,6 @@ from .diffcore import (
     linear,
     lstm_seq,
     no_grad,
-    relu,
     scale,
 )
 from .diffcore.checkpoint import load_checkpoint, save_checkpoint
@@ -158,10 +157,12 @@ def backbone_forward(
         )
     if spd.shape != (batch, arch.k) or ang.shape != (batch, arch.k):
         raise ValidationError("past speed/angle lengths do not match k")
-    # step-major layout so the shared encoder runs once over all frames
+    # step-major layout so the shared encoder runs once over all frames;
+    # without a tape this copy is freed as soon as the first layer has read it
     flat = Tensor(np.ascontiguousarray(vis.transpose(1, 0, 2)).reshape(steps * batch, d))
-    enc = relu(linear(store, "enc1", flat))
-    enc = relu(linear(store, "enc2", enc))
+    enc = linear(store, "enc1", flat, relu=True)
+    del flat
+    enc = linear(store, "enc2", enc, relu=True)
     h_vis = _tracks(store, ("vis",), enc, steps)
     # speed and angle share their shapes, so they run as two tracks of one call
     signals = Tensor(np.stack([spd.T, ang.T]).reshape(2, arch.k * batch, 1))
@@ -178,7 +179,7 @@ def head_forward(
     mode: str,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    a = relu(linear(store, f"{prefix}1", fused))
+    a = linear(store, f"{prefix}1", fused, relu=True)
     a = dropout(a, arch.dropout_p, mode, rng)
     return linear(store, f"{prefix}2", a)
 

@@ -22,6 +22,7 @@ from .core import (
     Normalizer,
     TableSchema,
     Windows,
+    _frozen,
     _readonly,
     check_keys,
     format_keys,
@@ -247,12 +248,13 @@ def build_failure_dataset(
     g_a, g_s, g = step_failures((pred_a, pred_s), (true_a, true_s), th)
     # windows are grouped by episode; horizons never cross an episode's end
     kept, g_horizon = horizon_failures(g, windows.ep, m)
-    rows = Labels(
-        episode_ids=windows.episode_ids, ep=windows.ep[kept], t=windows.t[kept],
-        g_a=g_a[kept], g_s=g_s[kept], g=g[kept], g_horizon=g_horizon,
-        pred_angle=pred_a[kept], pred_speed=pred_s[kept],
+    # every column is built here and shared with no one, so Labels takes it as is
+    columns = dict(
+        ep=windows.ep[kept], t=windows.t[kept], g_a=g_a[kept], g_s=g_s[kept], g=g[kept],
+        g_horizon=g_horizon, pred_angle=pred_a[kept], pred_speed=pred_s[kept],
         true_angle=true_a[kept], true_speed=true_s[kept],
     )
+    rows = Labels(episode_ids=windows.episode_ids, **{c: _frozen(v) for c, v in columns.items()})
     n_dropped = len(windows) - len(rows)
     ds = FailureDataset(rows=rows, thresholds=th, m=m, split=split, n_dropped=n_dropped)
     log.info(
@@ -286,7 +288,7 @@ def write_labels_csv(
 def read_labels_csv(path) -> tuple[Labels, dict[str, str]]:
     meta, cols = read_table(path, LABEL_TABLE)
     episode_ids, ep = np.unique(cols.pop("episode_id"), return_inverse=True)
-    cols["ep"] = ep.astype(np.int64)
+    cols["ep"] = _frozen(ep.astype(np.int64, copy=False))  # np.unique's own array
     lines = cols.pop("line")
     bad = _bad_row(cols, len(episode_ids))
     if bad is not None:

@@ -9,8 +9,8 @@ oracle on one ``WorldState`` per step, a backward loop for zone distances, a
 backward sweep that keeps its graph) so
 equivalence tests never share a code path with the implementations they
 check. The graph ops that only the references and the gradient checks use
-(``mul``, ``matmul``, ``tanh``, ``sigmoid``, ``softmax``, ``narrow``,
-``reshape``, ``tsum``) live here too.
+(``mul``, ``matmul``, ``relu``, ``tanh``, ``sigmoid``, ``softmax``,
+``narrow``, ``reshape``, ``tsum``) live here too.
 """
 
 import math
@@ -171,6 +171,14 @@ def matmul(a, b):
             _accum(b, a.data.T @ out.grad)
 
     return _out(a.data @ b.data, (a, b), backward)
+
+
+def relu(x):
+    """The rectifier as a node of its own; ``linear(..., relu=True)`` fuses it."""
+    def backward(out):
+        _accum(x, out.grad * (x.data > 0.0))
+
+    return _out(np.maximum(x.data, 0.0), (x,), backward)
 
 
 def tanh(x):

@@ -111,9 +111,9 @@ def study(tmp_path_factory):
 def test_c1_gradient_correctness():
     from drivlab.diffcore import (
         ParameterStore, Tensor, add, concat, cross_entropy_loss, dropout, l2_loss, linear,
-        lstm_seq, relu, scale,
+        lstm_seq, scale,
     )
-    from oracles import matmul, mul, narrow, reshape, sigmoid, softmax, tanh, tsum
+    from oracles import matmul, mul, narrow, relu, reshape, sigmoid, softmax, tanh, tsum
     from drivlab.driver import BackboneArch, driver_forward, init_driver_params
     from drivlab.failure import hazard_forward, init_hazard_params
 
@@ -177,6 +177,8 @@ def test_c1_gradient_correctness():
     lin.add("lin.w", lin_rng.standard_normal((4, 2)))
     lin.add("lin.b", lin_rng.standard_normal(2))
     worst = max(worst, grad_check(lambda: weighted(linear(lin, "lin", xl)), lin).max_rel_error)
+    # the fused rectifier; two of its six pre-activations are positive, none within 0.4 of the kink
+    worst = max(worst, grad_check(lambda: weighted(linear(lin, "lin", xl, relu=True)), lin).max_rel_error)
     assert worst < 1e-4
 
     # both full networks at width 8

@@ -384,6 +384,19 @@ def test_score_file_provenance_exit_code_2(tmp_path, small_run, case, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_duplicate_scores_policy_exit_code_2(tmp_path, small_run, capsys):
+    # the first of the two files does not exist: keeping the last would never open it
+    code = main(["eval", "--config", str(small_run.parent / "config.txt"),
+                 "--labels", str(small_run / "labels_D3_middle.csv"),
+                 "--scores", f"learned={tmp_path / 'missing.csv'}",
+                 "--scores", f"learned={small_run / 'scores_learned_middle.csv'}",
+                 "--scores", f"uncertainty={small_run / 'scores_uncertainty.csv'}",
+                 "--out", str(tmp_path / "e.json"), "--quiet"])
+    assert code == 2
+    assert "--scores names policy 'learned' twice" in capsys.readouterr().err
+    assert not (tmp_path / "e.json").exists()
+
+
 def _set_meta(key, value):
     return lambda lines: [f"meta {key} {value}\n" if line.startswith(f"meta {key} ") else line for line in lines]
 

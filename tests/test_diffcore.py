@@ -15,7 +15,6 @@ from drivlab.diffcore import (
     linear,
     lstm_seq,
     no_grad,
-    relu,
     scale,
 )
 from drivlab.diffcore.checkpoint import load_checkpoint, save_checkpoint
@@ -38,6 +37,7 @@ from oracles import (
     matmul,
     mul,
     narrow,
+    relu,
     reshape,
     retained_backward,
     sigmoid,
@@ -131,6 +131,35 @@ class TestPrimitiveGradients:
         store.add("lin.w", rng.standard_normal((4, 2)))
         store.add("lin.b", rng.standard_normal(2))
         _check(lambda: _weighted_sum(linear(store, "lin", x)), store)
+
+    def test_linear_relu_node(self):
+        rng = np.random.default_rng(47)  # own stream; half the pre-activations are negative
+        store = ParameterStore()
+        x = store.add("x", rng.standard_normal((3, 4)))
+        store.add("lin.w", rng.standard_normal((4, 2)))
+        store.add("lin.b", rng.standard_normal(2))
+        _check(lambda: _weighted_sum(linear(store, "lin", x, relu=True)), store)
+
+    def test_fused_relu_matches_two_nodes_bit_for_bit(self):
+        # the fused node's output and mask equal relu(linear(x)) and its
+        # mask, also where the pre-activation is 0, -0.0 or NaN
+        rng = np.random.default_rng(53)
+        x, w, b = rng.standard_normal((40, 5)), rng.standard_normal((5, 3)), rng.standard_normal(3)
+        x[0], b[1], x[1, 2] = 0.0, -0.0, np.nan
+        runs = []
+        for fused in (True, False):
+            store = ParameterStore()
+            xs = store.add("x", x.copy())
+            store.add("lin.w", w.copy())
+            store.add("lin.b", b.copy())
+            out = linear(store, "lin", xs, relu=True) if fused else relu(linear(store, "lin", xs))
+            data = out.data.copy()
+            with np.errstate(invalid="ignore"):
+                _weighted_sum(out).backward()
+            runs.append([data] + [store[n].grad for n in ("x", "lin.w", "lin.b")])
+        assert np.isnan(runs[0][0]).any() and (runs[0][0] == 0.0).any()
+        for got, want in zip(*runs):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_linear_bias_in_place_keeps_the_sum_bits(self):
         rng = np.random.default_rng(43)

@@ -291,6 +291,26 @@ class TestLabelsCsv:
                      "pred_angle", "pred_speed", "true_angle", "true_speed"):
             assert np.array_equal(getattr(rows, name), getattr(ds.rows, name)), name
 
+    def test_labels_share_the_columns_their_builders_make(self, tiny_pipeline, tmp_path, monkeypatch):
+        # the labeler and the reader freeze the columns they build, so Labels
+        # takes every one of them as is and copies none
+        copied = []
+
+        def spy(a, dtype=np.float64):
+            out = core._readonly(a, dtype)
+            if out is not a:
+                copied.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(failure, "_readonly", spy)
+        ds = build_failure_dataset(tiny_pipeline["driver"], tiny_pipeline["d3"], split="D3",
+                                   th=CANONICAL_THRESHOLDS["middle"], m=8)
+        assert len(ds.rows) > 0 and copied == []
+        path = tmp_path / "labels.csv"
+        write_labels_csv(path, ds)
+        rows, _ = read_labels_csv(path)
+        assert len(rows) == len(ds.rows) and copied == []
+
     def test_header_version_check(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("#drivlab-labels v7\n")
