@@ -361,9 +361,9 @@ def _channel_stats(values: np.ndarray, name: str) -> tuple[float, float]:
 STATS_BLOCK = 4096  # rows per gathered block in ``row_stats``; bounds its working memory
 
 
-def row_stats(values: np.ndarray, rows: np.ndarray, block: int = STATS_BLOCK) -> tuple[np.ndarray, np.ndarray]:
+def row_stats(values: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.mean`` and ``np.std`` over axis 0 of ``values[rows]`` for 2-D
-    ``values``, bit for bit, gathering ``block`` rows at a time.
+    ``values``, bit for bit, gathering ``STATS_BLOCK`` rows at a time.
 
     numpy sums axis 0 of a C-contiguous array of two or more columns row by
     row, so each block's sum starts from the running sum, written as its first
@@ -372,6 +372,7 @@ def row_stats(values: np.ndarray, rows: np.ndarray, block: int = STATS_BLOCK) ->
     if values.shape[1] == 1:
         gathered = values[rows]
         return np.mean(gathered, axis=0), np.std(gathered, axis=0)
+    block = STATS_BLOCK
     buf = np.empty((min(block, len(rows)) + 1, values.shape[1]))
 
     def total(mean=None):
@@ -379,7 +380,8 @@ def row_stats(values: np.ndarray, rows: np.ndarray, block: int = STATS_BLOCK) ->
         acc = None
         for lo in range(0, len(rows), block):
             part = rows[lo:lo + block]
-            gathered = np.take(values, part, axis=0, out=buf[1:len(part) + 1])
+            # rows are in range; "clip" lets take write into buf unbuffered
+            gathered = np.take(values, part, axis=0, out=buf[1:len(part) + 1], mode="clip")
             if mean is not None:
                 np.square(np.subtract(gathered, mean, out=gathered), out=gathered)
             if acc is not None:

@@ -287,16 +287,17 @@ class TestNormalizer:
 
     @pytest.mark.parametrize("width", [1, 2, 16, 64])
     @pytest.mark.parametrize("block", [1, 7, core.STATS_BLOCK])
-    def test_streamed_statistics_match_whole_array_bit_for_bit(self, width, block):
+    def test_streamed_statistics_match_whole_array_bit_for_bit(self, width, block, monkeypatch):
         rng = np.random.default_rng(width)
         n = 2 * core.STATS_BLOCK + 37  # a multiple of no block here
+        monkeypatch.setattr(core, "STATS_BLOCK", block)
         values = rng.standard_normal((n // 3, width)) * rng.uniform(1e-3, 1e6, width) + rng.uniform(-1e4, 1e4, width)
         values[::5, 0] = -0.0
         if width > 2:
             values[:, 1] = -0.0  # a channel of negative zeros
             values[:, 2] = 0.1  # a constant channel
         rows = rng.integers(0, len(values), n)
-        mean, std = core.row_stats(values, rows, block)
+        mean, std = core.row_stats(values, rows)
         gathered = values[rows]
         for got, want in ((mean, np.mean(gathered, axis=0)), (std, np.std(gathered, axis=0))):
             assert got.shape == (width,) and np.array_equal(got.view(np.int64), want.view(np.int64))
