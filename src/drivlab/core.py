@@ -548,22 +548,25 @@ def read_table(path, schema: TableSchema) -> tuple[dict[str, str], dict[str, np.
     return meta, {name: _frozen(values[:n]) for name, values in out.items()}
 
 
-def write_table(path, schema: TableSchema, meta: Mapping[str, str], columns: Mapping) -> None:
-    """Write ``columns``, one sequence or array per column, as a ``schema``
-    file; floats are written with repr, so they read back to the same bits."""
+def write_table(path, schema: TableSchema, meta: Mapping[str, str], blocks: Iterable[Mapping]) -> None:
+    """Write the rows of ``blocks``, block after block, as a ``schema``
+    file. Each block holds one sequence or array per column, so a caller can
+    hand over its rows a part at a time; floats are written with repr, so
+    they read back to the same bits."""
     head = [" ".join([schema.magic, *(f"{k}={meta[k]}" for k in schema.format_keys)])]
     head += [f"# {k} {v}" for k, v in meta.items() if k not in schema.format_keys]
     head += [schema.header] if schema.column_line else []
-    arrays = [np.asarray(columns[c.name]) for c in schema.columns]
-    arrays = [a if a.ndim == 2 else a[:, None] for a in arrays]
-    step = max(1, TABLE_BLOCK // sum(a.shape[1] for a in arrays))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(line + "\n" for line in head))
-        for i in range(0, len(arrays[0]), step):
-            fields = [field for a in arrays for field in a[i : i + step].T]
-            # tolist() gives Python scalars, whose repr is the shortest round-trip form
-            text = [f.tolist() if f.dtype.kind == "U" else map(repr, f.tolist()) for f in fields]
-            fh.write("".join(schema.delimiter.join(row) + "\n" for row in zip(*text)))
+        for columns in blocks:
+            arrays = [np.asarray(columns[c.name]) for c in schema.columns]
+            arrays = [a if a.ndim == 2 else a[:, None] for a in arrays]
+            step = max(1, TABLE_BLOCK // sum(a.shape[1] for a in arrays))
+            for i in range(0, len(arrays[0]), step):
+                fields = [field for a in arrays for field in a[i : i + step].T]
+                # tolist() gives Python scalars, whose repr is the shortest round-trip form
+                text = [f.tolist() if f.dtype.kind == "U" else map(repr, f.tolist()) for f in fields]
+                fh.write("".join(schema.delimiter.join(row) + "\n" for row in zip(*text)))
 
 
 EPISODE_TABLE = TableSchema(
@@ -589,11 +592,13 @@ def write_episodes(path, episodes: Sequence[Episode], provenance: Mapping[str, s
     d = episodes[0].obs_dim
     if any(ep.obs_dim != d for ep in episodes):
         raise ValidationError("episodes have inconsistent obs dims")
-    columns = {c: np.concatenate([getattr(ep, c) for ep in episodes]) for c in ("speed", "angle", "obs")}
-    columns["episode_id"] = np.repeat([ep.episode_id for ep in episodes], [len(ep) for ep in episodes])
-    columns["step_index"] = np.concatenate([np.arange(len(ep)) for ep in episodes])
     meta = {"d": str(d), "f": str(SAMPLE_RATE_HZ), **(provenance or {})}
-    write_table(path, EPISODE_TABLE, meta, columns)
+    # one episode at a time, so the writer copies no more than one episode's columns
+    write_table(path, EPISODE_TABLE, meta, (
+        {"episode_id": np.full(len(ep), ep.episode_id), "step_index": np.arange(len(ep)),
+         "speed": ep.speed, "angle": ep.angle, "obs": ep.obs}
+        for ep in episodes
+    ))
 
 
 def read_episodes(path) -> list[Episode]:
@@ -628,7 +633,7 @@ def read_episodes(path) -> list[Episode]:
 def write_split_manifest(path, splits: SplitSet, provenance: Mapping[str, str] | None = None) -> None:
     names = [name for name in SPLIT_NAMES for _ in splits.ids_of(name)]
     ids = splits.d1 + splits.d2 + splits.d3
-    write_table(path, SPLIT_TABLE, provenance or {}, {"episode_id": ids, "split": names})
+    write_table(path, SPLIT_TABLE, provenance or {}, [{"episode_id": ids, "split": names}])
 
 
 def read_split_manifest(path) -> tuple[SplitSet, dict[str, str]]:

@@ -69,7 +69,7 @@ def load_checkpoint(path) -> tuple[str, dict[str, str], ParameterStore]:
                 raise ValidationError(f"{path}: param {name} has no value line")
             try:
                 shape = tuple(int(s) for s in parts[2:])
-                values = np.array([float(v) for v in lines[i + 1].split(" ")])
+                values = np.array(lines[i + 1].split(" "), dtype=np.float64)
             except ValueError:
                 raise ValidationError(f"{path}:{i + 1}: malformed param {name}") from None
             if any(d < 0 for d in shape):

@@ -248,26 +248,36 @@ def cross_entropy_loss(
     return _out(value, (logits,), backward)
 
 
-def lstm_seq(x: Tensor, steps: int, wx, wh, b) -> Tensor:
+def lstm_seq(x: Tensor, steps: int, wx, wh, b, rows: np.ndarray | None = None) -> Tensor:
     """Single-layer LSTMs over whole sequences as one node, one LSTM per
     track; returns every track's final hidden state from a zero initial
     state, side by side: ``(B, tracks * H)``.
 
-    ``x`` is ``(tracks, steps * B, n_in)``, or ``(steps * B, n_in)`` for one
-    track, and each track is step-major: rows ``[t*B, (t+1)*B)`` are step
-    ``t``. ``wx``, ``wh`` and ``b`` hold one tensor per track, or are a single
-    tensor for one track. Tracks share their shapes, so the per-step loop runs
-    once for all of them. Gate layout along the 4H axis: input, forget, cell,
-    output. The input projection runs once for all steps; the per-step
-    arithmetic keeps the order of a chain of graph cells, so each track's
-    forward is bit-identical to it. The backward is hand-written
-    backpropagation through time.
+    ``x`` is ``(tracks, R, n_in)``, or ``(R, n_in)`` for one track. Without
+    ``rows`` each track is step-major: ``R = steps * B`` and rows
+    ``[t*B, (t+1)*B)`` are step ``t``. ``rows``, ``(steps, B)``, names step
+    ``t``'s rows of ``x`` instead, so sequences that share inputs share
+    their rows; a recording forward accepts only the step-major rows
+    (``rows[t, b] = t*B + b``). ``wx``, ``wh`` and ``b`` hold one tensor per
+    track, or are a single tensor for one track. Tracks share their shapes,
+    so the per-step loop runs once for all of them. Gate layout along the 4H
+    axis: input, forget, cell, output. The input projection runs once over
+    the rows of ``x``; the per-step arithmetic keeps the order of a chain of
+    graph cells, so each track's forward is bit-identical to it. The
+    backward is hand-written backpropagation through time.
     """
     wx, wh, b = (list(w) if isinstance(w, (list, tuple)) else [w] for w in (wx, wh, b))
     tracks, hidden = len(wx), wh[0].data.shape[0]
     xd = x.data if x.data.ndim == 3 else x.data[None]
-    if xd.ndim != 3 or xd.shape[0] != tracks or steps < 1 or xd.shape[1] % steps:
+    if xd.ndim != 3 or xd.shape[0] != tracks or steps < 1 or (rows is None and xd.shape[1] % steps):
         raise ShapeError(f"lstm_seq: x {x.data.shape} is not {tracks} track(s) of {steps} step-major blocks")
+    batch = xd.shape[1] // steps if rows is None else rows.shape[-1]
+    step_major = np.arange(steps * batch).reshape(steps, batch)
+    rows = step_major if rows is None else rows
+    if rows.shape != (steps, batch) or rows.size and (rows.min() < 0 or rows.max() >= xd.shape[1]):
+        raise ShapeError(f"lstm_seq: rows of shape {rows.shape} do not index {steps} steps of x {x.data.shape}")
+    if _recording and not (xd.shape[1] == rows.size and np.array_equal(rows, step_major)):
+        raise ShapeError("lstm_seq: a recording forward takes step-major rows")
     n_in, g4 = xd.shape[2], 4 * hidden
     if len(wh) != tracks or len(b) != tracks or any(
         w.data.shape != (n_in, g4) or u.data.shape != (hidden, g4) or c.data.shape != (g4,)
@@ -278,16 +288,18 @@ def lstm_seq(x: Tensor, steps: int, wx, wh, b) -> Tensor:
             f"wh {[w.data.shape for w in wh]}, b {[w.data.shape for w in b]} "
             f"inconsistent with {tracks} track(s) of hidden size {hidden}"
         )
-    batch = xd.shape[1] // steps
     wxs, whs = (np.stack([w.data for w in ws]) for ws in (wx, wh))
     bs = np.stack([w.data for w in b])[:, None]  # (tracks, 1, 4H): broadcast over the batch
-    xw = (xd @ wxs).reshape(tracks, steps, batch, g4)
+    xw = xd @ wxs
     # A recording forward keeps every step for the backward: the activated
     # gates go over the input projection, each step after reading its own
     # slot. Without a tape only the running state is kept: one slot per
     # buffer, which each step reads and then overwrites in place, with the
-    # same operations and bits
+    # same operations and bits, and each step gathers its rows of the
+    # projection into the scratch buffer ``work``, which it then overwrites
     keep = _recording
+    if keep:
+        xw = xw.reshape(tracks, steps, batch, g4)
     span, states = (steps, steps + 1) if keep else (1, 1)
     # activated gates i, f, g, o
     acts = xw.reshape(tracks, steps, batch, 4, hidden) if keep else np.empty((tracks, 1, batch, 4, hidden))
@@ -299,11 +311,13 @@ def lstm_seq(x: Tensor, steps: int, wx, wh, b) -> Tensor:
     a = np.empty((tracks, batch, g4))
     a4 = a.reshape(tracks, batch, 4, hidden)
     work = np.empty_like(a4)
+    gathered = work.reshape(tracks, batch, g4)
     ig = np.empty((tracks, batch, hidden))
     for t in range(steps):
         now, nxt = (t, t + 1) if keep else (0, 0)
         np.matmul(hs[:, now], whs, out=a)
-        a += xw[:, t]
+        # mode="clip" gathers straight into ``gathered``; the rows are checked above
+        a += xw[:, t] if keep else np.take(xw, rows[t], axis=1, out=gathered, mode="clip")
         a += bs
         act = acts[:, now]
         _sigmoid(a4, out=act, work=work)

@@ -134,22 +134,30 @@ def init_driver_params(arch: BackboneArch, rng: np.random.Generator) -> Paramete
     return init_backbone(arch, rng, {"head_angle": 1, "head_speed": 1})
 
 
-def _tracks(store: ParameterStore, names: tuple[str, ...], x: Tensor, steps: int) -> Tensor:
-    """Recurrent tracks of equal shape over step-major ``x``, one LSTM call;
-    returns their final hidden states side by side."""
-    return lstm_seq(x, steps, *([store[f"{n}.{w}"] for n in names] for w in ("wx", "wh", "b")))
+def _tracks(store: ParameterStore, names: tuple[str, ...], x: Tensor, steps: int,
+            rows: np.ndarray | None = None) -> Tensor:
+    """Recurrent tracks of equal shape over ``x``, step-major or read
+    through ``rows`` as ``lstm_seq`` does, one LSTM call; returns their final
+    hidden states side by side."""
+    return lstm_seq(x, steps, *([store[f"{n}.{w}"] for n in names] for w in ("wx", "wh", "b")), rows=rows)
 
 
 def backbone_forward(
     store: ParameterStore,
     arch: BackboneArch,
-    vis: np.ndarray,  # (B, k+1, obs_dim), normalized
+    frames: np.ndarray,  # (rows, obs_dim), normalized
+    index: np.ndarray,  # (B, k+1): each window's frame rows, oldest first
     spd: np.ndarray,  # (B, k), normalized
     ang: np.ndarray,  # (B, k), normalized
     mode: str,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    batch, steps, d = vis.shape
+    """The fused trunk output of the windows whose frames ``index`` names
+    in ``frames`` (``batch_inputs`` makes both). The shared encoder runs
+    once per row of ``frames``, so windows that share frames share their
+    encoding; a recording forward needs the step-major rows."""
+    batch, steps = index.shape
+    d = frames.shape[1]
     if steps != arch.k + 1 or d != arch.obs_dim:
         raise ValidationError(
             f"window shape ({steps} frames, obs dim {d}) does not match net "
@@ -157,13 +165,9 @@ def backbone_forward(
         )
     if spd.shape != (batch, arch.k) or ang.shape != (batch, arch.k):
         raise ValidationError("past speed/angle lengths do not match k")
-    # step-major layout so the shared encoder runs once over all frames;
-    # without a tape this copy is freed as soon as the first layer has read it
-    flat = Tensor(np.ascontiguousarray(vis.transpose(1, 0, 2)).reshape(steps * batch, d))
-    enc = linear(store, "enc1", flat, relu=True)
-    del flat
+    enc = linear(store, "enc1", Tensor(frames), relu=True)
     enc = linear(store, "enc2", enc, relu=True)
-    h_vis = _tracks(store, ("vis",), enc, steps)
+    h_vis = _tracks(store, ("vis",), enc, steps, index.T)
     # speed and angle share their shapes, so they run as two tracks of one call
     signals = Tensor(np.stack([spd.T, ang.T]).reshape(2, arch.k * batch, 1))
     h_sig = _tracks(store, ("spd", "ang"), signals, arch.k)
@@ -187,13 +191,14 @@ def head_forward(
 def driver_forward(
     store: ParameterStore,
     arch: BackboneArch,
-    vis: np.ndarray,
+    frames: np.ndarray,
+    index: np.ndarray,
     spd: np.ndarray,
     ang: np.ndarray,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, Tensor]:
-    fused = backbone_forward(store, arch, vis, spd, ang, mode, rng)
+    fused = backbone_forward(store, arch, frames, index, spd, ang, mode, rng)
     out_a = head_forward(store, arch, "head_angle", fused, mode, rng)
     out_s = head_forward(store, arch, "head_speed", fused, mode, rng)
     return out_a, out_s
@@ -215,10 +220,27 @@ def windows_to_arrays(windows: Windows, normalizer: Normalizer) -> dict[str, np.
             "tgt_a": angle[end], "tgt_s": speed[end]}
 
 
-def batch_inputs(data: Mapping[str, np.ndarray], rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(vis, spd, ang) of the windows ``rows`` (an index array or a slice) of
-    ``windows_to_arrays`` output; vis, (B, k+1, obs_dim), is gathered here."""
-    return data["obs"][data["frames"][rows]], data["spd"][rows], data["ang"][rows]
+def batch_inputs(data: Mapping[str, np.ndarray], rows, distinct: bool = False
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(frames, index, spd, ang) of the windows ``rows`` (an index array or
+    a slice) of ``windows_to_arrays`` output: ``frames`` holds normalized
+    frame rows and ``index``, (B, k+1), each window's rows in it. By default
+    every window's frames are gathered step-major (row ``t*B + b`` is frame
+    ``t`` of window ``b``), the layout a recording forward needs. With
+    ``distinct``, for inference, each frame the windows share is gathered
+    once, in column order."""
+    spans = data["frames"][rows]
+    if distinct:
+        # a mark per row finds the distinct rows in order without a sort;
+        # np.unique's sort code and temporaries raise the peak RSS
+        seen = np.zeros(len(data["obs"]), dtype=bool)
+        seen[spans] = True
+        used = np.flatnonzero(seen)
+        index = np.searchsorted(used, spans)
+    else:
+        used = spans.T.reshape(-1)
+        index = np.arange(used.size).reshape(spans.shape[::-1]).T
+    return data["obs"][used], index, data["spd"][rows], data["ang"][rows]
 
 
 def fit(name: str, windows: Windows, normalizer: Normalizer, cfg: TrainConfig, init, forward, loss,
@@ -226,9 +248,10 @@ def fit(name: str, windows: Windows, normalizer: Normalizer, cfg: TrainConfig, i
     """Train the parameters ``init(arch, rng)`` creates with Adam over
     shuffled batches; returns (arch, params, per-epoch history).
 
-    A batch's loss is ``loss(forward(params, arch, vis, spd, ang, mode, rng),
-    data, idx)``: ``data`` holds the normalized arrays of all windows and
-    ``idx`` the batch's rows; only the batch's frames are gathered.
+    A batch's loss is ``loss(forward(params, arch, frames, index, spd, ang,
+    mode, rng), data, idx)``: ``data`` holds the normalized arrays of all
+    windows and ``idx`` the batch's rows; only the batch's frames are
+    gathered.
     ``validate(arch, params)`` adds a per-epoch ``val_loss``. Deterministic
     for a fixed cfg.seed: init, shuffling and dropout all draw from
     seed-derived streams.
@@ -289,23 +312,25 @@ def train_driver(
 
 
 def forward_chunks(forward, data: Mapping[str, np.ndarray]) -> list[np.ndarray]:
-    """Run ``forward(vis, spd, ang)``, which returns a tuple of tensors, over
-    the rows of ``data`` in chunks of ``PREDICT_BATCH`` under ``no_grad``;
-    returns each output's values over all rows. Each chunk gathers its own
-    frames. A one-row remainder joins the chunk before it, so no chunk is a
-    single row."""
+    """Run ``forward(frames, index, spd, ang)``, which returns a tuple of
+    tensors, over the rows of ``data`` in chunks of ``PREDICT_BATCH`` under
+    ``no_grad``; returns each output's values over all rows. Each chunk
+    gathers its own distinct frames, so a frame that several windows of the
+    chunk share is encoded once. A one-row remainder joins the chunk before
+    it, so no chunk is a single row."""
     n = data["frames"].shape[0]
     stops = [*range(PREDICT_BATCH, n - 1, PREDICT_BATCH), n] if n else []
     parts = []
     with no_grad():
         for start, stop in zip([0, *stops], stops):
-            parts.append([out.data for out in forward(*batch_inputs(data, slice(start, stop)))])
+            outputs = forward(*batch_inputs(data, slice(start, stop), distinct=True))
+            parts.append([out.data for out in outputs])
     return [np.concatenate(column) for column in zip(*parts)]
 
 
 def _predict_normalized(net: DriverNet, data: Mapping[str, np.ndarray]) -> list[np.ndarray]:
     """(angle, speed) head outputs in normalized space, each (N, 1)."""
-    return forward_chunks(lambda vis, spd, ang: driver_forward(net.params, net.arch, vis, spd, ang), data)
+    return forward_chunks(lambda *inputs: driver_forward(net.params, net.arch, *inputs), data)
 
 
 def _eval_loss(net: DriverNet, data: dict[str, np.ndarray], lam: float) -> float:
@@ -349,7 +374,7 @@ def mc_predict_batch(
         return angles, speeds
     params, arch = net.params, net.arch
     (trunk,) = forward_chunks(
-        lambda vis, spd, ang: (backbone_forward(params, arch, vis, spd, ang, "eval"),),
+        lambda *inputs: (backbone_forward(params, arch, *inputs, "eval"),),
         windows_to_arrays(windows, net.normalizer),
     )
     with no_grad():
@@ -362,11 +387,13 @@ def mc_predict_batch(
     return angles, speeds
 
 
-def eval_mae(net: DriverNet, windows: Windows) -> tuple[float, float]:
-    """(mae_speed, mae_angle) in physical units."""
+def eval_mae(net: DriverNet, windows: Windows,
+             pred: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[float, float]:
+    """(mae_speed, mae_angle) in physical units; ``pred``, the (angle,
+    speed) ``predict_batch(net, windows)`` returns, saves predicting again."""
     if not windows:
         raise ValidationError("eval_mae on an empty window list")
-    angle, speed = predict_batch(net, windows)
+    angle, speed = predict_batch(net, windows) if pred is None else pred
     return (
         float(np.mean(np.abs(speed - windows.target_speed))),
         float(np.mean(np.abs(angle - windows.target_angle))),

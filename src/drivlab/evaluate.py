@@ -280,7 +280,7 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
 def write_scores_csv(path, trace: PolicyScoreTrace, provenance: Mapping[str, str] | None = None) -> None:
     meta = {"policy": trace.policy, **(provenance or {})}
     ids = np.array(trace.episode_ids, dtype=str)[trace.ep]
-    write_table(path, SCORE_TABLE, meta, {"episode_id": ids, "t": trace.t, "score": trace.score})
+    write_table(path, SCORE_TABLE, meta, [{"episode_id": ids, "t": trace.t, "score": trace.score}])
 
 
 def read_scores_csv(path) -> tuple[PolicyScoreTrace, dict[str, str]]:

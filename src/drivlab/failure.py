@@ -281,7 +281,7 @@ def write_labels_csv(
     }
     columns = {c: getattr(ds.rows, c) for c in _COLUMNS[1:]}
     columns["episode_id"] = np.array(ds.rows.episode_ids, dtype=str)[ds.rows.ep]
-    write_table(path, LABEL_TABLE, meta, columns)
+    write_table(path, LABEL_TABLE, meta, [columns])
     return meta
 
 
@@ -323,13 +323,14 @@ def init_hazard_params(arch: BackboneArch, rng: np.random.Generator) -> Paramete
 def hazard_forward(
     store: ParameterStore,
     arch: BackboneArch,
-    vis: np.ndarray,
+    frames: np.ndarray,
+    index: np.ndarray,
     spd: np.ndarray,
     ang: np.ndarray,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
 ):
-    fused = backbone_forward(store, arch, vis, spd, ang, mode, rng)
+    fused = backbone_forward(store, arch, frames, index, spd, ang, mode, rng)
     return head_forward(store, arch, "cls", fused, mode, rng)
 
 
@@ -380,7 +381,7 @@ def predict_hazard_batch(net: HazardNet, windows: Windows) -> np.ndarray:
     if not windows:
         return np.empty(0)
     (logits,) = forward_chunks(
-        lambda vis, spd, ang: (hazard_forward(net.params, net.arch, vis, spd, ang),),
+        lambda *inputs: (hazard_forward(net.params, net.arch, *inputs),),
         windows_to_arrays(windows, net.normalizer),
     )
     return softmax(logits)[:, 1]

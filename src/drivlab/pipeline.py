@@ -28,6 +28,7 @@ from .driver import (
     constant_mean_mae,
     eval_mae,
     load_driver,
+    predict_batch,
     save_driver,
     train_driver,
 )
@@ -120,6 +121,12 @@ def _keep(memo: dict, path, value) -> None:
     memo[(os.path.abspath(path),)] = value
 
 
+def _predictions_key(driver, episodes, splits, split_name: str) -> tuple:
+    """Memo key of the windows of a split and the driver's predictions of
+    them, which train-driver leaves for label."""
+    return tuple(os.path.abspath(p) for p in (driver, episodes, splits)) + ("predictions", split_name)
+
+
 def _split_episodes(memo: dict, episodes, splits, split_name: str) -> list[core.Episode]:
     """The split's episodes, sorted by id. The manifest must record the
     digest of ``episodes`` and name only episodes in it."""
@@ -206,7 +213,10 @@ def stage_train_driver(
     }
     save_driver(driver_out, net)
     _keep(memo, driver_out, net)
-    mae_speed, mae_angle = eval_mae(net, eval_windows)
+    pred = predict_batch(net, eval_windows)
+    # label takes these from the memo, so a run predicts D3 once
+    memo[_predictions_key(driver_out, episodes, splits, "D3")] = {"windows": eval_windows, "pred": pred}
+    mae_speed, mae_angle = eval_mae(net, eval_windows, pred)
     base_speed, base_angle = constant_mean_mae(net.normalizer, eval_windows)
     metrics = {
         "format": "drivlab-driver-metrics v1",
@@ -238,7 +248,8 @@ def stage_label(
     split_episodes = _split_episodes(memo, episodes, splits, split_name)
     provenance = {"seed": str(cfg.seed), "driver": file_digest(driver)}
     paths = []
-    predictions: dict = {}  # one driver pass serves every threshold
+    # one driver pass serves every threshold; train-driver may have made it
+    predictions = memo.pop(_predictions_key(driver, episodes, splits, split_name), {})
     for th_name in cfg.threshold_names():
         ds = build_failure_dataset(
             net, split_episodes, split=split_name, th=CANONICAL_THRESHOLDS[th_name], m=cfg.m,

@@ -3,7 +3,8 @@
 These deliberately use naive algorithms (repeated max-scan selection,
 nested-loop silencing and counting, per-step scalar and slice/any labeling, a
 per-gate autodiff graph for the LSTM, per-step slicing of windows, the
-frames of all windows gathered at once, a per-parameter Adam loop, the
+frames of all windows gathered at once and encoded step-major, a
+per-parameter Adam loop, the
 two-branch sigmoid, MC dropout through the whole driver per sample, the human
 oracle on one ``WorldState`` per step, a backward loop for zone distances, a
 backward sweep that keeps its graph) so
@@ -20,8 +21,8 @@ import numpy as np
 
 from drivlab import simgen
 from drivlab.core import ANGLE_MAX, ANGLE_MIN, SPEED_MAX, SPEED_MIN, Normalizer
-from drivlab.diffcore import Tensor, add
-from drivlab.driver import driver_forward
+from drivlab.diffcore import Tensor, add, concat, dropout, linear, lstm_seq
+from drivlab.driver import head_forward
 from drivlab.diffcore.tensor import _accum, _out
 from drivlab.errors import ShapeError, ValidationError
 
@@ -308,6 +309,36 @@ def materialized_arrays(windows, normalizer):
             "tgt_a": angle[end], "tgt_s": speed[end]}
 
 
+def step_major(vis):
+    """(frames, index) of gathered (B, k+1, obs_dim) frames, laid out as
+    ``batch_inputs`` lays out a training batch: row ``t*B + b`` is frame
+    ``t`` of window ``b``."""
+    batch, steps, d = vis.shape
+    frames = np.ascontiguousarray(vis.transpose(1, 0, 2)).reshape(steps * batch, d)
+    return frames, np.arange(steps * batch).reshape(steps, batch).T
+
+
+def gathered_backbone_forward(store, arch, vis, spd, ang, mode, rng=None):
+    """``backbone_forward`` over every window's own copy of its frames, one
+    (B, k+1, obs_dim) array: the copy is made step-major and encoded whole,
+    and the LSTM reads its steps in order. The reference for the forward
+    that encodes each distinct frame once."""
+    batch, steps, d = vis.shape
+    flat = Tensor(np.ascontiguousarray(vis.transpose(1, 0, 2)).reshape(steps * batch, d))
+    enc = linear(store, "enc2", linear(store, "enc1", flat, relu=True), relu=True)
+    h_vis = lstm_seq(enc, steps, store["vis.wx"], store["vis.wh"], store["vis.b"])
+    signals = Tensor(np.stack([spd.T, ang.T]).reshape(2, arch.k * batch, 1))
+    h_sig = lstm_seq(signals, arch.k, *([store[f"{n}.{w}"] for n in ("spd", "ang")] for w in ("wx", "wh", "b")))
+    return dropout(concat([h_vis, h_sig], axis=1), arch.dropout_p, mode, rng)
+
+
+def gathered_forward(store, arch, heads, vis, spd, ang, mode="eval", rng=None):
+    """The outputs of ``heads`` (head prefixes) over ``gathered_backbone_forward``:
+    ``("head_angle", "head_speed")`` is the driver, ``("cls",)`` the hazard net."""
+    fused = gathered_backbone_forward(store, arch, vis, spd, ang, mode, rng)
+    return tuple(head_forward(store, arch, prefix, fused, mode, rng) for prefix in heads)
+
+
 def mc_predict_loop(net, windows, n_samples, rng, chunk=2048):
     """``mc_predict_batch`` as every sample running the whole driver, trunk
     included, in dropout mode over chunks of ``chunk`` rows."""
@@ -318,9 +349,9 @@ def mc_predict_loop(net, windows, n_samples, rng, chunk=2048):
     for s in range(n_samples):
         for start in range(0, n, chunk):
             sl = slice(start, start + chunk)
-            out_a, out_s = driver_forward(
-                net.params, net.arch, data["vis"][sl], data["spd"][sl], data["ang"][sl],
-                mode="mc", rng=rng,
+            out_a, out_s = gathered_forward(
+                net.params, net.arch, ("head_angle", "head_speed"),
+                data["vis"][sl], data["spd"][sl], data["ang"][sl], mode="mc", rng=rng,
             )
             angles[s, sl] = net.normalizer.denormalize(out_a.data[:, 0], "angle")
             speeds[s, sl] = net.normalizer.denormalize(out_s.data[:, 0], "speed")

@@ -113,7 +113,7 @@ def test_c1_gradient_correctness():
         ParameterStore, Tensor, add, concat, cross_entropy_loss, dropout, l2_loss, linear,
         lstm_seq, scale,
     )
-    from oracles import matmul, mul, narrow, relu, reshape, sigmoid, softmax, tanh, tsum
+    from oracles import matmul, mul, narrow, relu, reshape, sigmoid, softmax, step_major, tanh, tsum
     from drivlab.driver import BackboneArch, driver_forward, init_driver_params
     from drivlab.failure import hazard_forward, init_hazard_params
 
@@ -191,7 +191,7 @@ def test_c1_gradient_correctness():
 
     def driver_loss():
         out_a, out_s = driver_forward(
-            d_params, arch, vis, spd, ang, mode="train", rng=np.random.default_rng(5)
+            d_params, arch, *step_major(vis), spd, ang, mode="train", rng=np.random.default_rng(5)
         )
         return add(l2_loss(out_a, np.full((3, 1), 0.3)), l2_loss(out_s, np.full((3, 1), -0.2)))
 
@@ -200,7 +200,7 @@ def test_c1_gradient_correctness():
 
     def hazard_loss():
         logits = hazard_forward(
-            h_params, arch, vis, spd, ang, mode="train", rng=np.random.default_rng(6)
+            h_params, arch, *step_major(vis), spd, ang, mode="train", rng=np.random.default_rng(6)
         )
         return cross_entropy_loss(logits, np.array([0, 1, 0]), np.array([0.8, 1.2]))
 

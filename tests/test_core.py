@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,7 +111,8 @@ _PER_WINDOW = ("vis", "spd", "ang", "tgt_a", "tgt_s")
 
 def _gathered(arrays):
     """``windows_to_arrays`` output with every window's frames gathered as ``vis``."""
-    return {**arrays, "vis": batch_inputs(arrays, slice(None))[0]}
+    frames, index = batch_inputs(arrays, slice(None))[:2]
+    return {**arrays, "vis": frames[index]}
 
 
 class TestMakeWindows:
@@ -343,6 +346,26 @@ class TestEpisodeFiles:
         path.write_text("#drivlab-episodes v1 d=3 f=4\ne0,0,1.0,2.0\n")
         with pytest.raises(ValidationError, match="fields"):
             core.read_episodes(path)
+
+
+    def test_writer_memory_follows_one_episode(self, tmp_path):
+        """The writer hands the codec one episode at a time, so it copies no
+        more than one episode's columns: over four episodes of 64-wide frames
+        (3.0 MiB of obs) its traced peak stays under the codec's 2 MiB gate."""
+        rng = np.random.default_rng(3)
+        episodes = [core.Episode(f"e{i}", rng.standard_normal((1536, 64)), rng.uniform(20, 100, 1536),
+                                 rng.uniform(-30, 30, 1536), {}) for i in range(4)]
+        assert sum(ep.obs.nbytes for ep in episodes) == 3 << 20
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            core.write_episodes(tmp_path / "e.txt", episodes)
+            peak = (tracemalloc.get_traced_memory()[1] - base) / (1 << 20)
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0
+        back = core.read_episodes(tmp_path / "e.txt")
+        assert all(np.array_equal(a.obs, b.obs) for a, b in zip(back, episodes))
 
 
 class TestSplitManifest:

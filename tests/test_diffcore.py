@@ -42,6 +42,7 @@ from oracles import (
     retained_backward,
     sigmoid,
     softmax,
+    step_major,
     tanh,
     tsum,
     two_branch_sigmoid,
@@ -247,6 +248,22 @@ class TestLstmSeq:
         assert recorded._parents and got._parents == ()
         assert np.array_equal(got.data.view(np.int64), recorded.data.view(np.int64))
 
+    @pytest.mark.parametrize("shape", [*LSTM_SHAPES, (5, 512, 32, 32)])
+    @pytest.mark.parametrize("tracks", [1, 2])
+    def test_no_grad_rows_keep_the_bits_of_the_gathered_sequence(self, shape, tracks):
+        # steps that read shared rows of x through ``rows`` get the bits of
+        # the step-major sequence that copies each step's rows
+        steps, batch, n_in, hidden = shape
+        rng = np.random.default_rng(batch + tracks)
+        pool = rng.standard_normal((tracks, batch + 3, n_in))
+        rows = rng.integers(0, batch + 3, size=(steps, batch))
+        wx, wh, b = ([Tensor(rng.standard_normal(s) * 0.8) for _ in range(tracks)]
+                     for s in ((n_in, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,)))
+        want = lstm_seq(Tensor(pool[:, rows.reshape(-1)]), steps, wx, wh, b)
+        with no_grad():
+            got = lstm_seq(Tensor(pool), steps, wx, wh, b, rows=rows)
+        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
     @staticmethod
     def _two_tracks(batch, n_in, hidden, steps=4):
         rng = np.random.default_rng(batch)
@@ -308,6 +325,14 @@ class TestLstmSeq:
             lstm_seq(x, 3, wx, Tensor(np.zeros((3, 8))), b)
         with pytest.raises(ShapeError, match="lstm_seq"):
             lstm_seq(x, 3, wx, wh, Tensor(np.zeros(8)))
+        shuffled = np.array([[1, 0], [3, 2], [5, 4]])
+        with pytest.raises(ShapeError, match="lstm_seq: a recording forward takes step-major rows"):
+            lstm_seq(x, 3, wx, wh, b, rows=shuffled)
+        with no_grad():
+            lstm_seq(x, 3, wx, wh, b, rows=shuffled)  # without a tape any rows of x will do
+            for bad in (shuffled + 1, shuffled - 1, shuffled[:2], shuffled.reshape(-1)):
+                with pytest.raises(ShapeError, match="lstm_seq: rows"):
+                    lstm_seq(x, 3, wx, wh, b, rows=bad)
 
 
 class TestOpContracts:
@@ -386,12 +411,13 @@ class TestOpContracts:
 
 
 def _small_driver():
-    """(parameters, arch, (vis, spd, ang)) of a width-8 driver and a batch of
-    six windows, the same on every call."""
+    """(parameters, arch, (frames, index, spd, ang)) of a width-8 driver and
+    a batch of six windows, the same on every call."""
     arch = BackboneArch(obs_dim=16, k=4, enc_hidden=8, enc_out=8, vis_hidden=8,
                         sig_hidden=4, head_hidden=8, dropout_p=0.2)
     rng = np.random.default_rng(2)
-    inputs = (rng.standard_normal((6, 5, 16)), rng.standard_normal((6, 4)), rng.standard_normal((6, 4)))
+    vis = rng.standard_normal((6, 5, 16))
+    inputs = (*step_major(vis), rng.standard_normal((6, 4)), rng.standard_normal((6, 4)))
     return init_driver_params(arch, np.random.default_rng(1)), arch, inputs
 
 

@@ -29,11 +29,19 @@ from drivlab.driver import (
     windows_to_arrays,
 )
 from drivlab.errors import NumericalError, ValidationError
-from drivlab.failure import CANONICAL_THRESHOLDS, HazardNet, init_hazard_params, predict_hazard_batch, train_failure
+from drivlab.failure import (
+    CANONICAL_THRESHOLDS,
+    DEFAULT_HORIZON,
+    HazardNet,
+    hazard_forward,
+    init_hazard_params,
+    predict_hazard_batch,
+    train_failure,
+)
 
 from conftest import all_windows, small_world, windows_of_rows
 from drivlab import simgen
-from oracles import materialized_arrays, mc_predict_loop
+from oracles import gathered_forward, materialized_arrays, mc_predict_loop
 
 
 def _constant_windows(n=40, angle=5.0, speed=50.0, d=16, k=4):
@@ -173,10 +181,53 @@ class TestInferenceChunks:
         assert predict_hazard_batch(tiny_pipeline["hazard"], empty).shape == (0,)
 
 
+class TestDistinctFrames:
+    """Inference encodes each distinct frame of a chunk once and runs the
+    LSTM over their rows. Its outputs must be those of
+    ``oracles.gathered_forward``, which copies every window's frames, bit for
+    bit at ``PREDICT_BATCH`` and within rounding for 1- and 7-row chunks (see
+    ``TestInferenceChunks``)."""
+
+    @staticmethod
+    def _windows(tiny_pipeline, subset):
+        windows = all_windows(tiny_pipeline["d3"])
+        if subset == "dense":  # consecutive windows of one episode
+            return windows[windows.ep == 0]
+        if subset == "scenes":  # one window per horizon, as eval scores them: no frame shared
+            return windows[:: DEFAULT_HORIZON + 1]
+        if subset == "shuffled":
+            return windows[np.random.default_rng(4).permutation(len(windows))[:600]]
+        return windows[100:700]  # the first 512-row chunk crosses episode boundaries
+
+    @pytest.mark.parametrize("chunk", [1, 7, 512])
+    @pytest.mark.parametrize("subset", ["dense", "scenes", "shuffled", "episode-boundary"])
+    def test_outputs_match_the_gathered_forward(self, tiny_pipeline, subset, chunk, monkeypatch):
+        windows = self._windows(tiny_pipeline, subset)
+        frames = windows.end[:, None] + np.arange(-windows.k, 1)
+        assert len(windows) >= 100 and (len(set(windows.ep[:512].tolist())) == 1) == (subset == "dense")
+        assert (len(np.unique(frames)) == frames.size) == (subset == "scenes")
+        monkeypatch.setattr(driver_mod, "PREDICT_BATCH", chunk)
+        driver, hazard = tiny_pipeline["driver"], tiny_pipeline["hazard"]
+        runs = (
+            (driver, ("head_angle", "head_speed"), lambda *inputs: driver_forward(driver.params, driver.arch, *inputs)),
+            (hazard, ("cls",), lambda *inputs: (hazard_forward(hazard.params, hazard.arch, *inputs),)),
+        )
+        for net, heads, forward in runs:
+            got = driver_mod.forward_chunks(forward, windows_to_arrays(windows, net.normalizer))
+            ref = materialized_arrays(windows, net.normalizer)
+            want = gathered_forward(net.params, net.arch, heads, ref["vis"], ref["spd"], ref["ang"])
+            for g, w in zip(got, want):
+                if chunk % 8:
+                    np.testing.assert_allclose(g, w.data, rtol=1e-9, atol=1e-9)
+                else:
+                    assert np.array_equal(g.view(np.int64), w.data.view(np.int64)), heads
+
+
 class TestFrameGather:
     """``windows_to_arrays`` keeps the obs column and a frame-row index;
-    ``batch_inputs`` gathers a batch's frames. Every batch must get the bits
-    of the whole-set gather in ``oracles.materialized_arrays``."""
+    ``batch_inputs`` gathers a batch's frames, step-major or each distinct
+    frame once. Every batch must get the bits of the whole-set gather in
+    ``oracles.materialized_arrays``."""
 
     @pytest.mark.parametrize("subset", ["all", "shuffled-half", "middle"])
     def test_ragged_batches_match_the_materialized_gather(self, small_windows_module, subset):
@@ -200,9 +251,17 @@ class TestFrameGather:
         batches += [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]  # shuffled, as in training
         batches += [slice(n - 1, n), order[:1], order[:0]]
         for rows in batches:
-            for got, key in zip(batch_inputs(data, rows), ("vis", "spd", "ang")):
-                assert got.shape == want[key][rows].shape
-                assert np.array_equal(got.view(np.int64), want[key][rows].view(np.int64)), key
+            b = len(want["spd"][rows])
+            step_major = batch_inputs(data, rows)
+            distinct = batch_inputs(data, rows, distinct=True)
+            assert np.array_equal(step_major[1].T.reshape(-1), np.arange(b * 5))
+            spans = data["frames"][rows]
+            assert len(distinct[0]) == len(np.unique(spans))  # no frame gathered twice
+            for frames, index, *signals in (step_major, distinct):
+                assert index.shape == (b, 5)
+                for got, key in zip((frames[index], *signals), ("vis", "spd", "ang")):
+                    assert got.shape == want[key][rows].shape
+                    assert np.array_equal(got.view(np.int64), want[key][rows].view(np.int64)), key
 
 
 MIB = float(1 << 20)
@@ -260,7 +319,7 @@ class TestMemory:
             peak, _, _ = self._traced(lambda: _predict_normalized(net, data), base)
         finally:
             tracemalloc.stop()
-        assert peak < 7.0
+        assert peak < 4.0
 
     def test_no_frame_copy_beyond_one_batch_or_chunk(self):
         """Fitting the normalizer, training, validation, ``eval_mae`` and the

@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from drivlab import failure
+from drivlab import driver, failure, pipeline
 from drivlab.config import PipelineConfig, parse_budgets, parse_kv_file
 from drivlab.errors import MissingArtifactError, ValidationError
-from drivlab.pipeline import art_labels, derived_seed, run_stage, stage_label
+from drivlab.pipeline import STAGES, art_labels, derived_seed, run_all, run_stage, stage_label
 
 
 class TestKvFile:
@@ -125,6 +125,27 @@ class TestStages:
                 name = art_labels(split, th)
                 assert (alone / name).read_bytes() == (tmp_path / name).read_bytes(), name
         assert len(passes) == 2 + 6
+
+
+    def test_run_all_runs_the_driver_once_per_split(self, tmp_path, monkeypatch):
+        """Under run_all, label takes train-driver's D3 predictions from the
+        memo; uncached stages predict D3 twice. Both write the same bytes."""
+        cfg = PipelineConfig(episodes=12, episode_length=60, seed=5, driver_epochs=1, hazard_epochs=1, mc_samples=3)
+        passes = []
+        predict = driver.predict_batch
+        for module in (driver, failure, pipeline):
+            monkeypatch.setattr(module, "predict_batch", lambda net, ws: passes.append(len(ws)) or predict(net, ws),
+                                raising=False)
+        run_all(cfg, tmp_path / "all")
+        assert len(passes) == 2  # D3 in train-driver, D2 in label
+        (tmp_path / "staged").mkdir()
+        for name in STAGES:
+            run_stage(name, cfg, tmp_path / "staged")
+        assert len(passes) == 2 + 3
+        files = sorted(p.name for p in (tmp_path / "all").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "staged").iterdir())
+        for name in files:
+            assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "staged" / name).read_bytes(), name
 
 
 class TestDerivedSeed:

@@ -87,7 +87,7 @@ def test_round_trip_is_bit_exact(table_dir, schema, data):
         cells = data.draw(st.lists(_cells(col), min_size=size, max_size=size), label=col.name)
         columns[col.name] = np.array(cells, dtype=col.dtype).reshape(shape)
     path = table_dir / f"{schema.noun}.txt"
-    core.write_table(path, schema, meta, columns)
+    core.write_table(path, schema, meta, [columns])
     written = path.read_bytes()
     meta_back, back = core.read_table(path, schema)
     assert meta_back == meta
@@ -95,7 +95,12 @@ def test_round_trip_is_bit_exact(table_dir, schema, data):
         assert _bits(back[col.name]) == _bits(columns[col.name]), col.name
     first = 2 + len(meta) - len(schema.format_keys) + schema.column_line
     assert back["line"].tolist() == list(range(first, first + n))
-    core.write_table(path, schema, meta_back, back)
+    core.write_table(path, schema, meta_back, [back])
+    assert path.read_bytes() == written
+    # the rows handed over in blocks write the same bytes
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=3), label="cuts"))
+    bounds = list(zip([0, *cuts], [*cuts, n]))
+    core.write_table(path, schema, meta, ({c: v[a:b] for c, v in columns.items()} for a, b in bounds))
     assert path.read_bytes() == written
 
 
@@ -153,7 +158,7 @@ def test_reader_and_constructor_reject_the_same_value(table_dir, kind, name):
     bad = _outside(next(col for col in schema.columns if col.name == name))
     cols[name] = cols[name].copy()
     cols[name][1] = bad  # a whole row of a 2-D column
-    core.write_table(path, schema, meta, cols)
+    core.write_table(path, schema, meta, [cols])
     value = re.escape(f"{name} {bad}")
     with pytest.raises(ValidationError, match=rf"{re.escape(str(path))}:{cols['line'][1]}: malformed .*{value}"):
         read(path)
@@ -324,6 +329,18 @@ def test_every_meta_edit_of_a_saved_net_predicts_or_raises_drivlab_errors(table_
     load_and_predict(path)  # the unedited file loads and predicts
     for edited in _single_edits(text, delimiter=" ", prefix="meta "):
         _read_rejects_cleanly(load_and_predict, table_dir / f"meta_{kind}.ckpt", edited)
+
+
+@pytest.mark.parametrize("token, error", [("1_0", None), ("nan", "non-finite"), ("1e400", "non-finite"),
+                                          ("", "malformed param b"), ("0x1", "malformed param b")])
+def test_checkpoint_values_read_as_float_reads_them(table_dir, token, error):
+    path = table_dir / "token.ckpt"
+    path.write_text(CHECKPOINT.replace("0.1 0.2 0.3", f"0.1 {token} 0.3"))
+    if error is None:
+        assert load_checkpoint(path)[2]["b"].data.tolist() == [0.1, float(token), 0.3]
+    else:
+        with pytest.raises(ValidationError, match=error):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize("dims", ["-2 -3", "-1 -6", "3 -2 -1"])
