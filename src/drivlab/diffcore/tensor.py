@@ -362,6 +362,9 @@ def lstm_seq(x: Tensor, steps: int, wx, wh, b, rows: np.ndarray | None = None) -
             dc *= f_kept[:, t]
             if t:
                 dh = np.matmul(acts[:, t].reshape(tracks, batch, g4), wh_t, out=dh_buf)
+        # freed before the gradients below are allocated, which then reuse
+        # their blocks instead of growing the heap
+        del d_cell, f_kept
         d_gates = acts.reshape(tracks, steps * batch, g4)
         for k in range(tracks):
             if wh[k].requires_grad:

@@ -231,11 +231,12 @@ def batch_inputs(data: Mapping[str, np.ndarray], rows, distinct: bool = False
     once, in column order."""
     spans = data["frames"][rows]
     if distinct:
-        # a mark per row finds the distinct rows in order without a sort;
-        # np.unique's sort code and temporaries raise the peak RSS
-        seen = np.zeros(len(data["obs"]), dtype=bool)
-        seen[spans] = True
-        used = np.flatnonzero(seen)
+        # a mark per row of the chunk's span finds the distinct rows in order
+        # without a sort; np.unique's sort code and temporaries raise the peak RSS
+        lo, hi = (spans.min(), spans.max()) if spans.size else (0, -1)
+        seen = np.zeros(hi - lo + 1, dtype=bool)
+        seen[spans - lo] = True
+        used = np.flatnonzero(seen) + lo
         index = np.searchsorted(used, spans)
     else:
         used = spans.T.reshape(-1)
@@ -387,13 +388,12 @@ def mc_predict_batch(
     return angles, speeds
 
 
-def eval_mae(net: DriverNet, windows: Windows,
-             pred: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[float, float]:
-    """(mae_speed, mae_angle) in physical units; ``pred``, the (angle,
-    speed) ``predict_batch(net, windows)`` returns, saves predicting again."""
+def eval_mae(windows: Windows, pred: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
+    """(mae_speed, mae_angle) in physical units of ``pred``, the (angle,
+    speed) predictions of ``windows`` that ``predict_batch`` returns."""
     if not windows:
         raise ValidationError("eval_mae on an empty window list")
-    angle, speed = predict_batch(net, windows) if pred is None else pred
+    angle, speed = pred
     return (
         float(np.mean(np.abs(speed - windows.target_speed))),
         float(np.mean(np.abs(angle - windows.target_angle))),

@@ -216,6 +216,14 @@ def horizon_failures(g: np.ndarray, ep: np.ndarray, m: int) -> tuple[np.ndarray,
     return rows, (failing[rows + m + 1] - failing[rows] > 0).astype(np.int64)
 
 
+def split_predictions(net: DriverNet, episodes: Sequence[Episode]) -> dict:
+    """The windows of ``episodes``, in id order, and the driver's (angle,
+    speed) predictions of them: what ``build_failure_dataset`` labels, and
+    all a caller needs to measure the driver's error on the same windows."""
+    windows = make_windows(*sorted(episodes, key=lambda e: e.episode_id), k=net.arch.k)
+    return {"windows": windows, "pred": predict_batch(net, windows)}
+
+
 def build_failure_dataset(
     net: DriverNet,
     episodes: Sequence[Episode],
@@ -230,9 +238,9 @@ def build_failure_dataset(
 
     Refuses to label the driver's own training split: its predictions there
     are too optimistic to reflect real failures. ``predictions``, a dict
-    that calls with the same net and episodes share, keeps the windows and
-    the driver's predictions of the first call, so labelling one split at
-    several thresholds runs the driver once.
+    that calls with the same net and episodes share, keeps what
+    ``split_predictions`` returns for the first of them, so labelling one
+    split at several thresholds runs the driver once.
     """
     if split == net.trained_on and not allow_leakage:
         raise SplitLeakageError(
@@ -241,8 +249,7 @@ def build_failure_dataset(
         )
     predictions = {} if predictions is None else predictions
     if not predictions:
-        windows = make_windows(*sorted(episodes, key=lambda e: e.episode_id), k=net.arch.k)
-        predictions.update(windows=windows, pred=predict_batch(net, windows))
+        predictions.update(split_predictions(net, episodes))
     windows, (pred_a, pred_s) = predictions["windows"], predictions["pred"]
     true_a, true_s = windows.target_angle, windows.target_speed
     g_a, g_s, g = step_failures((pred_a, pred_s), (true_a, true_s), th)

@@ -14,8 +14,10 @@ passes one memo through every stage.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -28,7 +30,6 @@ from .driver import (
     constant_mean_mae,
     eval_mae,
     load_driver,
-    predict_batch,
     save_driver,
     train_driver,
 )
@@ -42,6 +43,7 @@ from .failure import (
     load_hazard,
     read_labels_csv,
     save_hazard,
+    split_predictions,
     train_failure,
     write_labels_csv,
 )
@@ -63,6 +65,7 @@ from .evaluate import (
 log = logging.getLogger("drivlab.pipeline")
 
 STAGES = ("gen", "split", "train-driver", "label", "train-failure", "eval", "report")
+VAL_WINDOWS = 2048  # the D3 windows train-driver validates on after each epoch
 
 ART_EPISODES = "episodes.txt"
 ART_SPLITS = "splits.tsv"
@@ -192,10 +195,8 @@ def stage_split(cfg: PipelineConfig, episodes, splits_out, memo: dict) -> str:
 def stage_train_driver(
     cfg: PipelineConfig, episodes, splits, driver_out, metrics_out, memo: dict
 ) -> str:
-    train_windows, eval_windows = (
-        core.make_windows(*eps, k=cfg.k)
-        for eps in (_split_episodes(memo, episodes, splits, s) for s in ("D1", "D3"))
-    )
+    train_windows = core.make_windows(*_split_episodes(memo, episodes, splits, "D1"), k=cfg.k)
+    d3 = _split_episodes(memo, episodes, splits, "D3")
     tc = TrainConfig(
         lr=cfg.driver_lr,
         epochs=cfg.driver_epochs,
@@ -204,8 +205,13 @@ def stage_train_driver(
         seed=derived_seed(cfg.seed, "driver"),
         dropout_p=cfg.driver_dropout,
     )
-    val_windows = eval_windows[:2048]  # per-epoch diagnostic only, never model selection
+    # D3's first windows, a per-epoch diagnostic only, never model selection;
+    # made from the episodes they reach, so the rest of D3 waits for the net
+    reach = list(itertools.accumulate(max(len(e) - cfg.k, 0) for e in d3))
+    val_windows = core.make_windows(*d3[: bisect.bisect_left(reach, VAL_WINDOWS) + 1], k=cfg.k)[:VAL_WINDOWS]
     net, _history = train_driver(train_windows, tc, val_windows=val_windows, trained_on="D1")
+    n_train_windows = len(train_windows)
+    del train_windows, val_windows  # freed before D3's windows are made
     net.provenance = {
         "pipeline_seed": str(cfg.seed),
         "episodes": _memo(memo, episodes, file_digest, "digest"),
@@ -213,10 +219,11 @@ def stage_train_driver(
     }
     save_driver(driver_out, net)
     _keep(memo, driver_out, net)
-    pred = predict_batch(net, eval_windows)
+    predictions = split_predictions(net, d3)
     # label takes these from the memo, so a run predicts D3 once
-    memo[_predictions_key(driver_out, episodes, splits, "D3")] = {"windows": eval_windows, "pred": pred}
-    mae_speed, mae_angle = eval_mae(net, eval_windows, pred)
+    memo[_predictions_key(driver_out, episodes, splits, "D3")] = predictions
+    eval_windows = predictions["windows"]
+    mae_speed, mae_angle = eval_mae(eval_windows, predictions["pred"])
     base_speed, base_angle = constant_mean_mae(net.normalizer, eval_windows)
     metrics = {
         "format": "drivlab-driver-metrics v1",
@@ -227,7 +234,7 @@ def stage_train_driver(
         "epochs": cfg.driver_epochs,
         "seed": cfg.seed,
         "eval_split": "D3",
-        "n_train_windows": len(train_windows),
+        "n_train_windows": n_train_windows,
         "n_eval_windows": len(eval_windows),
     }
     _write_json(metrics_out, metrics)
@@ -460,7 +467,9 @@ def run_stage(name: str, cfg: PipelineConfig, out_dir, cache: dict | None = None
         return stage_train_driver(cfg, episodes, splits, driver, path(ART_DRIVER_METRICS), memo)
     if name == "label":
         return [
-            p for split in ("D2", "D3")
+            # D3 first: its windows and predictions, which train-driver may
+            # have left in the memo, are freed before D2 is windowed
+            p for split in ("D3", "D2")
             for p in stage_label(cfg, episodes, splits, driver, split, out_dir, memo)
         ]
     if name == "train-failure":

@@ -20,6 +20,7 @@ from drivlab.driver import (
     batch_inputs,
     constant_mean_mae,
     driver_forward,
+    eval_mae,
     init_driver_params,
     load_driver,
     mc_predict_batch,
@@ -342,7 +343,7 @@ class TestMemory:
             "fit_normalizer": lambda: core.fit_normalizer(windows),
             "train": lambda: train_failure(windows, labels, TrainConfig(epochs=1, batch_size=32), normalizer, middle),
             "validate": lambda: _eval_loss(net, windows_to_arrays(windows, normalizer), 1.0),
-            "eval_mae": lambda: driver_mod.eval_mae(net, windows),
+            "eval_mae": lambda: driver_mod.eval_mae(windows, predict_batch(net, windows)),
             "predict": lambda: predict_batch(net, windows),
             "mc_predict": lambda: mc_predict_batch(net, windows, 2, np.random.default_rng(0)),
             "predict_hazard": lambda: predict_hazard_batch(hazard, windows),
@@ -446,27 +447,13 @@ class TestTraining:
 
 
 class TestEvalMae:
-    def test_identity_predictions(self, trained, small_windows_module, monkeypatch):
-        import drivlab.driver as driver_mod
-
-        net, _ = trained
+    def test_identity_predictions(self, small_windows_module):
         windows = small_windows_module[:30]
-        monkeypatch.setattr(
-            driver_mod,
-            "predict_batch",
-            lambda n, ws: (ws.target_angle, ws.target_speed),
-        )
-        assert driver_mod.eval_mae(net, windows) == (0.0, 0.0)
+        assert eval_mae(windows, (windows.target_angle, windows.target_speed)) == (0.0, 0.0)
 
-    def test_single_window_angle_off_by_two(self, trained, monkeypatch):
-        import drivlab.driver as driver_mod
-
-        net, _ = trained
+    def test_single_window_angle_off_by_two(self):
         w = _constant_windows(n=1)
-        monkeypatch.setattr(
-            driver_mod, "predict_batch", lambda n, ws: (ws.target_angle + 2.0, ws.target_speed)
-        )
-        assert driver_mod.eval_mae(net, w) == (0.0, 2.0)
+        assert eval_mae(w, (w.target_angle + 2.0, w.target_speed)) == (0.0, 2.0)
 
     def test_baseline_is_mean_predictor(self, trained, small_windows_module):
         net, _ = trained

@@ -2,9 +2,10 @@ import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from drivlab import driver, failure, pipeline
+from drivlab import core, driver, failure, pipeline
 from drivlab.config import PipelineConfig, parse_budgets, parse_kv_file
 from drivlab.errors import MissingArtifactError, ValidationError
 from drivlab.pipeline import STAGES, art_labels, derived_seed, run_all, run_stage, stage_label
@@ -146,6 +147,29 @@ class TestStages:
         assert files == sorted(p.name for p in (tmp_path / "staged").iterdir())
         for name in files:
             assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "staged" / name).read_bytes(), name
+
+
+    def test_validation_reads_the_first_d3_windows_of_the_episodes_they_reach(self, tmp_path, monkeypatch):
+        """train-driver validates on D3's first ``VAL_WINDOWS`` windows, made
+        from the leading D3 episodes only: the same windows as a cut of all
+        of D3's."""
+        cfg = PipelineConfig(episodes=12, episode_length=60, seed=5, driver_epochs=1, hazard_epochs=1)
+        monkeypatch.setattr(pipeline, "VAL_WINDOWS", 70)  # 56 windows per episode: two of D3's four
+        seen = []
+        train = pipeline.train_driver
+        monkeypatch.setattr(pipeline, "train_driver",
+                            lambda *args, val_windows, **kw: seen.append(val_windows) or train(
+                                *args, val_windows=val_windows, **kw))
+        memo: dict = {}
+        for name in ("gen", "split", "train-driver"):
+            run_stage(name, cfg, tmp_path, memo)
+        (got,) = seen
+        d3 = pipeline._split_episodes(memo, tmp_path / "episodes.txt", tmp_path / "splits.tsv", "D3")
+        want = core.make_windows(*d3, k=cfg.k)[:70]
+        assert len(got) == 70 and got.episode_ids == tuple(e.episode_id for e in d3[:2])
+        assert np.array_equal(got.t, want.t) and np.array_equal(got.ep, want.ep)
+        for column in ("obs", "speed", "angle"):
+            assert np.array_equal(getattr(got, column)[got.end], getattr(want, column)[want.end]), column
 
 
 class TestDerivedSeed:
