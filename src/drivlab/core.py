@@ -21,8 +21,6 @@ from .errors import ArtifactVersionError, MissingArtifactError, ValidationError
 SPEED_MIN, SPEED_MAX = 0.0, 180.0  # km/h
 ANGLE_MIN, ANGLE_MAX = -720.0, 720.0  # degrees
 SAMPLE_RATE_HZ = 4
-DEFAULT_K = 4
-DEFAULT_OBS_DIM = 16
 STD_FLOOR = 1e-6
 
 SPLIT_NAMES = ("D1", "D2", "D3")
@@ -159,16 +157,12 @@ class Episode:
     ``speed`` (n,) and ``angle`` (n,), in the domains of their
     ``EPISODE_TABLE`` columns (speed and angle in the legal CAN value ranges).
     Row i is step i. A writeable column is copied.
-
-    ``meta`` holds generator bookkeeping (hidden difficulty traces). It
-    exists for validation and tests only and must never feed a model input.
     """
 
     episode_id: str
     obs: np.ndarray
     speed: np.ndarray
     angle: np.ndarray
-    meta: Mapping[str, object]
 
     def __post_init__(self) -> None:
         for name in ("obs", "speed", "angle"):
@@ -260,7 +254,7 @@ def windows_at(
     return Windows(obs, speed, angle, end=starts[ep] + t, ep=ep, t=t, episode_ids=ids, k=k)
 
 
-def make_windows(*episodes: Episode, k: int = DEFAULT_K) -> Windows:
+def make_windows(*episodes: Episode, k: int) -> Windows:
     """The windows of ``episodes`` at every t in [k, len-1], episode by
     episode in the given order; an episode shorter than k+1 steps has none."""
     counts = np.array([max(len(e) - k, 0) for e in episodes], dtype=np.int64)
@@ -625,7 +619,7 @@ def read_episodes(path) -> list[Episode]:
         i, reason = min(errors)
         raise EPISODE_TABLE.row_error(path, cols["line"][i], reason)
     return [
-        Episode(str(ids[a]), cols["obs"][a:b], cols["speed"][a:b], cols["angle"][a:b], meta={})
+        Episode(str(ids[a]), cols["obs"][a:b], cols["speed"][a:b], cols["angle"][a:b])
         for a, b in zip(starts.tolist(), stops.tolist())
     ]
 

@@ -155,22 +155,22 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | No
     return np.divide(num, e, out=num)
 
 
-def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
+def concat(tensors: list[Tensor]) -> Tensor:
+    """2-D ``tensors`` of equal row count, side by side (along axis 1)."""
     if not tensors:
         raise ValidationError("concat of an empty list")
-    if axis not in (0, 1) or any(t.data.ndim != 2 for t in tensors):
-        raise ShapeError(f"concat: need 2-D tensors and axis in (0, 1), got axis {axis}")
-    other = 1 - axis
-    if len({t.data.shape[other] for t in tensors}) != 1:
+    if any(t.data.ndim != 2 for t in tensors):
+        raise ShapeError("concat: need 2-D tensors")
+    if len({t.data.shape[0] for t in tensors}) != 1:
         raise ShapeError(f"concat: mismatched shapes {[t.data.shape for t in tensors]}")
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    offsets = np.cumsum([0] + [t.data.shape[1] for t in tensors])
 
     def backward(out):
         # disjoint views of the consumed gradient, one per part
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            _accum(t, out.grad[lo:hi] if axis == 0 else out.grad[:, lo:hi])
+            _accum(t, out.grad[:, lo:hi])
 
-    return _out(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
+    return _out(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors), backward)
 
 
 def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:
@@ -210,9 +210,7 @@ def l2_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     return _out(value, (pred,), backward)
 
 
-def cross_entropy_loss(
-    logits: Tensor, labels: np.ndarray, class_weights: np.ndarray | None = None
-) -> Tensor:
+def cross_entropy_loss(logits: Tensor, labels: np.ndarray, class_weights: np.ndarray) -> Tensor:
     """Softmax cross entropy from logits, weighted mean over the batch.
 
     ``class_weights`` rescales each sample by the weight of its true class
@@ -228,13 +226,10 @@ def cross_entropy_loss(
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - logsumexp
-    if class_weights is None:
-        w = np.ones(n)
-    else:
-        class_weights = np.asarray(class_weights, dtype=np.float64)
-        if class_weights.shape != (c,):
-            raise ShapeError(f"cross_entropy_loss: weights {class_weights.shape} vs {c} classes")
-        w = class_weights[labels]
+    class_weights = np.asarray(class_weights, dtype=np.float64)
+    if class_weights.shape != (c,):
+        raise ShapeError(f"cross_entropy_loss: weights {class_weights.shape} vs {c} classes")
+    w = class_weights[labels]
     wsum = w.sum()
     value = np.array(-(w * logp[np.arange(n), labels]).sum() / wsum)
     if not np.isfinite(value):

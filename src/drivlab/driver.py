@@ -18,8 +18,6 @@ import numpy as np
 from .core import (
     ANGLE_MAX,
     ANGLE_MIN,
-    DEFAULT_K,
-    DEFAULT_OBS_DIM,
     SPEED_MAX,
     SPEED_MIN,
     SPLITS,
@@ -62,8 +60,8 @@ PREDICT_BATCH = 512
 class BackboneArch:
     """Shape of the shared trunk used by both the driver and hazard nets."""
 
-    obs_dim: int = key(DEFAULT_OBS_DIM, "[1, inf)")
-    k: int = key(DEFAULT_K, "[1, inf)")
+    obs_dim: int = key(domain="[1, inf)")
+    k: int = key(domain="[1, inf)")
     enc_hidden: int = key(64, "[1, inf)")
     enc_out: int = key(32, "[1, inf)")
     vis_hidden: int = key(32, "[1, inf)")
@@ -171,7 +169,7 @@ def backbone_forward(
     # speed and angle share their shapes, so they run as two tracks of one call
     signals = Tensor(np.stack([spd.T, ang.T]).reshape(2, arch.k * batch, 1))
     h_sig = _tracks(store, ("spd", "ang"), signals, arch.k)
-    fused = concat([h_vis, h_sig], axis=1)
+    fused = concat([h_vis, h_sig])
     return dropout(fused, arch.dropout_p, mode, rng)
 
 
@@ -304,7 +302,9 @@ def train_driver(
         return add(value, scale(l2_loss(out[1], data["tgt_s"][idx]), cfg.lam)) if cfg.lam > 0 else value
 
     def validate(arch, params):
-        return _eval_loss(DriverNet(arch, params, normalizer, trained_on, cfg.seed), val_data, cfg.lam)
+        outputs = forward_chunks(lambda *inputs: driver_forward(params, arch, *inputs), val_data)
+        with no_grad():
+            return float(loss([Tensor(out) for out in outputs], val_data, slice(None)).data)
 
     val_data = windows_to_arrays(val_windows, normalizer) if val_windows else None
     arch, params, history = fit("driver", windows, normalizer, cfg, init_driver_params, driver_forward,
@@ -332,14 +332,6 @@ def forward_chunks(forward, data: Mapping[str, np.ndarray]) -> list[np.ndarray]:
 def _predict_normalized(net: DriverNet, data: Mapping[str, np.ndarray]) -> list[np.ndarray]:
     """(angle, speed) head outputs in normalized space, each (N, 1)."""
     return forward_chunks(lambda *inputs: driver_forward(net.params, net.arch, *inputs), data)
-
-
-def _eval_loss(net: DriverNet, data: dict[str, np.ndarray], lam: float) -> float:
-    out_a, out_s = _predict_normalized(net, data)
-    loss = float(np.mean((out_a - data["tgt_a"]) ** 2))
-    if lam > 0:
-        loss += lam * float(np.mean((out_s - data["tgt_s"]) ** 2))
-    return loss
 
 
 def predict_batch(net: DriverNet, windows: Windows) -> tuple[np.ndarray, np.ndarray]:

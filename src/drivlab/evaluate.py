@@ -19,15 +19,13 @@ import numpy as np
 from .core import Column, Episode, TableSchema, _frozen, read_table, windows_at, write_table
 from .driver import DriverNet, mc_predict_batch
 from .errors import ValidationError
-from .failure import MAX_STEP, HazardNet, Labels, predict_hazard_batch
+from .failure import HazardNet, Labels, predict_hazard_batch, step_spans
 
 SCORE_TABLE = TableSchema(
     "#drivlab-scores v1", "score", ",",
     (Column("episode_id", str), Column("t", np.int64, "[0, inf)"), Column("score", np.float64)),
     column_line=True,
 )
-SCORES_FORMAT = SCORE_TABLE.magic
-SCORES_HEADER = SCORE_TABLE.header
 
 # budget grid for the safety-gain table
 GAIN_BUDGETS = (0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40)
@@ -114,20 +112,13 @@ def build_scenes(rows: Labels, m: int) -> Scenes:
     return rows.episode_ids, rows.ep[anchors], rows.t[anchors]
 
 
-_T_SPAN = 2 * MAX_STEP  # (ep, t) packs into the int64 key ep * _T_SPAN + t
-
-
 def _spans(rows: Labels, scenes: Scenes, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row range [lo, hi) of the labeled steps in each scene's span [t, t+m],
-    searched on the sorted (ep, t) key; empty for an episode without rows."""
+    """Row range [lo, hi) of the labeled steps in each scene's span [t, t+m];
+    empty for an episode without rows."""
     ids, ep, t = scenes
     code = {eid: i for i, eid in enumerate(rows.episode_ids)}
     ep = np.array([code.get(eid, -1) for eid in ids], dtype=np.int64)[ep]
-    key = rows.ep * _T_SPAN + rows.t
-    # clipping to [-1, _T_SPAN - 1] keeps each query between its episode's neighbours
-    lo = np.searchsorted(key, ep * _T_SPAN + np.clip(t, -1, _T_SPAN - 1), side="left")
-    hi = np.searchsorted(key, ep * _T_SPAN + np.clip(t + m, -1, _T_SPAN - 1), side="right")
-    return lo, hi
+    return step_spans(rows, ep, t, m)
 
 
 def simulate_takeover(

@@ -47,11 +47,9 @@ from .driver import (
     save_net,
     windows_to_arrays,
 )
-from .errors import SplitLeakageError, ValidationError
+from .errors import ValidationError
 
 log = logging.getLogger("drivlab.failure")
-
-DEFAULT_HORIZON = 8  # steps; 2 s of lookahead at 4 Hz
 
 
 @dataclass(frozen=True)
@@ -113,8 +111,6 @@ LABEL_TABLE = TableSchema(
     ),
     column_line=True,
 )
-LABELS_FORMAT = LABEL_TABLE.magic
-LABELS_HEADER = LABEL_TABLE.header
 
 
 def _bad_row(cols: Mapping[str, np.ndarray], n_ids: int) -> tuple[int, str] | None:
@@ -123,11 +119,15 @@ def _bad_row(cols: Mapping[str, np.ndarray], n_ids: int) -> tuple[int, str] | No
     ep, t = cols["ep"], cols["t"]
     unordered = np.zeros(len(ep), dtype=bool)
     unordered[1:] = (ep[1:] < ep[:-1]) | ((ep[1:] == ep[:-1]) & (t[1:] <= t[:-1]))
-    checks = (
+    return _first_failing([
         ((ep < 0) | (ep >= n_ids), "episode code out of range"),
         (cols["g"] != cols["g_a"] | cols["g_s"], "g must equal g_a | g_s"),
         (unordered, "(episode_id, t) repeats or is out of order"),
-    )
+    ])
+
+
+def _first_failing(checks: list[tuple[np.ndarray, str]]) -> tuple[int, str] | None:
+    """(row, reason) of the first row a (mask, reason) check marks; None if none does."""
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     if not bad.any():
         return None
@@ -216,6 +216,35 @@ def horizon_failures(g: np.ndarray, ep: np.ndarray, m: int) -> tuple[np.ndarray,
     return rows, (failing[rows + m + 1] - failing[rows] > 0).astype(np.int64)
 
 
+def step_spans(rows: Labels, ep: np.ndarray, t: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row range [lo, hi) of the labeled steps of episode code ``ep`` in
+    [t, t+m], searched on the sorted (ep, t) key; empty for a code without rows."""
+    span = 2 * MAX_STEP  # (ep, t) packs into the int64 key ep * span + t
+    key = rows.ep * span + rows.t
+    # clipping to [-1, span - 1] keeps each query between its episode's neighbours
+    lo = np.searchsorted(key, ep * span + np.clip(t, -1, span - 1), side="left")
+    hi = np.searchsorted(key, ep * span + np.clip(t + min(m, span), -1, span - 1), side="right")
+    return lo, hi
+
+
+def flag_error(rows: Labels, th: Thresholds, m: int) -> tuple[int, str] | None:
+    """(row, reason) for the first row whose flags do not follow from the values
+    at ``th`` and horizon ``m``, None if all do: ``g_a``, ``g_s`` and ``g`` must
+    be the values' ``step_failures``, and ``g_horizon`` the OR of ``g`` over the
+    rows of steps t..t+m where all m+1 are rows, and at least that elsewhere
+    (there the horizon reaches windows the labeller dropped)."""
+    flags = step_failures((rows.pred_angle, rows.pred_speed), (rows.true_angle, rows.true_speed), th)
+    start, stop = step_spans(rows, rows.ep, rows.t, m)
+    failing = np.concatenate([[0], np.cumsum(rows.g, dtype=np.int64)])
+    seen = (failing[stop] - failing[start] > 0).astype(np.int64)
+    full = stop - start == m + 1
+    checks = [(getattr(rows, name) != flag, f"{name} does not follow from the values at the file's thresholds")
+              for name, flag in zip(("g_a", "g_s", "g"), flags)]
+    checks.append((np.where(full, rows.g_horizon != seen, rows.g_horizon < seen),
+                   "g_horizon does not follow from g over steps t..t+m"))
+    return _first_failing(checks)
+
+
 def split_predictions(net: DriverNet, episodes: Sequence[Episode]) -> dict:
     """The windows of ``episodes``, in id order, and the driver's (angle,
     speed) predictions of them: what ``build_failure_dataset`` labels, and
@@ -224,32 +253,10 @@ def split_predictions(net: DriverNet, episodes: Sequence[Episode]) -> dict:
     return {"windows": windows, "pred": predict_batch(net, windows)}
 
 
-def build_failure_dataset(
-    net: DriverNet,
-    episodes: Sequence[Episode],
-    split: str,
-    th: Thresholds,
-    m: int = DEFAULT_HORIZON,
-    allow_leakage: bool = False,
-    predictions: dict | None = None,
-) -> FailureDataset:
-    """Run the driver over every window, label per-step failures, then OR
-    each step's failures over the m-step future.
-
-    Refuses to label the driver's own training split: its predictions there
-    are too optimistic to reflect real failures. ``predictions``, a dict
-    that calls with the same net and episodes share, keeps what
-    ``split_predictions`` returns for the first of them, so labelling one
-    split at several thresholds runs the driver once.
-    """
-    if split == net.trained_on and not allow_leakage:
-        raise SplitLeakageError(
-            f"refusing to label split {split}: the driver was trained on it "
-            f"(pass allow_leakage to override)"
-        )
-    predictions = {} if predictions is None else predictions
-    if not predictions:
-        predictions.update(split_predictions(net, episodes))
+def build_failure_dataset(predictions: Mapping, split: str, th: Thresholds, m: int) -> FailureDataset:
+    """Label the per-step failures of ``predictions``, a split's windows and
+    the driver's predictions of them as ``split_predictions`` returns them,
+    then OR each step's failures over the m-step future."""
     windows, (pred_a, pred_s) = predictions["windows"], predictions["pred"]
     true_a, true_s = windows.target_angle, windows.target_speed
     g_a, g_s, g = step_failures((pred_a, pred_s), (true_a, true_s), th)
@@ -347,7 +354,7 @@ def train_failure(
     cfg: TrainConfig,
     normalizer: Normalizer,
     thresholds: Thresholds,
-    m: int = DEFAULT_HORIZON,
+    m: int,
     trained_on: str = "D2",
 ) -> tuple[HazardNet, list[dict[str, float]]]:
     """Cross-entropy training with inverse-frequency class weights.

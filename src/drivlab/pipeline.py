@@ -33,12 +33,14 @@ from .driver import (
     save_driver,
     train_driver,
 )
-from .errors import MissingArtifactError, ValidationError
+from .errors import MissingArtifactError, SplitLeakageError, ValidationError
 from .failure import (
     CANONICAL_THRESHOLDS,
+    Labels,
     LabelSplit,
     Thresholds,
     build_failure_dataset,
+    flag_error,
     horizon_from_meta,
     load_hazard,
     read_labels_csv,
@@ -154,8 +156,10 @@ def _driver_digest(driver, labels, meta: Mapping[str, str]) -> str:
     return digest
 
 
-def _label_header(path, meta: Mapping[str, str]) -> tuple[str, str, Thresholds, int]:
-    """(split, threshold name, thresholds, m) from a label file's metadata."""
+def _read_labels(memo: dict, path) -> tuple[Labels, dict[str, str], str, str, Thresholds, int]:
+    """(rows, meta, split, threshold name, thresholds, m) of a label file,
+    whose flags must follow from its values (``flag_error``)."""
+    rows, meta = _memo(memo, path, read_labels_csv)
     try:
         split, (th, m) = core.parse_keys(LabelSplit, meta, "meta").split, horizon_from_meta(meta)
     except ValidationError as exc:
@@ -163,7 +167,11 @@ def _label_header(path, meta: Mapping[str, str]) -> tuple[str, str, Thresholds, 
     names = [name for name, canon in CANONICAL_THRESHOLDS.items() if canon == th]
     if not names:
         raise ValidationError(f"{path}: thresholds {th} are not a canonical operating point")
-    return split, names[0], th, m
+    bad = flag_error(rows, th, m)
+    if bad is not None:
+        row, reason = bad
+        raise ValidationError(f"{path}: episode {rows.episode_ids[rows.ep[row]]} step {rows.t[row]}: {reason}")
+    return rows, meta, split, names[0], th, m
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +184,7 @@ def stage_gen(cfg: PipelineConfig, episodes_out, memo: dict) -> str:
         cfg.world_config(), cfg.episodes, base_seed=derived_seed(cfg.seed, "gen")
     )
     core.write_episodes(episodes_out, episodes, provenance={"seed": str(cfg.seed)})
-    _keep(memo, episodes_out, episodes)  # in-memory episodes keep difficulty traces
+    _keep(memo, episodes_out, episodes)
     log.info("gen: wrote %d episodes to %s", len(episodes), episodes_out)
     return episodes_out
 
@@ -250,18 +258,20 @@ def stage_label(
     allow_leakage: bool = False,
 ) -> list[str]:
     """Label the driver's failures on one split at every configured
-    threshold, writing ``labels_<split>_<threshold>.csv`` into ``out_dir``."""
+    threshold, writing ``labels_<split>_<threshold>.csv`` into ``out_dir``.
+    Refuses the driver's own, too optimistic, training split unless ``allow_leakage``."""
     net = _memo(memo, driver, load_driver)
+    if split_name == net.trained_on and not allow_leakage:
+        raise SplitLeakageError(f"refusing to label split {split_name}: the driver was trained on it "
+                                f"(pass --allow-leakage to override)")
     split_episodes = _split_episodes(memo, episodes, splits, split_name)
     provenance = {"seed": str(cfg.seed), "driver": file_digest(driver)}
     paths = []
     # one driver pass serves every threshold; train-driver may have made it
-    predictions = memo.pop(_predictions_key(driver, episodes, splits, split_name), {})
+    predictions = (memo.pop(_predictions_key(driver, episodes, splits, split_name), None)
+                   or split_predictions(net, split_episodes))
     for th_name in cfg.threshold_names():
-        ds = build_failure_dataset(
-            net, split_episodes, split=split_name, th=CANONICAL_THRESHOLDS[th_name], m=cfg.m,
-            allow_leakage=allow_leakage, predictions=predictions,
-        )
+        ds = build_failure_dataset(predictions, split_name, CANONICAL_THRESHOLDS[th_name], cfg.m)
         path = os.path.join(out_dir, art_labels(split_name, th_name))
         _keep(memo, path, (ds.rows, write_labels_csv(path, ds, provenance)))
         paths.append(path)
@@ -273,8 +283,7 @@ def stage_train_failure(
 ) -> str:
     """Train the hazard net on one label file; its threshold names the seed."""
     driver_net = _memo(memo, driver, load_driver)
-    rows, meta = _memo(memo, labels, read_labels_csv)
-    split, th_name, th, m = _label_header(labels, meta)
+    rows, meta, split, th_name, th, m = _read_labels(memo, labels)
     if split == driver_net.trained_on:
         raise ValidationError("hazard training labels derive from the driver's split")
     driver_digest = _driver_digest(driver, labels, meta)
@@ -354,8 +363,7 @@ def stage_eval(
     computed = [policy for policy in ("interval", "oracle") if policy in (scores or {})]
     if computed:
         raise ValidationError(f"{computed[0]} scores: eval computes the interval and oracle policies itself")
-    rows, meta = _memo(memo, labels, read_labels_csv)
-    split, th_name, th, m = _label_header(labels, meta)
+    rows, meta, split, th_name, th, m = _read_labels(memo, labels)
     scenes = build_scenes(rows, m)
     if scores:
         traces = {policy: _memo(memo, path, read_scores_csv) for policy, path in scores.items()}

@@ -92,7 +92,8 @@ def _stream(seed: int, stream_id: int) -> np.random.Generator:
 
 def oracle_action(latent: Mapping[str, object], config: WorldConfig) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic control law standing in for the human driver: the
-    (angle, speed) columns of the hidden-state columns ``latent`` (``meta``).
+    (angle, speed) columns of the hidden-state columns ``latent`` that
+    ``simulate_episode`` returns.
 
     Angle tracks road curvature (damped through intersections) plus a
     sinusoidal turn ramp of +-TURN_PEAK_DEG for turning branches. Speed is
@@ -192,8 +193,10 @@ def _lead_gap_path(config: WorldConfig, congestion: float, n: int) -> np.ndarray
     return g
 
 
-def generate_episode(config: WorldConfig, episode_id: str) -> Episode:
-    """Deterministic episode for ``config.seed``; see module docstring."""
+def simulate_episode(config: WorldConfig, episode_id: str) -> tuple[Episode, dict[str, object]]:
+    """(episode, latent) for ``config.seed``; see module docstring. ``latent``,
+    the hidden state the oracle drove on (per-step columns, congestion,
+    visibility, intersection count), stays out of the episode and its file."""
     n = config.episode_length
     lookahead = 8
     curvature = _curvature_path(config, n + lookahead)
@@ -231,7 +234,7 @@ def generate_episode(config: WorldConfig, episode_id: str) -> Episode:
     )
     obs[:, N_SIGNAL_CHANNELS:] = eps[:, N_SIGNAL_CHANNELS:]  # pure noise channels
 
-    meta = {
+    latent = {
         "congestion": congestion,
         "visibility": visibility,
         "n_intersections": n_arrivals,
@@ -242,8 +245,13 @@ def generate_episode(config: WorldConfig, episode_id: str) -> Episode:
         "zone_progress": _frozen(zone_progress),  # [0, 1) inside a zone, 0 outside
         "lead_gap": _frozen(gap),  # m
     }
-    angles, speeds = oracle_action(meta, config)
-    return Episode(episode_id, obs=_frozen(obs), speed=_frozen(speeds), angle=_frozen(angles), meta=meta)
+    angles, speeds = oracle_action(latent, config)
+    return Episode(episode_id, obs=_frozen(obs), speed=_frozen(speeds), angle=_frozen(angles)), latent
+
+
+def generate_episode(config: WorldConfig, episode_id: str) -> Episode:
+    """The episode of ``simulate_episode``, without its latent state."""
+    return simulate_episode(config, episode_id)[0]
 
 
 def generate_dataset(config: WorldConfig, n_episodes: int, base_seed: int) -> list[Episode]:

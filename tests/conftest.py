@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from drivlab import core, simgen
 from drivlab.driver import TrainConfig, train_driver
 from drivlab.evaluate import PolicyScoreTrace
-from drivlab.failure import CANONICAL_THRESHOLDS, Labels, build_failure_dataset, train_failure
+from drivlab.failure import CANONICAL_THRESHOLDS, Labels, build_failure_dataset, split_predictions, train_failure
 
 
 def small_world(**overrides) -> simgen.WorldConfig:
@@ -18,11 +20,25 @@ def all_windows(episodes, k=4):
     return core.make_windows(*episodes, k=k)
 
 
+def assert_same_episodes(got, want):
+    """``got`` and ``want`` hold the same episodes in the same order, field
+    for field and bit for bit."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in dataclasses.fields(core.Episode):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(y, np.ndarray):
+                assert x.dtype == y.dtype and x.shape == y.shape, f.name
+                assert np.array_equal(x.view(np.int64), y.view(np.int64)), f.name
+            else:
+                assert x == y, f.name
+
+
 def windows_of_rows(frames, speeds, angles):
     """One window per free-standing (k+1)-row episode: ``frames`` (n, k+1, d),
     ``speeds`` and ``angles`` (n, k+1), the last row holding the targets."""
     n, steps, _ = np.shape(frames)
-    eps = {f"w{i}": core.Episode(f"w{i}", frames[i], speeds[i], angles[i], {}) for i in range(n)}
+    eps = {f"w{i}": core.Episode(f"w{i}", frames[i], speeds[i], angles[i]) for i in range(n)}
     return core.windows_at(eps, list(eps), np.arange(n), np.full(n, steps - 1), steps - 1)
 
 
@@ -93,8 +109,8 @@ def tiny_pipeline(small_episodes):
     train_w = all_windows(sorted(d1, key=lambda e: e.episode_id))
     net, _ = train_driver(train_w, TrainConfig(epochs=3, seed=21), trained_on="D1")
     th = CANONICAL_THRESHOLDS["middle"]
-    ds_train = build_failure_dataset(net, d2, split="D2", th=th, m=8)
-    ds_eval = build_failure_dataset(net, d3, split="D3", th=th, m=8)
+    ds_train = build_failure_dataset(split_predictions(net, d2), "D2", th, 8)
+    ds_eval = build_failure_dataset(split_predictions(net, d3), "D3", th, 8)
     hazard, _ = train_failure(
         label_windows(ds_train.rows, d2), ds_train.rows.g_horizon, TrainConfig(epochs=3, seed=31),
         normalizer=net.normalizer, thresholds=th, m=8, trained_on="D2",

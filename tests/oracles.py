@@ -329,7 +329,7 @@ def gathered_backbone_forward(store, arch, vis, spd, ang, mode, rng=None):
     h_vis = lstm_seq(enc, steps, store["vis.wx"], store["vis.wh"], store["vis.b"])
     signals = Tensor(np.stack([spd.T, ang.T]).reshape(2, arch.k * batch, 1))
     h_sig = lstm_seq(signals, arch.k, *([store[f"{n}.{w}"] for n in ("spd", "ang")] for w in ("wx", "wh", "b")))
-    return dropout(concat([h_vis, h_sig], axis=1), arch.dropout_p, mode, rng)
+    return dropout(concat([h_vis, h_sig]), arch.dropout_p, mode, rng)
 
 
 def gathered_forward(store, arch, heads, vis, spd, ang, mode="eval", rng=None):

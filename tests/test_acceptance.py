@@ -27,6 +27,7 @@ from drivlab.failure import (
     predict_hazard_batch,
     read_labels_csv,
     save_hazard,
+    split_predictions,
     step_failures,
 )
 from drivlab.pipeline import ART_DRIVER_METRICS, art_eval, art_labels, run_all, run_stage
@@ -139,7 +140,7 @@ def test_c1_gradient_correctness():
     cases.append(lambda: weighted(tanh(a)))
     cases.append(lambda: weighted(sigmoid(a)))
     cases.append(lambda: weighted(softmax(a)))
-    cases.append(lambda: weighted(concat([a, pair], axis=1)))
+    cases.append(lambda: weighted(concat([a, pair])))
     cases.append(lambda: weighted(narrow(a, 1, 1, 3)))
     cases.append(lambda: weighted(reshape(a, (4, 3))))
     cases.append(lambda: weighted(scale(a, -1.7)))
@@ -249,11 +250,10 @@ def test_c2_labeling_oracle_equivalence():
 
 
 def test_c3_threshold_nesting(tiny_pipeline):
-    net = tiny_pipeline["driver"]
-    d3 = tiny_pipeline["d3"]
+    predictions = split_predictions(tiny_pipeline["driver"], tiny_pipeline["d3"])
     step_sets, horizon_sets, fractions = {}, {}, {}
     for name in ("tight", "middle", "loose"):
-        ds = build_failure_dataset(net, d3, split="D3", th=CANONICAL_THRESHOLDS[name], m=8)
+        ds = build_failure_dataset(predictions, "D3", CANONICAL_THRESHOLDS[name], 8)
         step_sets[name] = set(row_positions(ds.rows, ds.rows.g == 1))
         horizon_sets[name] = set(row_positions(ds.rows, ds.rows.g_horizon == 1))
         fractions[name] = ds.hazard_fraction

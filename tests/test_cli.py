@@ -4,8 +4,8 @@ import pytest
 
 from drivlab.cli import main
 from drivlab.core import EPISODE_FORMAT
-from drivlab.evaluate import SCORES_FORMAT, SCORES_HEADER
-from drivlab.failure import LABELS_FORMAT, LABELS_HEADER
+from drivlab.evaluate import SCORE_TABLE
+from drivlab.failure import LABEL_TABLE
 from drivlab.pipeline import file_digest
 
 SMALL_CONFIG = """
@@ -230,7 +230,7 @@ def test_stage_commands_write_run_all_bytes(tmp_path, config_file):
 def test_malformed_label_row_exit_code_2(tmp_path, bad_row, capsys):
     labels = tmp_path / "labels.csv"
     good = "ep0000,2,0,0,0,1,0.5,20.0,0.4,21.0"
-    labels.write_text(f"{LABELS_FORMAT}\n# m 8\n{LABELS_HEADER}\n{good}\n{bad_row}\n")
+    labels.write_text(f"{LABEL_TABLE.magic}\n# m 8\n{LABEL_TABLE.header}\n{good}\n{bad_row}\n")
     code = main(["eval", "--labels", str(labels), "--scores", f"learned={tmp_path / 's.csv'}",
                  "--out", str(tmp_path / "e.json"), "--quiet"])
     assert code == 2
@@ -239,20 +239,20 @@ def test_malformed_label_row_exit_code_2(tmp_path, bad_row, capsys):
 
 def test_negative_horizon_exit_code_2(tmp_path, capsys):
     labels = tmp_path / "labels.csv"
-    labels.write_text(f"{LABELS_FORMAT}\n# split D3\n# t_angle 7.0\n# t_speed 3.0\n# m -1\n{LABELS_HEADER}\n")
+    labels.write_text(f"{LABEL_TABLE.magic}\n# split D3\n# t_angle 7.0\n# t_speed 3.0\n# m -1\n{LABEL_TABLE.header}\n")
     code = main(["eval", "--labels", str(labels), "--scores", f"learned={tmp_path / 's.csv'}",
                  "--out", str(tmp_path / "e.json"), "--quiet"])
     assert code == 2
     assert "lacks a valid split, t_angle, t_speed or m" in capsys.readouterr().err
 
 
-LABELS_D3 = (f"{LABELS_FORMAT}\n# split D3\n# t_angle 7.0\n# t_speed 3.0\n# m 8\n{LABELS_HEADER}\n"
+LABELS_D3 = (f"{LABEL_TABLE.magic}\n# split D3\n# t_angle 7.0\n# t_speed 3.0\n# m 8\n{LABEL_TABLE.header}\n"
              "ep0000,2,0,0,0,1,0.5,20.0,0.4,21.0\n")
 
 
 @pytest.mark.parametrize("kind, text, lineno", [
     ("episodes", f"{EPISODE_FORMAT} d=2 f=4\nep0000,0,10.0,0.0,0.1,0.2\nep0000,1,fast,0.0,0.1,0.2\n", 3),
-    ("scores", f"{SCORES_FORMAT}\n# policy learned\n{SCORES_HEADER}\nep0000,2,high\n", 4),
+    ("scores", f"{SCORE_TABLE.magic}\n# policy learned\n{SCORE_TABLE.header}\nep0000,2,high\n", 4),
     pytest.param("episodes", f"{EPISODE_FORMAT} d=2 f=4\nep0000,0,10.0,0.0,0.1,0.2\n"
                  "ep0000,2,10.0,0.0,0.1,0.2\n", 3, id="episodes-step-index-not-position"),
     pytest.param("episodes", f"{EPISODE_FORMAT} d=2 f=4\nep0000,0,10.0,0.0,0.1,0.2\n"
@@ -284,7 +284,7 @@ def test_eval_rejects_scores_for_a_policy_it_computes(tmp_path, policy, capsys):
     """A score file that would pass every other check would have its curve replaced."""
     labels, scores = tmp_path / "labels.csv", tmp_path / "scores.csv"
     labels.write_text(LABELS_D3.replace("# m 8\n", "# m 8\n# driver abc\n"))
-    scores.write_text(f"{SCORES_FORMAT}\n# policy {policy}\n# driver abc\n{SCORES_HEADER}\nep0000,2,0.5\n")
+    scores.write_text(f"{SCORE_TABLE.magic}\n# policy {policy}\n# driver abc\n{SCORE_TABLE.header}\nep0000,2,0.5\n")
     code = main(["eval", "--labels", str(labels), "--scores", f"{policy}={scores}",
                  "--out", str(tmp_path / "e.json"), "--quiet"])
     assert code == 2
@@ -482,3 +482,71 @@ def test_unusable_path_exit_code_2(tmp_path, small_run, command, capsys):
     code = main([command, "--config", str(small_run.parent / "config.txt"), *argv, "--quiet"])
     assert code == 2
     assert f"drivlab: error: {path}:" in capsys.readouterr().err
+
+
+def _flag_edit(rows, case):
+    """Edit the label rows ``rows`` (lists of fields, columns as in
+    ``LABEL_TABLE``, m = 8 and t_angle = 7.0) so that their flags no longer
+    follow from their values; returns the first edited row."""
+    ep, t, g, g_h = ([r[0] for r in rows], [int(r[1]) for r in rows], [int(r[4]) for r in rows],
+                     [int(r[5]) for r in rows])
+    same = [[j for j in range(i, min(i + 9, len(rows))) if ep[j] == ep[i] and t[j] <= t[i] + 8]
+            for i in range(len(rows))]  # the rows of steps t..t+8 of each row's episode
+
+    def under_angle(i):  # g_a = g = 1 here changes no horizon: rows i-8..i already hold g_horizon 1
+        before = [j for j in range(max(i - 8, 0), i + 1) if ep[j] == ep[i]]
+        return abs(float(rows[i][8]) - float(rows[i][6])) < 7.0 and all(g_h[j] for j in before)
+
+    if case == "horizon-flipped-in-full":
+        edited = [next(i for i, rows_in in enumerate(same) if len(rows_in) == 9)]
+        rows[edited[0]][5] = str(1 - g_h[edited[0]])
+    elif case == "tail-horizon-cleared":
+        edited = [next(i for i, rows_in in enumerate(same)
+                       if len(rows_in) < 9 and not g[i] and any(g[j] for j in rows_in))]
+        rows[edited[0]][5] = "0"
+    elif case == "angle-flag-under-threshold":
+        edited = [next(i for i in range(len(rows)) if under_angle(i) and rows[i][2] == "0")]
+    elif case == "probe-every-horizon-flipped":
+        edited = list(range(len(rows)))
+        for i in edited:
+            rows[i][5] = str(1 - g_h[i])
+    else:  # probe-50-angle-flags
+        edited = [i for i in range(len(rows)) if abs(float(rows[i][8]) - float(rows[i][6])) < 7.0][:50]
+        assert len(edited) == 50
+    if "angle" in case:
+        for i in edited:
+            rows[i][2] = rows[i][4] = "1"
+    return rows[edited[0]]
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("horizon-flipped-in-full", "g_horizon does not follow from g over steps t..t+m"),
+    ("tail-horizon-cleared", "g_horizon does not follow from g over steps t..t+m"),
+    ("angle-flag-under-threshold", "g_a does not follow from the values at the file's thresholds"),
+    ("probe-every-horizon-flipped", "g_horizon does not follow"),
+    ("probe-50-angle-flags", "does not follow"),
+])
+@pytest.mark.parametrize("command", ["train-failure", "eval"])
+def test_label_flags_that_do_not_follow_exit_code_2(tmp_path, small_run, command, case, reason, capsys):
+    """A label file's flags must follow from its values, at the thresholds
+    and horizon m its header names; checkpoint-mode eval and train-failure
+    refuse a hand-edited flag and name the file, the episode and the step."""
+    split = "D2" if command == "train-failure" else "D3"
+    labels = tmp_path / f"labels_{split}_middle.csv"
+    lines = (small_run / labels.name).read_text().splitlines()
+    head = lines.index(LABEL_TABLE.header) + 1
+    rows = [line.split(",") for line in lines[head:]]
+    first = _flag_edit(rows, case)
+    labels.write_text("\n".join([*lines[:head], *(",".join(r) for r in rows)]) + "\n")
+    common = ["--config", str(small_run.parent / "config.txt"), "--labels", str(labels),
+              "--data", str(small_run / "episodes.txt"), "--driver", str(small_run / "driver.ckpt"), "--quiet"]
+    if command == "train-failure":
+        argv = ["--split", str(small_run / "splits.tsv"), "--out", str(tmp_path / "hazard.ckpt")]
+    else:
+        argv = ["--hazard", str(small_run / "hazard_middle.ckpt"), "--out", str(tmp_path / "e.json")]
+    assert main([command, *common, *argv]) == 2
+    err = capsys.readouterr().err
+    assert reason in err
+    if not case.startswith("probe"):
+        assert f"{labels}: episode {first[0]} step {first[1]}: {reason}" in err
+    assert not (tmp_path / "hazard.ckpt").exists() and not (tmp_path / "e.json").exists()

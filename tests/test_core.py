@@ -21,7 +21,7 @@ def _episode(n, d=3, eid="e0"):
     obs = rng.standard_normal((n, d))
     speed = rng.uniform(0, 120, size=n)
     angle = rng.uniform(-90, 90, size=n)
-    return core.Episode(episode_id=eid, obs=obs, speed=speed, angle=angle, meta={})
+    return core.Episode(episode_id=eid, obs=obs, speed=speed, angle=angle)
 
 
 def _columns(n=4, d=3):
@@ -34,40 +34,40 @@ class TestEpisode:
             obs, speed, angle = _columns()
             speed[2] = bad
             with pytest.raises(ValidationError, match="speed .* at step 2"):
-                core.Episode("e", obs, speed, angle, {})
+                core.Episode("e", obs, speed, angle)
 
     def test_rejects_out_of_range_angle(self):
         obs, speed, angle = _columns()
         angle[1] = 721.0
         with pytest.raises(ValidationError, match="angle .* at step 1"):
-            core.Episode("e", obs, speed, angle, {})
+            core.Episode("e", obs, speed, angle)
 
     def test_rejects_non_finite_obs(self):
         obs, speed, angle = _columns()
         obs[3, 1] = np.nan
         with pytest.raises(ValidationError, match="non-finite .* at step 3"):
-            core.Episode("e", obs, speed, angle, {})
+            core.Episode("e", obs, speed, angle)
 
     def test_columns_are_read_only(self):
-        ep = core.Episode("e", *_columns(), {})
+        ep = core.Episode("e", *_columns())
         for column in (ep.obs, ep.speed, ep.angle):
             with pytest.raises(ValueError):
                 column[0] = 1.0
 
     def test_rejects_empty_and_misshapen_columns(self):
         with pytest.raises(ValidationError, match="no records"):
-            core.Episode("e", *_columns(n=0), {})
+            core.Episode("e", *_columns(n=0))
         obs, speed, angle = _columns()
         with pytest.raises(ValidationError, match="obs must be"):
-            core.Episode("e", speed, speed, angle, {})
+            core.Episode("e", speed, speed, angle)
         with pytest.raises(ValidationError, match="do not match"):
-            core.Episode("e", obs, speed[:3], angle, {})
+            core.Episode("e", obs, speed[:3], angle)
 
     def test_arrays_match_records(self):
         obs, speed, angle = _columns(n=5)
         obs[2] = [1.0, 2.0, 3.0]
         speed[4] = 33.5
-        ep = core.Episode("e", obs, speed.astype(np.float32), angle.tolist(), {})
+        ep = core.Episode("e", obs, speed.astype(np.float32), angle.tolist())
         assert len(ep) == 5 and ep.obs_dim == 3
         assert ep.speed.dtype == ep.angle.dtype == ep.obs.dtype == np.float64
         assert np.array_equal(ep.speed, speed)
@@ -87,7 +87,7 @@ class TestOwnership:
                  "score": np.array([0.5, 0.25])}
         normalizer = {"obs_mean": np.zeros(3), "obs_std": np.ones(3)}
         built = [
-            (core.Episode("e", obs, speed, angle, {}), {"obs": obs, "speed": speed, "angle": angle}),
+            (core.Episode("e", obs, speed, angle), {"obs": obs, "speed": speed, "angle": angle}),
             (Labels(episode_ids=("e",), **labels), labels),
             (PolicyScoreTrace("p", ("e",), **score), score),
             (core.Normalizer(0.0, 1.0, 0.0, 1.0, **normalizer), normalizer),
@@ -101,7 +101,7 @@ class TestOwnership:
 
     def test_read_only_arrays_are_shared(self):
         obs, speed, angle = (core._frozen(a) for a in _columns())
-        ep = core.Episode("e", obs, speed, angle, {})
+        ep = core.Episode("e", obs, speed, angle)
         assert ep.obs is obs and ep.speed is speed and ep.angle is angle
 
 
@@ -354,7 +354,7 @@ class TestEpisodeFiles:
         (3.0 MiB of obs) its traced peak stays under the codec's 2 MiB gate."""
         rng = np.random.default_rng(3)
         episodes = [core.Episode(f"e{i}", rng.standard_normal((1536, 64)), rng.uniform(20, 100, 1536),
-                                 rng.uniform(-30, 30, 1536), {}) for i in range(4)]
+                                 rng.uniform(-30, 30, 1536)) for i in range(4)]
         assert sum(ep.obs.nbytes for ep in episodes) == 3 << 20
         tracemalloc.start()
         try:

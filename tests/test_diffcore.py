@@ -92,7 +92,7 @@ class TestPrimitiveGradients:
         store = ParameterStore()
         a = store.add("a", RNG.standard_normal((3, 2)))
         b = store.add("b", RNG.standard_normal((3, 3)))
-        _check(lambda: _weighted_sum(narrow(concat([a, b], axis=1), 1, 1, 4)), store)
+        _check(lambda: _weighted_sum(narrow(concat([a, b]), 1, 1, 4)), store)
 
     def test_reshape(self):
         store = ParameterStore()
@@ -122,7 +122,7 @@ class TestPrimitiveGradients:
         store = ParameterStore()
         a = store.add("a", RNG.standard_normal((6, 2)))
         labels = np.array([0, 1, 1, 0, 1, 0])
-        _check(lambda: cross_entropy_loss(a, labels), store)
+        _check(lambda: cross_entropy_loss(a, labels, np.ones(2)), store)
         _check(lambda: cross_entropy_loss(a, labels, np.array([0.5, 1.5])), store)
 
     def test_linear_node(self):
@@ -294,7 +294,7 @@ class TestLstmSeq:
         assert np.array_equal(stacked.data, np.concatenate([c.data for c in chains], axis=1))
 
         grads = []
-        for out in (stacked, concat(chains, axis=1)):
+        for out in (stacked, concat(chains)):
             store.zero_grads()
             _weighted_sum(out).backward()
             grads.append({name: t.grad for name, t in store.items()})
@@ -347,7 +347,7 @@ class TestOpContracts:
     def test_cross_entropy_uniform_logits(self):
         logits = Tensor(np.zeros((1, 2)), requires_grad=True)
         for label in (0, 1):
-            loss = cross_entropy_loss(logits, np.array([label]))
+            loss = cross_entropy_loss(logits, np.array([label]), np.ones(2))
             assert float(loss.data) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_lstm_all_zero(self):
@@ -475,9 +475,9 @@ class TestNoGrad:
     @staticmethod
     def _outputs(store, arch, inputs):
         out_a, out_s = driver_forward(store, arch, *inputs, mode="train", rng=np.random.default_rng(4))
-        logits = concat([out_a, out_s], axis=1)
+        logits = concat([out_a, out_s])
         loss = add(l2_loss(out_a, np.zeros((6, 1))), scale(l2_loss(out_s, np.ones((6, 1))), 0.5))
-        return [out_a, out_s, loss, cross_entropy_loss(logits, np.array([0, 1, 1, 0, 1, 0]))]
+        return [out_a, out_s, loss, cross_entropy_loss(logits, np.array([0, 1, 1, 0, 1, 0]), np.ones(2))]
 
     def test_outputs_match_a_recorded_forward_and_record_nothing(self):
         driver = _small_driver()

@@ -15,7 +15,6 @@ from drivlab.diffcore import adam_step, add, l2_loss, scale
 from drivlab.driver import (
     BackboneArch,
     TrainConfig,
-    _eval_loss,
     _predict_normalized,
     batch_inputs,
     constant_mean_mae,
@@ -29,10 +28,10 @@ from drivlab.driver import (
     train_driver,
     windows_to_arrays,
 )
+from drivlab.config import PipelineConfig
 from drivlab.errors import NumericalError, ValidationError
 from drivlab.failure import (
     CANONICAL_THRESHOLDS,
-    DEFAULT_HORIZON,
     HazardNet,
     hazard_forward,
     init_hazard_params,
@@ -43,6 +42,13 @@ from drivlab.failure import (
 from conftest import all_windows, small_world, windows_of_rows
 from drivlab import simgen
 from oracles import gathered_forward, materialized_arrays, mc_predict_loop
+
+
+def _val_loss(windows):
+    """The validation loss ``train_driver`` reports on ``windows`` after one
+    epoch on the first 64 of them."""
+    _, history = train_driver(windows[:64], TrainConfig(epochs=1, seed=0), val_windows=windows)
+    return history[0]["val_loss"]
 
 
 def _constant_windows(n=40, angle=5.0, speed=50.0, d=16, k=4):
@@ -138,7 +144,7 @@ class TestInferenceChunks:
             *predict_batch(net, windows),
             predict_hazard_batch(pipe["hazard"], windows),
             *mc_predict_batch(net, windows, 4, np.random.default_rng(5)),
-            np.array(_eval_loss(net, windows_to_arrays(windows, net.normalizer), 1.0)),
+            np.array(_val_loss(windows)),
         )
 
     def test_results_do_not_depend_on_chunk_size(self, tiny_pipeline, monkeypatch):
@@ -174,7 +180,7 @@ class TestInferenceChunks:
             assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
     def test_empty_windows_give_empty_results(self, tiny_pipeline):
-        one_step = core.Episode("e", np.zeros((1, 16)), np.array([50.0]), np.array([0.0]), {})
+        one_step = core.Episode("e", np.zeros((1, 16)), np.array([50.0]), np.array([0.0]))
         empty = core.make_windows(one_step, k=1)
         angles, speeds = mc_predict_batch(tiny_pipeline["driver"], empty, 3, np.random.default_rng(0))
         assert angles.shape == speeds.shape == (3, 0)
@@ -195,7 +201,7 @@ class TestDistinctFrames:
         if subset == "dense":  # consecutive windows of one episode
             return windows[windows.ep == 0]
         if subset == "scenes":  # one window per horizon, as eval scores them: no frame shared
-            return windows[:: DEFAULT_HORIZON + 1]
+            return windows[:: PipelineConfig().m + 1]
         if subset == "shuffled":
             return windows[np.random.default_rng(4).permutation(len(windows))[:600]]
         return windows[100:700]  # the first 512-row chunk crosses episode boundaries
@@ -329,7 +335,7 @@ class TestMemory:
         frames is 15 MiB, more than any of their traced peaks may reach."""
         rng = np.random.default_rng(11)
         episodes = [core.Episode(f"e{i}", rng.standard_normal((1540, 64)), rng.uniform(20, 100, 1540),
-                                 rng.uniform(-30, 30, 1540), {}) for i in range(4)]
+                                 rng.uniform(-30, 30, 1540)) for i in range(4)]
         windows = core.make_windows(*episodes, k=4)
         frame_copy = len(windows) * 5 * 64 * 8 / MIB
         assert len(windows) == 6144 and frame_copy == 15.0
@@ -341,8 +347,9 @@ class TestMemory:
         labels = np.arange(len(windows)) % 2
         paths = {
             "fit_normalizer": lambda: core.fit_normalizer(windows),
-            "train": lambda: train_failure(windows, labels, TrainConfig(epochs=1, batch_size=32), normalizer, middle),
-            "validate": lambda: _eval_loss(net, windows_to_arrays(windows, normalizer), 1.0),
+            "train": lambda: train_failure(windows, labels, TrainConfig(epochs=1, batch_size=32), normalizer,
+                                           middle, 8),
+            "validate": lambda: _val_loss(windows),
             "eval_mae": lambda: driver_mod.eval_mae(windows, predict_batch(net, windows)),
             "predict": lambda: predict_batch(net, windows),
             "mc_predict": lambda: mc_predict_batch(net, windows, 2, np.random.default_rng(0)),
@@ -422,6 +429,18 @@ class TestTraining:
         h1 = train_driver(windows, TrainConfig(epochs=2, seed=6))[1]
         h2 = train_driver(windows, TrainConfig(epochs=2, seed=6))[1]
         assert h1 == h2
+
+    @pytest.mark.parametrize("lam", [1.0, 0.37, 0.0])
+    def test_validation_loss_is_the_training_loss_over_all_rows(self, small_windows_module, lam):
+        # l2(angle) + lam * l2(speed) of the trained net's normalized outputs, bit for bit
+        train, val = small_windows_module[:64], small_windows_module[64:300]
+        net, history = train_driver(train, TrainConfig(epochs=1, seed=9, lam=lam), val_windows=val)
+        data = windows_to_arrays(val, net.normalizer)
+        out_a, out_s = _predict_normalized(net, data)
+        want = float(np.mean((out_a - data["tgt_a"]) ** 2))
+        if lam > 0:
+            want += lam * float(np.mean((out_s - data["tgt_s"]) ** 2))
+        assert history[0]["val_loss"] == want
 
     def test_loss_decreases_on_subsample(self, small_windows_module):
         windows = small_windows_module[::10]

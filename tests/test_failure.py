@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from drivlab import core, failure
 from drivlab.driver import TrainConfig, predict_batch
-from drivlab.errors import SplitLeakageError, ValidationError
+from drivlab.errors import ValidationError
 from drivlab.failure import (
     CANONICAL_THRESHOLDS,
     Labels,
@@ -16,6 +16,7 @@ from drivlab.failure import (
     horizon_failures,
     predict_hazard_batch,
     read_labels_csv,
+    split_predictions,
     step_failures,
     train_failure,
     write_labels_csv,
@@ -188,20 +189,6 @@ class TestBuildFailureDataset:
 
         return simgen.generate_dataset(small_world(episode_length=length), n, base_seed=40)
 
-    def test_leakage_refused(self, tiny_pipeline):
-        net = tiny_pipeline["driver"]
-        with pytest.raises(SplitLeakageError, match="trained on it"):
-            build_failure_dataset(net, tiny_pipeline["d1"], split="D1",
-                                  th=CANONICAL_THRESHOLDS["middle"])
-
-    def test_leakage_override(self, tiny_pipeline):
-        net = tiny_pipeline["driver"]
-        ds = build_failure_dataset(
-            net, tiny_pipeline["d1"][:2], split="D1",
-            th=CANONICAL_THRESHOLDS["middle"], allow_leakage=True,
-        )
-        assert len(ds.rows) > 0
-
     def test_perfect_oracle_all_safe(self, tiny_pipeline, monkeypatch):
         net = tiny_pipeline["driver"]
 
@@ -209,8 +196,8 @@ class TestBuildFailureDataset:
             return windows.target_angle, windows.target_speed
 
         monkeypatch.setattr(failure, "predict_batch", perfect)
-        ds = build_failure_dataset(net, self._episodes(), split="D2",
-                                   th=CANONICAL_THRESHOLDS["middle"])
+        ds = build_failure_dataset(split_predictions(net, self._episodes()), "D2",
+                                   CANONICAL_THRESHOLDS["middle"], 8)
         assert len(ds.rows) > 0
         assert ds.hazard_fraction == 0.0
         assert not ds.rows.g.any() and not ds.rows.g_horizon.any()
@@ -223,15 +210,15 @@ class TestBuildFailureDataset:
             return np.full(n, 700.0), np.full(n, 0.0)
 
         monkeypatch.setattr(failure, "predict_batch", far)
-        ds = build_failure_dataset(net, self._episodes(), split="D2",
-                                   th=CANONICAL_THRESHOLDS["middle"])
+        ds = build_failure_dataset(split_predictions(net, self._episodes()), "D2",
+                                   CANONICAL_THRESHOLDS["middle"], 8)
         assert ds.hazard_fraction == 1.0
 
     def test_drop_count_and_row_range(self, tiny_pipeline):
         net = tiny_pipeline["driver"]
         eps = self._episodes(n=2, length=30)
         m = 8
-        ds = build_failure_dataset(net, eps, split="D2", th=CANONICAL_THRESHOLDS["middle"], m=m)
+        ds = build_failure_dataset(split_predictions(net, eps), "D2", CANONICAL_THRESHOLDS["middle"], m)
         # windows exist at t in [4, 29]; horizon rows stop at t = 29 - m
         assert ds.n_dropped == 2 * m
         assert np.all((4 <= ds.rows.t) & (ds.rows.t <= 29 - m))
@@ -265,11 +252,10 @@ class TestBuildFailureDataset:
 
 class TestThresholdNesting:
     def test_hazard_sets_nest_across_canonical_triples(self, tiny_pipeline):
-        net = tiny_pipeline["driver"]
-        d3 = tiny_pipeline["d3"]
+        predictions = split_predictions(tiny_pipeline["driver"], tiny_pipeline["d3"])
         sets = {}
         for name in ("tight", "middle", "loose"):
-            ds = build_failure_dataset(net, d3, split="D3", th=CANONICAL_THRESHOLDS[name])
+            ds = build_failure_dataset(predictions, "D3", CANONICAL_THRESHOLDS[name], 8)
             sets[name] = {
                 "step": set(row_positions(ds.rows, ds.rows.g == 1)),
                 "horizon": set(row_positions(ds.rows, ds.rows.g_horizon == 1)),
@@ -302,9 +288,9 @@ class TestLabelsCsv:
                 copied.append(out.dtype)
             return out
 
+        predictions = split_predictions(tiny_pipeline["driver"], tiny_pipeline["d3"])
         monkeypatch.setattr(failure, "_readonly", spy)
-        ds = build_failure_dataset(tiny_pipeline["driver"], tiny_pipeline["d3"], split="D3",
-                                   th=CANONICAL_THRESHOLDS["middle"], m=8)
+        ds = build_failure_dataset(predictions, "D3", CANONICAL_THRESHOLDS["middle"], 8)
         assert len(ds.rows) > 0 and copied == []
         path = tmp_path / "labels.csv"
         write_labels_csv(path, ds)
@@ -340,7 +326,7 @@ class TestHazardNet:
         with pytest.raises(ValidationError, match="degenerate label distribution"):
             train_failure(
                 windows, np.zeros(20, dtype=np.int64), TrainConfig(epochs=1, seed=0),
-                normalizer=norm, thresholds=CANONICAL_THRESHOLDS["middle"],
+                normalizer=norm, thresholds=CANONICAL_THRESHOLDS["middle"], m=8,
             )
 
     def test_uniform_logits_give_half_probability(self):
@@ -373,7 +359,7 @@ class TestHazardNet:
         norm = core.fit_normalizer(train_w)
         net, _ = train_failure(
             train_w, train_y, TrainConfig(epochs=14, seed=3, dropout_p=0.0),
-            normalizer=norm, thresholds=CANONICAL_THRESHOLDS["middle"],
+            normalizer=norm, thresholds=CANONICAL_THRESHOLDS["middle"], m=8,
         )
         probs = predict_hazard_batch(net, test_w)
         assert auc(probs, test_y) >= 0.95

@@ -7,8 +7,10 @@ import pytest
 
 from drivlab import core, driver, failure, pipeline
 from drivlab.config import PipelineConfig, parse_budgets, parse_kv_file
-from drivlab.errors import MissingArtifactError, ValidationError
+from drivlab.errors import MissingArtifactError, SplitLeakageError, ValidationError
 from drivlab.pipeline import STAGES, art_labels, derived_seed, run_all, run_stage, stage_label
+
+from conftest import assert_same_episodes
 
 
 class TestKvFile:
@@ -127,6 +129,25 @@ class TestStages:
                 assert (alone / name).read_bytes() == (tmp_path / name).read_bytes(), name
         assert len(passes) == 2 + 6
 
+
+    def test_gen_leaves_the_episodes_its_file_reads_back(self, tmp_path):
+        """The episodes gen leaves in the memo for run_all's later stages are
+        those the staged CLI reads from the episode file."""
+        cfg = PipelineConfig(episodes=5, episode_length=40, seed=3)
+        cache: dict = {}
+        path = run_stage("gen", cfg, tmp_path, cache)
+        kept = pipeline._memo(cache, path, lambda _: pytest.fail("gen kept no episodes"))
+        assert_same_episodes(kept, core.read_episodes(path))
+
+    def test_label_refuses_the_training_split_before_predicting(self, tmp_path, monkeypatch):
+        cfg = PipelineConfig(episodes=6, episode_length=40, driver_epochs=1)
+        for name in ("gen", "split", "train-driver"):
+            run_stage(name, cfg, tmp_path)
+        monkeypatch.setattr(failure, "predict_batch", lambda *args: pytest.fail("predicted"))
+        inputs = [tmp_path / name for name in ("episodes.txt", "splits.tsv", "driver.ckpt")]
+        with pytest.raises(SplitLeakageError, match="the driver was trained on it"):
+            stage_label(cfg, *inputs, "D1", tmp_path, {})
+        assert not list(tmp_path.glob("labels_*"))
 
     def test_run_all_runs_the_driver_once_per_split(self, tmp_path, monkeypatch):
         """Under run_all, label takes train-driver's D3 predictions from the

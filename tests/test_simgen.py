@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,25 +8,24 @@ from scipy import stats
 from drivlab import core, simgen
 from drivlab.errors import ValidationError
 
-from conftest import small_world
+from conftest import assert_same_episodes, small_world
 from oracles import WorldState, oracle_action, zone_schedule
 
 # high curvature, dense intersections, full congestion, no visibility
 EXTREME = dict(curvature_sigma=0.05, curvature_jump_prob=0.2, congestion_level=1.0, visibility=0.0)
 
 
-def state_at(episode, t):
-    """The latent WorldState at step t, from a generated episode's difficulty trace."""
-    meta = episode.meta
+def state_at(latent, t):
+    """The WorldState at step t of a generated episode's latent state."""
     return WorldState(
-        curvature=float(meta["curvature"][t]),
-        dist_to_intersection=int(meta["dist_next"][t]),
-        in_zone=bool(meta["zone_mask"][t]),
-        zone_progress=float(meta["zone_progress"][t]),
-        branch_sign=int(meta["branch"][t]),
-        lead_gap=float(meta["lead_gap"][t]),
-        congestion=meta["congestion"],
-        visibility=meta["visibility"],
+        curvature=float(latent["curvature"][t]),
+        dist_to_intersection=int(latent["dist_next"][t]),
+        in_zone=bool(latent["zone_mask"][t]),
+        zone_progress=float(latent["zone_progress"][t]),
+        branch_sign=int(latent["branch"][t]),
+        lead_gap=float(latent["lead_gap"][t]),
+        congestion=latent["congestion"],
+        visibility=latent["visibility"],
     )
 
 
@@ -36,12 +36,18 @@ class TestDeterminism:
             core.write_episodes(tmp_path / name, eps)
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
+    def test_dataset_holds_the_simulated_episodes(self, fleet):
+        # generate_dataset and generate_episode keep the episode of simulate_episode, not its latent
+        episodes = simgen.generate_dataset(small_world(episode_length=150), 100, base_seed=900)
+        assert_same_episodes(episodes, [ep for ep, _ in fleet])
+        assert_same_episodes([simgen.generate_episode(small_world(episode_length=150, seed=900), "ep000000")], episodes[:1])
+
     def test_knob_isolation(self):
         # changing congestion must not reshuffle the curvature stream
-        a = simgen.generate_episode(small_world(seed=5, congestion_level=0.0), "e")
-        b = simgen.generate_episode(small_world(seed=5, congestion_level=1.0), "e")
-        assert np.array_equal(a.meta["curvature"], b.meta["curvature"])
-        assert np.array_equal(a.meta["zone_mask"], b.meta["zone_mask"])
+        _, a = simgen.simulate_episode(small_world(seed=5, congestion_level=0.0), "e")
+        _, b = simgen.simulate_episode(small_world(seed=5, congestion_level=1.0), "e")
+        assert np.array_equal(a["curvature"], b["curvature"])
+        assert np.array_equal(a["zone_mask"], b["zone_mask"])
 
 
 class TestOracleClosedForm:
@@ -49,8 +55,8 @@ class TestOracleClosedForm:
 
     def test_angle_equals_curvature_tracking_law(self):
         cfg = small_world(seed=13, **self.CFG)
-        ep = simgen.generate_episode(cfg, "e")
-        curvature = np.array(ep.meta["curvature"])
+        ep, latent = simgen.simulate_episode(cfg, "e")
+        curvature = np.array(latent["curvature"])
         expected = np.clip(cfg.steer_gain * curvature, core.ANGLE_MIN, core.ANGLE_MAX)
         assert np.array_equal(ep.angle, expected)
 
@@ -75,8 +81,8 @@ class TestIntersectionProcess:
         assert abs(mean - 4.0) < half
 
     def test_zones_never_overlap(self):
-        ep = simgen.generate_episode(small_world(seed=8, intersection_rate=8.0), "e")
-        mask = np.array(ep.meta["zone_mask"])
+        _, latent = simgen.simulate_episode(small_world(seed=8, intersection_rate=8.0), "e")
+        mask = np.array(latent["zone_mask"])
         starts = np.flatnonzero(np.diff(np.concatenate([[0], mask.astype(int)])) == 1)
         for s in starts:
             assert mask[s : s + simgen.ZONE_LENGTH].all() or s + simgen.ZONE_LENGTH > len(mask)
@@ -85,9 +91,9 @@ class TestIntersectionProcess:
         # queued zones must restart the turn ramp, not continue it
         found_back_to_back = False
         for seed in range(30):
-            ep = simgen.generate_episode(small_world(seed=seed, intersection_rate=15.0), "e")
-            progress = np.array(ep.meta["zone_progress"])
-            mask = np.array(ep.meta["zone_mask"])
+            _, latent = simgen.simulate_episode(small_world(seed=seed, intersection_rate=15.0), "e")
+            progress = np.array(latent["zone_progress"])
+            mask = np.array(latent["zone_mask"])
             assert np.all((0.0 <= progress) & (progress < 1.0))
             runs = np.flatnonzero(np.diff(np.concatenate([[0], mask.astype(int)])) == 1)
             for s in runs:
@@ -126,13 +132,13 @@ class TestOracleAction:
         worlds = ({}, {**EXTREME, "intersection_rate": 20.0}, {**EXTREME, "intersection_rate": 100.0})
         for world, seed in itertools.product(worlds, range(8)):
             cfg = simgen.WorldConfig(seed=seed, **world)
-            ep = simgen.generate_episode(cfg, "e")
+            ep, latent = simgen.simulate_episode(cfg, "e")
             reference = zone_schedule(cfg, len(ep))
             names = ("zone_mask", "branch", "dist_next", "zone_progress")
             for name, want in zip(names, reference):
-                assert ep.meta[name].dtype == want.dtype and np.array_equal(ep.meta[name], want), name
-            assert ep.meta["n_intersections"] == reference[-1]
-            angle, speed = np.array([oracle_action(state_at(ep, t), cfg) for t in range(len(ep))]).T
+                assert latent[name].dtype == want.dtype and np.array_equal(latent[name], want), name
+            assert latent["n_intersections"] == reference[-1]
+            angle, speed = np.array([oracle_action(state_at(latent, t), cfg) for t in range(len(ep))]).T
             assert np.array_equal(ep.angle.view(np.int64), angle.view(np.int64))
             assert np.array_equal(ep.speed.view(np.int64), speed.view(np.int64))
 
@@ -149,9 +155,9 @@ class TestStraightBranchPassage:
     def test_angle_stays_small(self):
         checked = 0
         for seed in range(40):
-            ep = simgen.generate_episode(small_world(seed=seed, intersection_rate=6.0), "e")
-            mask = np.array(ep.meta["zone_mask"])
-            branch = np.array(ep.meta["branch"])
+            ep, latent = simgen.simulate_episode(small_world(seed=seed, intersection_rate=6.0), "e")
+            mask = np.array(latent["zone_mask"])
+            branch = np.array(latent["branch"])
             angles = ep.angle
             inside_straight = mask & (branch == 0)
             if inside_straight.any():
@@ -162,15 +168,17 @@ class TestStraightBranchPassage:
 
 @pytest.fixture(scope="module")
 def fleet():
-    return simgen.generate_dataset(small_world(episode_length=150), 100, base_seed=900)
+    """(episode, latent) pairs of the 100 episodes ``generate_dataset`` makes from seed 900."""
+    cfg = small_world(episode_length=150)
+    return [simgen.simulate_episode(replace(cfg, seed=900 + i), f"ep{i:06d}") for i in range(100)]
 
 
 class TestPlantedDifficulty:
 
     def test_zone_speed_strictly_lower(self, fleet):
         inside, outside = [], []
-        for ep in fleet:
-            mask = np.array(ep.meta["zone_mask"])
+        for ep, latent in fleet:
+            mask = np.array(latent["zone_mask"])
             speeds = ep.speed
             inside.extend(speeds[mask])
             outside.extend(speeds[~mask])
@@ -181,9 +189,9 @@ class TestPlantedDifficulty:
         # channel means must be indistinguishable (Welch test, Bonferroni at 0.01)
         lead = 4
         left, right = [], []
-        for ep in fleet:
-            mask = np.array(ep.meta["zone_mask"], dtype=bool)
-            branch = np.array(ep.meta["branch"])
+        for ep, latent in fleet:
+            mask = np.array(latent["zone_mask"], dtype=bool)
+            branch = np.array(latent["branch"])
             starts = np.flatnonzero(np.diff(np.concatenate([[0], mask.astype(int)])) == 1)
             for s in starts:
                 if s - lead < 0:
@@ -217,9 +225,9 @@ class TestConfigValidation:
         # distances and gaps never go negative; with no zone ahead the distance is the length
         for world in ({}, {**EXTREME, "intersection_rate": 60.0}, {"intersection_rate": 0.0}):
             for seed in range(5):
-                ep = simgen.generate_episode(small_world(seed=seed, **world), "e")
-                dist, mask = ep.meta["dist_next"], ep.meta["zone_mask"]
-                assert dist.min() >= 0 and ep.meta["lead_gap"].min() >= 0
-                last_start = np.flatnonzero(mask & (ep.meta["zone_progress"] == 0))[-1:]
+                ep, latent = simgen.simulate_episode(small_world(seed=seed, **world), "e")
+                dist, mask = latent["dist_next"], latent["zone_mask"]
+                assert dist.min() >= 0 and latent["lead_gap"].min() >= 0
+                last_start = np.flatnonzero(mask & (latent["zone_progress"] == 0))[-1:]
                 after = slice(last_start[0] + 1 if len(last_start) else 0, None)
                 assert np.all(dist[after][~mask[after]] == len(ep))

@@ -23,12 +23,10 @@ from drivlab.driver import (
     save_driver,
 )
 from drivlab.errors import DrivlabError, ValidationError, exit_code_for
-from drivlab.evaluate import SCORE_TABLE, SCORES_FORMAT, SCORES_HEADER, PolicyScoreTrace, read_scores_csv
+from drivlab.evaluate import SCORE_TABLE, PolicyScoreTrace, read_scores_csv
 from drivlab.failure import (
     CANONICAL_THRESHOLDS,
     LABEL_TABLE,
-    LABELS_FORMAT,
-    LABELS_HEADER,
     HazardNet,
     Labels,
     init_hazard_params,
@@ -109,9 +107,9 @@ VALID = {
                 "ep0,1,11.0,-2.0,0.3,0.4\nep1,0,0.0,0.0,0.5,0.6\n"),
     "split": (core.read_split_manifest, f"{core.SPLIT_FORMAT}\n# seed 1\n# episodes 00ff\n"
               "e0\tD1\ne1\tD2\ne2\tD3\ne3\tD1\n"),
-    "label": (read_labels_csv, f"{LABELS_FORMAT}\n# split D3\n# m 8\n{LABELS_HEADER}\n"
+    "label": (read_labels_csv, f"{LABEL_TABLE.magic}\n# split D3\n# m 8\n{LABEL_TABLE.header}\n"
               "ep0,2,0,0,0,1,0.5,20.0,0.4,21.0\nep0,3,1,0,1,1,0.5,20.0,9.4,21.0\nep1,0,0,1,1,1,0.0,1.0,0.0,9.0\n"),
-    "score": (read_scores_csv, f"{SCORES_FORMAT}\n# policy learned\n# split D3\n{SCORES_HEADER}\n"
+    "score": (read_scores_csv, f"{SCORE_TABLE.magic}\n# policy learned\n# split D3\n{SCORE_TABLE.header}\n"
               "ep0,2,0.25\nep1,4,0.75\n"),
 }
 
@@ -124,7 +122,7 @@ def _coded(cols):
 
 # table kind -> (its schema, the constructor of its in-memory columns from the columns read)
 IN_MEMORY = {
-    "episode": (core.EPISODE_TABLE, lambda c: core.Episode("ep0", c["obs"], c["speed"], c["angle"], {})),
+    "episode": (core.EPISODE_TABLE, lambda c: core.Episode("ep0", c["obs"], c["speed"], c["angle"])),
     "label": (LABEL_TABLE, lambda c: Labels(*_coded(c), **{
         col.name: c[col.name] for col in LABEL_TABLE.columns if col.name != "episode_id"})),
     "score": (SCORE_TABLE, lambda c: PolicyScoreTrace("learned", *_coded(c), c["t"], c["score"])),
