@@ -236,7 +236,7 @@ def flag_error(rows: Labels, th: Thresholds, m: int) -> tuple[int, str] | None:
     flags = step_failures((rows.pred_angle, rows.pred_speed), (rows.true_angle, rows.true_speed), th)
     start, stop = step_spans(rows, rows.ep, rows.t, m)
     failing = np.concatenate([[0], np.cumsum(rows.g, dtype=np.int64)])
-    seen = (failing[stop] - failing[start] > 0).astype(np.int64)
+    seen = failing[stop] - failing[start] > 0
     full = stop - start == m + 1
     checks = [(getattr(rows, name) != flag, f"{name} does not follow from the values at the file's thresholds")
               for name, flag in zip(("g_a", "g_s", "g"), flags)]
