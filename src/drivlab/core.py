@@ -194,7 +194,9 @@ class Windows:
     windows reference. Window i ends at row ``end[i]``, which is step
     ``t[i]`` of episode ``episode_ids[ep[i]]``: its k+1 observation frames are
     rows end-k..end, its past speeds/angles rows end-k..end-1 and its targets
-    row end. Slicing selects windows and shares the columns.
+    row end. Slicing selects windows and shares the columns. These columns
+    are the only copy of the inputs: ``driver.batch_inputs`` and
+    ``driver.batch_targets`` gather and normalize one batch's rows of them.
     """
 
     obs: np.ndarray  # (rows, obs_dim)

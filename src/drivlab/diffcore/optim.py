@@ -12,18 +12,19 @@ class ParameterStore:
     """Ordered name -> Tensor map plus Adam moment buffers.
 
     All parameters live in one flat float64 buffer, in insertion order, and
-    each parameter's ``data`` is a view into it; the Adam moments are flat
-    buffers of the same layout. Adding a parameter grows the buffers and
-    rebinds every parameter's view. The step count is shared per store (one
-    optimizer instance).
+    each parameter's ``data`` is a view into it. Adding a parameter grows the
+    buffer and rebinds every parameter's view. The Adam moments are flat
+    buffers of the same layout, allocated by the first ``adam_step``, so a
+    store that only predicts holds none. The step count is shared per store
+    (one optimizer instance).
     """
 
     def __init__(self) -> None:
         self._params: dict[str, Tensor] = {}
         self._spans: list[tuple[Tensor, int, int]] = []  # (param, lo, hi) in the flat buffers
         self._flat = np.zeros(0)
-        self._m = np.zeros(0)
-        self._v = np.zeros(0)
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
         self.step_count = 0
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
@@ -31,10 +32,7 @@ class ParameterStore:
             raise ValidationError(f"duplicate parameter {name!r}")
         data = np.asarray(data, dtype=np.float64)
         lo = self._flat.size
-        self._flat, self._m, self._v = (
-            np.concatenate([buf, np.zeros(data.size)]) for buf in (self._flat, self._m, self._v)
-        )
-        self._flat[lo:] = data.reshape(-1)
+        self._flat = np.concatenate([self._flat, data.reshape(-1)])
         for p, a, b in self._spans:
             p.data = self._flat[a:b].reshape(p.data.shape)
         t = Tensor(self._flat[lo:].reshape(data.shape), requires_grad=True)
@@ -56,6 +54,12 @@ class ParameterStore:
 
     def items(self):
         return self._params.items()
+
+    def free_moments(self) -> None:
+        """End the optimizer's run: drop the Adam moments and the step count,
+        so a net that only predicts holds no optimizer state."""
+        self._m = self._v = None
+        self.step_count = 0
 
     def zero_grads(self) -> None:
         for t in self._params.values():
@@ -90,6 +94,8 @@ def adam_step(
     if not store.any_grad():
         raise ValidationError("adam_step called with no gradients; run backward() first")
     g = store.flat_grad()
+    if store._m is None:
+        store._m, store._v = np.zeros_like(store._flat), np.zeros_like(store._flat)
     store.step_count += 1
     t = store.step_count
     bc1 = 1.0 - beta1 ** t

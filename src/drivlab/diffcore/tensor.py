@@ -176,7 +176,11 @@ def concat(tensors: list[Tensor]) -> Tensor:
 def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: train/mc sample a mask scaled by 1/(1-p) so the
     expected output equals the eval output; eval is the identity. ``mc``
-    keeps sampling at inference for the uncertainty baseline."""
+    keeps sampling at inference for the uncertainty baseline.
+
+    The tape keeps the boolean keep-mask (1 byte a value) and scales where
+    it is used: ``(x * keep) * s`` is ``x * s`` where kept and ``x * 0.0``
+    elsewhere, the bits of ``x`` times the float mask ``keep * s``."""
     if mode not in DROPOUT_MODES:
         raise ValidationError(f"dropout mode must be one of {DROPOUT_MODES}, got {mode!r}")
     if not 0.0 <= p < 1.0:
@@ -185,12 +189,18 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = No
         return x
     if rng is None:
         raise ValidationError("dropout in train/mc mode needs an rng")
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
+    keep = rng.random(x.data.shape) >= p
+    s = 1.0 / (1.0 - p)
 
     def backward(out):
-        _accum(x, out.grad * mask)
+        g = out.grad  # the node's own gradient, consumed with it
+        g *= keep
+        g *= s
+        _accum(x, g)
 
-    return _out(x.data * mask, (x,), backward)
+    y = x.data * keep
+    y *= s
+    return _out(y, (x,), backward)
 
 
 def l2_loss(pred: Tensor, target: np.ndarray) -> Tensor:

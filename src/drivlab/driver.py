@@ -202,32 +202,18 @@ def driver_forward(
     return out_a, out_s
 
 
-def windows_to_arrays(windows: Windows, normalizer: Normalizer) -> dict[str, np.ndarray]:
-    """Normalized model inputs and targets. The rows the windows span are
-    normalized once; ``obs`` stays a column and ``frames`` holds each
-    window's rows end-k..end in it, so a window's frames are gathered only
-    with its batch (``batch_inputs``). The past speeds and angles are
-    gathered here."""
-    frames = windows.end[:, None] + np.arange(-windows.k, 1)
-    lo, hi = (int(frames.min()), int(frames.max()) + 1) if frames.size else (0, 0)
-    obs, speed, angle = (normalizer.normalize(getattr(windows, c)[lo:hi], c)
-                         for c in ("obs", "speed", "angle"))
-    frames -= lo
-    end, past = frames[:, -1:], frames[:, :-1]
-    return {"obs": obs, "frames": frames, "spd": speed[past], "ang": angle[past],
-            "tgt_a": angle[end], "tgt_s": speed[end]}
-
-
-def batch_inputs(data: Mapping[str, np.ndarray], rows, distinct: bool = False
+def batch_inputs(windows: Windows, normalizer: Normalizer, rows, distinct: bool = False
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(frames, index, spd, ang) of the windows ``rows`` (an index array or
-    a slice) of ``windows_to_arrays`` output: ``frames`` holds normalized
-    frame rows and ``index``, (B, k+1), each window's rows in it. By default
-    every window's frames are gathered step-major (row ``t*B + b`` is frame
-    ``t`` of window ``b``), the layout a recording forward needs. With
-    ``distinct``, for inference, each frame the windows share is gathered
-    once, in column order."""
-    spans = data["frames"][rows]
+    a slice) of ``windows``: ``frames`` holds normalized frame rows and
+    ``index``, (B, k+1), each window's rows in it. Only the batch's rows are
+    gathered from the windows' columns and normalized; normalizing is
+    elementwise, so they get the bits of a whole-column normalization. By
+    default every window's frames are gathered step-major (row ``t*B + b``
+    is frame ``t`` of window ``b``), the layout a recording forward needs.
+    With ``distinct``, for inference, each frame the windows share is
+    gathered once, in column order."""
+    spans = windows.end[rows][:, None] + np.arange(-windows.k, 1)
     if distinct:
         # a mark per row of the chunk's span finds the distinct rows in order
         # without a sort; np.unique's sort code and temporaries raise the peak RSS
@@ -239,7 +225,15 @@ def batch_inputs(data: Mapping[str, np.ndarray], rows, distinct: bool = False
     else:
         used = spans.T.reshape(-1)
         index = np.arange(used.size).reshape(spans.shape[::-1]).T
-    return data["obs"][used], index, data["spd"][rows], data["ang"][rows]
+    past = spans[:, :-1]
+    return (normalizer.normalize(windows.obs[used], "obs"), index,
+            normalizer.normalize(windows.speed[past], "speed"), normalizer.normalize(windows.angle[past], "angle"))
+
+
+def batch_targets(windows: Windows, normalizer: Normalizer, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized (angle, speed) targets of the windows ``rows``, each (B, 1)."""
+    end = windows.end[rows][:, None]
+    return normalizer.normalize(windows.angle[end], "angle"), normalizer.normalize(windows.speed[end], "speed")
 
 
 def fit(name: str, windows: Windows, normalizer: Normalizer, cfg: TrainConfig, init, forward, loss,
@@ -248,18 +242,17 @@ def fit(name: str, windows: Windows, normalizer: Normalizer, cfg: TrainConfig, i
     shuffled batches; returns (arch, params, per-epoch history).
 
     A batch's loss is ``loss(forward(params, arch, frames, index, spd, ang,
-    mode, rng), data, idx)``: ``data`` holds the normalized arrays of all
-    windows and ``idx`` the batch's rows; only the batch's frames are
-    gathered.
+    mode, rng), windows, idx)``, ``idx`` being the batch's rows: each batch
+    gathers and normalizes its own inputs (``batch_inputs``), and the loss
+    its own targets, so no input array spans the split.
     ``validate(arch, params)`` adds a per-epoch ``val_loss``. Deterministic
     for a fixed cfg.seed: init, shuffling and dropout all draw from
-    seed-derived streams.
+    seed-derived streams. The Adam moments are freed when training ends.
     """
     arch = BackboneArch(obs_dim=windows.obs.shape[1], k=windows.k, dropout_p=cfg.dropout_p)
     streams = np.random.SeedSequence(cfg.seed).spawn(3)
     init_rng, shuffle_rng, drop_rng = (np.random.default_rng(s) for s in streams)
     params = init(arch, init_rng)
-    data = windows_to_arrays(windows, normalizer)
     n = len(windows)
     history: list[dict[str, float]] = []
     for epoch in range(cfg.epochs):
@@ -268,8 +261,8 @@ def fit(name: str, windows: Windows, normalizer: Normalizer, cfg: TrainConfig, i
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             try:
-                out = forward(params, arch, *batch_inputs(data, idx), mode="train", rng=drop_rng)
-                batch_loss = loss(out, data, idx)
+                out = forward(params, arch, *batch_inputs(windows, normalizer, idx), mode="train", rng=drop_rng)
+                batch_loss = loss(out, windows, idx)
             except NumericalError as exc:
                 raise NumericalError(f"{exc} (lr={cfg.lr}, epoch={epoch}, batch={batches})") from exc
             batch_loss.backward()
@@ -282,6 +275,7 @@ def fit(name: str, windows: Windows, normalizer: Normalizer, cfg: TrainConfig, i
         history.append(entry)
         log.info("%s epoch %d: %s", name, epoch,
                  " ".join(f"{key}={value:.6f}" for key, value in entry.items() if key != "epoch"))
+    params.free_moments()
     return arch, params, history
 
 
@@ -297,48 +291,48 @@ def train_driver(
         raise ValidationError("empty training set")
     normalizer = fit_normalizer(windows)
 
-    def loss(out, data, idx):
-        value = l2_loss(out[0], data["tgt_a"][idx])
-        return add(value, scale(l2_loss(out[1], data["tgt_s"][idx]), cfg.lam)) if cfg.lam > 0 else value
+    def loss(out, windows, idx):
+        tgt_a, tgt_s = batch_targets(windows, normalizer, idx)
+        value = l2_loss(out[0], tgt_a)
+        return add(value, scale(l2_loss(out[1], tgt_s), cfg.lam)) if cfg.lam > 0 else value
 
     def validate(arch, params):
-        outputs = forward_chunks(lambda *inputs: driver_forward(params, arch, *inputs), val_data)
+        outputs = forward_chunks(lambda *inputs: driver_forward(params, arch, *inputs), val_windows, normalizer)
         with no_grad():
-            return float(loss([Tensor(out) for out in outputs], val_data, slice(None)).data)
+            return float(loss([Tensor(out) for out in outputs], val_windows, slice(None)).data)
 
-    val_data = windows_to_arrays(val_windows, normalizer) if val_windows else None
     arch, params, history = fit("driver", windows, normalizer, cfg, init_driver_params, driver_forward,
-                                loss, validate if val_data else None)
+                                loss, validate if val_windows else None)
     return DriverNet(arch, params, normalizer, trained_on, cfg.seed), history
 
 
-def forward_chunks(forward, data: Mapping[str, np.ndarray]) -> list[np.ndarray]:
+def forward_chunks(forward, windows: Windows, normalizer: Normalizer) -> list[np.ndarray]:
     """Run ``forward(frames, index, spd, ang)``, which returns a tuple of
-    tensors, over the rows of ``data`` in chunks of ``PREDICT_BATCH`` under
+    tensors, over ``windows`` in chunks of ``PREDICT_BATCH`` under
     ``no_grad``; returns each output's values over all rows. Each chunk
-    gathers its own distinct frames, so a frame that several windows of the
-    chunk share is encoded once. A one-row remainder joins the chunk before
-    it, so no chunk is a single row."""
-    n = data["frames"].shape[0]
+    gathers and normalizes its own distinct frames (``batch_inputs``), so a
+    frame that several windows of the chunk share is encoded once. A one-row
+    remainder joins the chunk before it, so no chunk is a single row."""
+    n = len(windows)
     stops = [*range(PREDICT_BATCH, n - 1, PREDICT_BATCH), n] if n else []
     parts = []
     with no_grad():
         for start, stop in zip([0, *stops], stops):
-            outputs = forward(*batch_inputs(data, slice(start, stop), distinct=True))
+            outputs = forward(*batch_inputs(windows, normalizer, slice(start, stop), distinct=True))
             parts.append([out.data for out in outputs])
     return [np.concatenate(column) for column in zip(*parts)]
 
 
-def _predict_normalized(net: DriverNet, data: Mapping[str, np.ndarray]) -> list[np.ndarray]:
+def _predict_normalized(net: DriverNet, windows: Windows) -> list[np.ndarray]:
     """(angle, speed) head outputs in normalized space, each (N, 1)."""
-    return forward_chunks(lambda *inputs: driver_forward(net.params, net.arch, *inputs), data)
+    return forward_chunks(lambda *inputs: driver_forward(net.params, net.arch, *inputs), windows, net.normalizer)
 
 
 def predict_batch(net: DriverNet, windows: Windows) -> tuple[np.ndarray, np.ndarray]:
     """Denormalized, range-clipped (angle, speed) predictions."""
     if not windows:
         return np.empty(0), np.empty(0)
-    out_a, out_s = _predict_normalized(net, windows_to_arrays(windows, net.normalizer))
+    out_a, out_s = _predict_normalized(net, windows)
     angle = np.clip(net.normalizer.denormalize(out_a[:, 0], "angle"), ANGLE_MIN, ANGLE_MAX)
     speed = np.clip(net.normalizer.denormalize(out_s[:, 0], "speed"), SPEED_MIN, SPEED_MAX)
     return angle, speed
@@ -367,8 +361,7 @@ def mc_predict_batch(
         return angles, speeds
     params, arch = net.params, net.arch
     (trunk,) = forward_chunks(
-        lambda *inputs: (backbone_forward(params, arch, *inputs, "eval"),),
-        windows_to_arrays(windows, net.normalizer),
+        lambda *inputs: (backbone_forward(params, arch, *inputs, "eval"),), windows, net.normalizer,
     )
     with no_grad():
         for s in range(n_samples):

@@ -45,7 +45,6 @@ from .driver import (
     load_net,
     predict_batch,
     save_net,
-    windows_to_arrays,
 )
 from .errors import ValidationError
 
@@ -63,11 +62,14 @@ class Thresholds:
         check_keys(self, "thresholds")
 
 
+MAX_STEP = 1 << 31  # labeled steps t, and horizons m, lie in [0, MAX_STEP)
+
+
 @dataclass(frozen=True)
 class _Horizon(Thresholds):
     """The keys of ``horizon_meta``: the thresholds and the lookahead ``m``, in steps."""
 
-    m: int = key(domain="[0, inf)")
+    m: int = key(domain=f"[0, {MAX_STEP})")
 
 
 # the three canonical operating points, tight to loose
@@ -96,7 +98,6 @@ def horizon_from_meta(meta: Mapping[str, str]) -> tuple[Thresholds, int]:
     return Thresholds(horizon.t_angle, horizon.t_speed), horizon.m
 
 
-MAX_STEP = 1 << 31  # labeled steps t lie in [0, MAX_STEP)
 _FLAGS = ("g_a", "g_s", "g", "g_horizon")
 _VALUES = ("pred_angle", "pred_speed", "true_angle", "true_speed")
 _COLUMNS = ("ep", "t", *_FLAGS, *_VALUES)  # label file order, after the episode id
@@ -373,7 +374,7 @@ def train_failure(
     class_weights = counts.sum() / (2.0 * counts)
     arch, params, history = fit(
         "hazard", windows, normalizer, cfg, init_hazard_params, hazard_forward,
-        lambda logits, _data, idx: cross_entropy_loss(logits, labels[idx], class_weights),
+        lambda logits, _windows, idx: cross_entropy_loss(logits, labels[idx], class_weights),
     )
     net = HazardNet(
         arch=arch, params=params, normalizer=normalizer, trained_on=trained_on,
@@ -395,8 +396,7 @@ def predict_hazard_batch(net: HazardNet, windows: Windows) -> np.ndarray:
     if not windows:
         return np.empty(0)
     (logits,) = forward_chunks(
-        lambda *inputs: (hazard_forward(net.params, net.arch, *inputs),),
-        windows_to_arrays(windows, net.normalizer),
+        lambda *inputs: (hazard_forward(net.params, net.arch, *inputs),), windows, net.normalizer,
     )
     return softmax(logits)[:, 1]
 

@@ -386,7 +386,11 @@ def stage_eval(
         if not trace.covers(scenes):
             raise ValidationError(f"{policy} scores do not cover exactly the scenes of {labels}")
     for policy, path in (scores_out or {}).items():
-        write_scores_csv(path, *traces[policy])
+        # thresholds that share a memo share their uncertainty scores, and
+        # the file that holds them is written once
+        if memo.get((os.path.abspath(path),)) is not traces[policy]:
+            write_scores_csv(path, *traces[policy])
+            _keep(memo, path, traces[policy])
 
     budgets = parse_budgets(cfg.budgets)
     unit = cfg.count_unit

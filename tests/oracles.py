@@ -298,9 +298,10 @@ def adam_loop(data, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 def materialized_arrays(windows, normalizer):
-    """Model inputs and targets of every window at once, ``vis`` gathered as
-    one (N, k+1, obs_dim) array: the reference for ``windows_to_arrays``
-    with ``batch_inputs``, which gather the frames per batch."""
+    """Model inputs and targets of every window at once, the columns
+    normalized whole and ``vis`` gathered as one (N, k+1, obs_dim) array:
+    the reference for ``batch_inputs`` and ``batch_targets``, which gather
+    and normalize one batch's rows."""
     obs, speed, angle = (normalizer.normalize(getattr(windows, c), c) for c in ("obs", "speed", "angle"))
     end = windows.end[:, None]
     frames = end + np.arange(-windows.k, 1)

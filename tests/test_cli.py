@@ -250,6 +250,16 @@ LABELS_D3 = (f"{LABEL_TABLE.magic}\n# split D3\n# t_angle 7.0\n# t_speed 3.0\n# 
              "ep0000,2,0,0,0,1,0.5,20.0,0.4,21.0\n")
 
 
+def test_horizon_beyond_int64_exit_code_2(tmp_path, capsys):
+    # eval's scene arithmetic on such an m raised OverflowError
+    labels = tmp_path / "labels.csv"
+    labels.write_text(LABELS_D3.replace("# m 8\n", "# m 100000000000000000000\n"))
+    code = main(["eval", "--labels", str(labels), "--scores", f"learned={tmp_path / 's.csv'}",
+                 "--out", str(tmp_path / "e.json"), "--quiet"])
+    assert code == 2
+    assert "meta m: must be in [0, 2147483648), got 100000000000000000000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind, text, lineno", [
     ("episodes", f"{EPISODE_FORMAT} d=2 f=4\nep0000,0,10.0,0.0,0.1,0.2\nep0000,1,fast,0.0,0.1,0.2\n", 3),
     ("scores", f"{SCORE_TABLE.magic}\n# policy learned\n{SCORE_TABLE.header}\nep0000,2,high\n", 4),
@@ -416,7 +426,9 @@ CHECKPOINT_EDITS = {  # case -> (file, edit of its lines, message after the file
                        "the hazard net was trained at Thresholds(t_angle=7.0, t_speed=3.0), m=4;"),
     "hazard-other-threshold": ("hazard_middle.ckpt", _set_meta("t_angle", "10.0"),
                                "the hazard net was trained at Thresholds(t_angle=10.0, t_speed=3.0), m=8;"),
-    "hazard-negative-m": ("hazard_middle.ckpt", _set_meta("m", "-3"), "meta m: must be in [0, inf), got -3"),
+    "hazard-negative-m": ("hazard_middle.ckpt", _set_meta("m", "-3"), "meta m: must be in [0, 2147483648), got -3"),
+    "hazard-m-beyond-int64": ("hazard_middle.ckpt", _set_meta("m", "100000000000000000000"),
+                              "meta m: must be in [0, 2147483648), got 100000000000000000000"),
     "dropout-nan": ("driver.ckpt", _set_meta("dropout_p", "nan"), "meta dropout_p: must be finite and in [0, 1), got nan"),
     "hazard-dropout-1.5": ("hazard_middle.ckpt", _set_meta("dropout_p", "1.5"),
                            "meta dropout_p: must be finite and in [0, 1), got 1.5"),

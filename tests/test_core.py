@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drivlab import core
-from drivlab.driver import batch_inputs, windows_to_arrays
+from drivlab.driver import batch_inputs, batch_targets
 from drivlab.errors import ArtifactVersionError, ValidationError
 from drivlab.evaluate import PolicyScoreTrace
 from drivlab.failure import Labels
@@ -109,10 +109,13 @@ _IDENTITY = core.Normalizer(0.0, 1.0, 0.0, 1.0, np.zeros(3), np.ones(3))
 _PER_WINDOW = ("vis", "spd", "ang", "tgt_a", "tgt_s")
 
 
-def _gathered(arrays):
-    """``windows_to_arrays`` output with every window's frames gathered as ``vis``."""
-    frames, index = batch_inputs(arrays, slice(None))[:2]
-    return {**arrays, "vis": frames[index]}
+def _gathered(windows, normalizer=_IDENTITY):
+    """Every window's model inputs and targets, as ``batch_inputs`` and
+    ``batch_targets`` gather them for one batch of all rows, with the frames
+    as ``vis``, (N, k+1, obs_dim)."""
+    frames, index, spd, ang = batch_inputs(windows, normalizer, slice(None))
+    tgt_a, tgt_s = batch_targets(windows, normalizer, slice(None))
+    return {"vis": frames[index], "spd": spd, "ang": ang, "tgt_a": tgt_a, "tgt_s": tgt_s}
 
 
 class TestMakeWindows:
@@ -129,10 +132,12 @@ class TestMakeWindows:
 
     def test_window_contents(self):
         ep = _episode(8)
-        arrays = _gathered(windows_to_arrays(core.make_windows(ep, k=4), _IDENTITY))
+        ws = core.make_windows(ep, k=4)
+        arrays = _gathered(ws)
         # window 1 ends at t = 5
-        assert arrays["frames"][1].tolist() == [1, 2, 3, 4, 5]
+        assert ws.end[1] == 5
         assert arrays["vis"][1].shape == (5, 3)
+        assert np.array_equal(arrays["vis"][1], ep.obs[1:6])
         assert np.array_equal(arrays["vis"][1][-1], ep.obs[5])
         assert np.array_equal(arrays["spd"][1], ep.speed[1:5])
         assert arrays["tgt_a"][1, 0] == ep.angle[5]
@@ -166,7 +171,7 @@ class TestMakeWindows:
             assert getattr(norm, field) == getattr(expected, field), field
         assert np.array_equal(norm.obs_mean, expected.obs_mean)
         assert np.array_equal(norm.obs_std, expected.obs_std)
-        got, want = _gathered(windows_to_arrays(ws, norm)), sliced_arrays(ref, norm)
+        got, want = _gathered(ws, norm), sliced_arrays(ref, norm)
         for key in want:
             assert got[key].shape == want[key].shape and np.array_equal(got[key], want[key]), key
 
@@ -181,9 +186,9 @@ class TestMakeWindows:
         assert [ws.episode_ids[e] for e in ws.ep] == [ep.episode_id for w, ep in zip(parts, eps) for _ in range(len(w))]
         if not len(ws):
             return
-        got = _gathered(windows_to_arrays(ws, _IDENTITY))
+        got = _gathered(ws)
         for key in _PER_WINDOW:
-            want = np.concatenate([_gathered(windows_to_arrays(w, _IDENTITY))[key] for w in parts if len(w)])
+            want = np.concatenate([_gathered(w)[key] for w in parts if len(w)])
             assert np.array_equal(got[key], want), key
 
     def test_several_episodes_reject_duplicate_ids(self):
@@ -197,12 +202,12 @@ class TestMakeWindows:
         assert ws.episode_ids == ("b", "a")  # only the ids the windows use
         assert ws.ep.tolist() == [0, 1, 0] and ws.t.tolist() == [5, 4, 4]
         assert ws.obs.shape == (13, 3)  # only the referenced episodes' rows
-        arrays = _gathered(windows_to_arrays(ws, _IDENTITY))
+        arrays = _gathered(ws)
         assert np.array_equal(arrays["vis"][1], a.obs[0:5])
         assert np.array_equal(arrays["ang"][2], b.angle[0:4])
         part = ws[1:]
         assert len(part) == 2 and part.obs is ws.obs
-        assert np.array_equal(_gathered(windows_to_arrays(part, _IDENTITY))["vis"], arrays["vis"][1:])
+        assert np.array_equal(_gathered(part)["vis"], arrays["vis"][1:])
         with pytest.raises(ValidationError, match="unknown episode z"):
             core.windows_at({"a": a}, ("a", "z"), [1], [4], k=4)
         with pytest.raises(ValidationError, match="out of window range"):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -517,6 +518,28 @@ class TestDropout:
             total += dropout(Tensor(x), 0.5, "mc", rng).data
         mean_abs_rel = np.mean(np.abs(total / n - x) / np.abs(x))
         assert mean_abs_rel < 0.02
+
+    def test_boolean_mask_gives_the_float_mask_bits(self):
+        """The tape keeps the boolean keep-mask, 1 byte a value, and scales
+        it where it is used. The output and the gradient must be those of the
+        float mask ``keep / (1 - p)``, bit for bit, signed zeros included."""
+        shape, p = (200, 300), 0.3
+        x = RNG.standard_normal(shape)
+        x[::7] = -0.0
+        mask = (np.random.default_rng(21).random(shape) >= p) / (1.0 - p)
+        got, want = Tensor(x.copy(), requires_grad=True), Tensor(x.copy(), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = dropout(got, p, "train", np.random.default_rng(21))
+            taped = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert taped <= x.size + 4096  # a float mask would take 8 bytes a value
+        ref = mul(want, Tensor(mask))
+        assert np.array_equal(out.data.view(np.int64), ref.data.view(np.int64))
+        _weighted_sum(out).backward()
+        _weighted_sum(ref).backward()
+        assert np.array_equal(got.grad.view(np.int64), want.grad.view(np.int64))
 
     def test_mode_validation(self):
         with pytest.raises(ValidationError, match="mode"):

@@ -17,6 +17,7 @@ from drivlab.driver import (
     TrainConfig,
     _predict_normalized,
     batch_inputs,
+    batch_targets,
     constant_mean_mae,
     driver_forward,
     eval_mae,
@@ -26,7 +27,6 @@ from drivlab.driver import (
     predict_batch,
     save_driver,
     train_driver,
-    windows_to_arrays,
 )
 from drivlab.config import PipelineConfig
 from drivlab.errors import NumericalError, ValidationError
@@ -105,8 +105,7 @@ class TestPredictContracts:
         # predictions must equal denormalize(raw head output) exactly
         net, _ = trained
         w = small_windows_module[7:8]
-        data = windows_to_arrays(w, net.normalizer)
-        out_a, out_s = driver_forward(net.params, net.arch, *batch_inputs(data, slice(None)))
+        out_a, out_s = driver_forward(net.params, net.arch, *batch_inputs(w, net.normalizer, slice(None)))
         angle, speed = predict_batch(net, w)
         assert angle[0] == float(net.normalizer.denormalize(out_a.data[0, 0], "angle"))
         assert speed[0] == float(net.normalizer.denormalize(out_s.data[0, 0], "speed"))
@@ -220,7 +219,7 @@ class TestDistinctFrames:
             (hazard, ("cls",), lambda *inputs: (hazard_forward(hazard.params, hazard.arch, *inputs),)),
         )
         for net, heads, forward in runs:
-            got = driver_mod.forward_chunks(forward, windows_to_arrays(windows, net.normalizer))
+            got = driver_mod.forward_chunks(forward, windows, net.normalizer)
             ref = materialized_arrays(windows, net.normalizer)
             want = gathered_forward(net.params, net.arch, heads, ref["vis"], ref["spd"], ref["ang"])
             for g, w in zip(got, want):
@@ -231,10 +230,10 @@ class TestDistinctFrames:
 
 
 class TestFrameGather:
-    """``windows_to_arrays`` keeps the obs column and a frame-row index;
-    ``batch_inputs`` gathers a batch's frames, step-major or each distinct
-    frame once. Every batch must get the bits of the whole-set gather in
-    ``oracles.materialized_arrays``."""
+    """``batch_inputs`` gathers and normalizes a batch's inputs from the
+    windows' columns, its frames step-major or each distinct frame once, and
+    ``batch_targets`` its targets. Every batch must get the bits of the
+    whole-set normalization and gather in ``oracles.materialized_arrays``."""
 
     @pytest.mark.parametrize("subset", ["all", "shuffled-half", "middle"])
     def test_ragged_batches_match_the_materialized_gather(self, small_windows_module, subset):
@@ -245,11 +244,7 @@ class TestFrameGather:
         if subset == "middle":  # a slice whose rows start past the columns' first row
             windows = windows[150:420]
         normalizer = core.fit_normalizer(small_windows_module)
-        data, want = windows_to_arrays(windows, normalizer), materialized_arrays(windows, normalizer)
-        for key in ("tgt_a", "tgt_s"):
-            assert np.array_equal(data[key], want[key])
-        span = windows.end.max() - windows.end.min() + 5  # only the rows the windows span
-        assert data["obs"].shape == (span, 16) and data["frames"].min() == 0
+        want = materialized_arrays(windows, normalizer)
         n = len(windows)
         cuts = np.cumsum(rng.integers(1, 97, size=n))
         bounds = [0, *cuts[cuts < n].tolist(), n]  # ragged sizes, one-row batches possible
@@ -259,16 +254,18 @@ class TestFrameGather:
         batches += [slice(n - 1, n), order[:1], order[:0]]
         for rows in batches:
             b = len(want["spd"][rows])
-            step_major = batch_inputs(data, rows)
-            distinct = batch_inputs(data, rows, distinct=True)
+            step_major = batch_inputs(windows, normalizer, rows)
+            distinct = batch_inputs(windows, normalizer, rows, distinct=True)
             assert np.array_equal(step_major[1].T.reshape(-1), np.arange(b * 5))
-            spans = data["frames"][rows]
+            spans = windows.end[rows][:, None] + np.arange(-4, 1)
             assert len(distinct[0]) == len(np.unique(spans))  # no frame gathered twice
+            targets = dict(zip(("tgt_a", "tgt_s"), batch_targets(windows, normalizer, rows)))
             for frames, index, *signals in (step_major, distinct):
                 assert index.shape == (b, 5)
-                for got, key in zip((frames[index], *signals), ("vis", "spd", "ang")):
-                    assert got.shape == want[key][rows].shape
-                    assert np.array_equal(got.view(np.int64), want[key][rows].view(np.int64)), key
+                got = {"vis": frames[index], "spd": signals[0], "ang": signals[1], **targets}
+                for key, value in got.items():
+                    assert value.shape == want[key][rows].shape
+                    assert np.array_equal(value.view(np.int64), want[key][rows].view(np.int64)), key
 
 
 MIB = float(1 << 20)
@@ -292,13 +289,14 @@ class TestMemory:
         assert len(windows) >= 512
         arch = BackboneArch(obs_dim=windows.obs.shape[1], k=windows.k)
         params = init_driver_params(arch, np.random.default_rng(0))
-        data = windows_to_arrays(windows, core.fit_normalizer(windows))
-        inputs = batch_inputs(data, slice(0, 512))
+        normalizer = core.fit_normalizer(windows)
+        inputs = batch_inputs(windows, normalizer, slice(0, 512))
+        tgt_a, tgt_s = batch_targets(windows, normalizer, slice(0, 512))
         rng = np.random.default_rng(1)
 
         def step():
             out_a, out_s = driver_forward(params, arch, *inputs, mode="train", rng=rng)
-            loss = add(l2_loss(out_a, data["tgt_a"][:512]), scale(l2_loss(out_s, data["tgt_s"][:512]), 1.0))
+            loss = add(l2_loss(out_a, tgt_a), scale(l2_loss(out_s, tgt_s), 1.0))
             loss.backward()
             adam_step(params, 1e-3)
             return loss
@@ -311,19 +309,21 @@ class TestMemory:
             second_peak, second_left, loss = self._traced(step, base)
         finally:
             tracemalloc.stop()
-        assert first_peak <= 13.0 and first_left < 0.1
+        # Adam's m and v, which the first step allocates and every later step holds
+        moments = 2 * params._flat.nbytes / MIB
+        assert first_peak <= 13.0 and first_left - moments < 0.1
         # the second step may add only the first one's bound scalar loss
-        assert second_peak <= first_peak + 0.01 and second_left < 0.1
+        assert second_peak - moments <= first_peak + 0.01 and second_left - moments < 0.1
 
     def test_inference_over_2048_rows(self, trained, small_windows_module):
         net, _ = trained
         rows = np.arange(2048) % len(small_windows_module)  # the windows three times over, cut at 2048
-        data = windows_to_arrays(small_windows_module[rows], net.normalizer)
-        assert data["frames"].shape[0] == 2048
+        windows = small_windows_module[rows]
+        assert len(windows) == 2048
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            peak, _, _ = self._traced(lambda: _predict_normalized(net, data), base)
+            peak, _, _ = self._traced(lambda: _predict_normalized(net, windows), base)
         finally:
             tracemalloc.stop()
         assert peak < 4.0
@@ -365,6 +365,31 @@ class TestMemory:
             tracemalloc.stop()
         assert all(peak < frame_copy for peak in peaks.values()), peaks
 
+    def test_training_epoch_holds_one_batch_of_inputs(self):
+        """An epoch gathers each batch's inputs from the windows' columns,
+        which are built before tracing starts. From 1,000 to 4,000 windows
+        its traced peak may grow by the shuffle order alone, 8 bytes a
+        window; a normalized copy of the split's inputs would add 248."""
+        rng = np.random.default_rng(12)
+        episodes = [core.Episode(f"e{i}", rng.standard_normal((1004, 16)), rng.uniform(20, 100, 1004),
+                                 rng.uniform(-30, 30, 1004)) for i in range(4)]
+        windows = core.make_windows(*episodes, k=4)
+        assert len(windows) == 4000
+        normalizer = core.fit_normalizer(windows)
+        labels = np.arange(len(windows)) % 2
+        cfg = TrainConfig(epochs=1, batch_size=64)
+        middle = CANONICAL_THRESHOLDS["middle"]
+        peaks = {}
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for n in (1000, 4000):
+                peaks[n] = self._traced(
+                    lambda: train_failure(windows[:n], labels[:n], cfg, normalizer, middle, 8), base)[0]
+        finally:
+            tracemalloc.stop()
+        assert peaks[4000] - peaks[1000] <= 3000 * 8 / MIB + 0.02, peaks
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
     def test_freed_blocks_are_reused(self):
         # 50 blocks of 4 MiB (1024 pages), each a page larger than the last, in
@@ -394,13 +419,13 @@ class TestTraining:
         arch = BackboneArch(obs_dim=16, k=4, dropout_p=cfg.dropout_p)
         rng = np.random.default_rng(0)
         params = init_driver_params(arch, rng)
-        data = windows_to_arrays(windows, normalizer)
         from drivlab.diffcore import l2_loss
 
         out_a, out_s = driver_forward(
-            params, arch, *batch_inputs(data, slice(None)), mode="train", rng=np.random.default_rng(1),
+            params, arch, *batch_inputs(windows, normalizer, slice(None)), mode="train",
+            rng=np.random.default_rng(1),
         )
-        loss = l2_loss(out_a, data["tgt_a"])  # lam = 0 drops the speed term
+        loss = l2_loss(out_a, batch_targets(windows, normalizer, slice(None))[0])  # lam = 0 drops the speed term
         loss.backward()
         for name in params.names():
             grad = params[name].grad
@@ -435,8 +460,8 @@ class TestTraining:
         # l2(angle) + lam * l2(speed) of the trained net's normalized outputs, bit for bit
         train, val = small_windows_module[:64], small_windows_module[64:300]
         net, history = train_driver(train, TrainConfig(epochs=1, seed=9, lam=lam), val_windows=val)
-        data = windows_to_arrays(val, net.normalizer)
-        out_a, out_s = _predict_normalized(net, data)
+        data = materialized_arrays(val, net.normalizer)
+        out_a, out_s = _predict_normalized(net, val)
         want = float(np.mean((out_a - data["tgt_a"]) ** 2))
         if lam > 0:
             want += lam * float(np.mean((out_s - data["tgt_s"]) ** 2))
@@ -463,6 +488,21 @@ class TestTraining:
     def test_invalid_config(self):
         with pytest.raises(ValidationError):
             TrainConfig(lam=-1.0)
+
+
+class TestOptimizerState:
+    def test_nets_that_only_predict_hold_no_moments(self, trained, tmp_path):
+        # the first adam_step allocates Adam's m and v, and fit frees them
+        net, _ = trained
+        path = tmp_path / "d.ckpt"
+        save_driver(path, net)
+        for params in (net.params, load_driver(path).params):
+            assert params._m is None and params._v is None and params.step_count == 0
+        params = init_driver_params(net.arch, np.random.default_rng(0))
+        for _, p in params.items():
+            p.grad = np.ones_like(p.data)
+        adam_step(params, 1e-3)
+        assert params._m.shape == params._v.shape == params._flat.shape and params.step_count == 1
 
 
 class TestEvalMae:

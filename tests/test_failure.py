@@ -341,13 +341,12 @@ class TestHazardNet:
         assert np.all((0.0 <= probs) & (probs <= 1.0))
 
     def test_class_probabilities_sum_to_one(self, tiny_pipeline):
-        from drivlab.driver import batch_inputs, windows_to_arrays
+        from drivlab.driver import batch_inputs
         from drivlab.failure import hazard_forward, softmax
 
         net = tiny_pipeline["hazard"]
         windows = label_windows(tiny_pipeline["eval_labels"].rows, tiny_pipeline["d3"])
-        data = windows_to_arrays(windows[:40], net.normalizer)
-        logits = hazard_forward(net.params, net.arch, *batch_inputs(data, slice(None)))
+        logits = hazard_forward(net.params, net.arch, *batch_inputs(windows[:40], net.normalizer, slice(None)))
         probs = softmax(logits.data)
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-12)
 

@@ -130,6 +130,25 @@ class TestStages:
         assert len(passes) == 2 + 6
 
 
+    def test_eval_writes_the_shared_uncertainty_scores_once(self, tmp_path, monkeypatch):
+        """At thresholds = all the three thresholds share the uncertainty
+        scores; eval writes their file once, with the bytes an eval at one
+        threshold writes."""
+        cfg = PipelineConfig(episodes=24, episode_length=100, seed=9, driver_epochs=4, hazard_epochs=2,
+                             mc_samples=4, thresholds="all")  # the C8 config: both classes at every threshold
+        for name in STAGES[:5]:
+            run_stage(name, cfg, tmp_path)
+        writes = []
+        write = pipeline.write_scores_csv
+        monkeypatch.setattr(pipeline, "write_scores_csv",
+                            lambda path, *args: writes.append(Path(path).name) or write(path, *args))
+        run_stage("eval", cfg, tmp_path)
+        learned = [f"scores_learned_{th}.csv" for th in cfg.threshold_names()]
+        assert sorted(writes) == sorted(["scores_uncertainty.csv", *learned])
+        shared = (tmp_path / "scores_uncertainty.csv").read_bytes()
+        run_stage("eval", dataclasses.replace(cfg, thresholds="loose"), tmp_path)
+        assert (tmp_path / "scores_uncertainty.csv").read_bytes() == shared
+
     def test_gen_leaves_the_episodes_its_file_reads_back(self, tmp_path):
         """The episodes gen leaves in the memo for run_all's later stages are
         those the staged CLI reads from the episode file."""
